@@ -4,6 +4,17 @@ with energy and weak-strong uniqueness diagnostics.
 The integrator is classical RK4 applied in integrating-factor variables:
 the viscous semigroup exp(-4 pi^2 nu |alpha|^2 dt) is applied exactly and
 RK4 handles only the projected advection term.
+
+The loop runs on the real-to-complex half spectrum (last-axis wavenumbers
+0..N/2, the rest follow from conjugate symmetry) through ``scipy.fft``.
+The advection term is evaluated in divergence form, P[div(v (x) v)]:
+n inverse transforms for the velocity and one batched forward transform
+of the n(n+1)/2 products v_i v_j.  For a solenoidal state kept inside
+|alpha_k| <= N/3 this equals the advective form P[(v . grad) v] once the
+2/3 mask is applied: when 3 does not divide N, the products alias only
+onto modes the mask removes (Orszag 1971; Canuto, Hussaini, Quarteroni &
+Zang, Spectral Methods, 2007).  Full-lattice ``SpectralField`` snapshots
+are rebuilt from the half spectrum only at record points.
 """
 
 from __future__ import annotations
@@ -11,17 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .spectral import (
     SpectralField,
     TorusGrid,
     _mode_phase,
+    _reflect,
     dealias,
     dealias_mask,
+    hermitian_symmetrize,
     interpolate_periodic,
     to_grid,
 )
-from .leray import leray_project
+from .leray import _project_modes, leray_project
 
 __all__ = [
     "SolverConfig",
@@ -49,7 +63,6 @@ class SolverConfig:
     dt: float
     t_end: float
     integrator: str = "if_rk4"
-    dealias: bool = True
     snapshot_stride: int = 1
     blowup_threshold: float = 1e12
     advect_coeff: float = 1.0
@@ -126,65 +139,118 @@ def l4_norm(v: SpectralField) -> float:
     return float(np.mean(mag_sq**2) ** 0.25)
 
 
-def _nonlinear_modes(v: SpectralField, cfg: SolverConfig):
-    """-advect_coeff * P[(v . grad) v] in mode space, dealiased."""
-    grid = v.grid
-    n = grid.n
-    axes = tuple(range(1, 1 + n))
-    phase = _mode_phase(grid)
-    mask = dealias_mask(grid) if cfg.dealias else 1.0
-    alphas = [grid.alpha(k) for k in range(n)]
-    vel = np.fft.ifftn(v.modes * phase, axes=axes).real * grid.N**n
-    adv = np.zeros((n,) + grid.shape)
-    for i in range(n):
-        dmodes = np.stack([2j * np.pi * alphas[j] * v.modes[i] for j in range(n)])
-        dgrids = np.fft.ifftn(dmodes * phase, axes=axes).real * grid.N**n
-        for j in range(n):
-            adv[i] += vel[j] * dgrids[j]
-    adv_modes = np.fft.fftn(adv, axes=axes) / grid.N**n * phase
-    adv_modes = adv_modes * mask
-    asq = grid.alpha_sq()
-    asq_safe = np.where(asq == 0, 1.0, asq)
-    dot = np.zeros(grid.shape, dtype=complex)
-    for k in range(n):
-        dot += alphas[k] * adv_modes[k]
-    correction = dot / asq_safe
-    for k in range(n):
-        adv_modes[k] -= np.where(asq == 0, 0.0, alphas[k] * correction)
-    return -cfg.advect_coeff * adv_modes
+class _HalfSpectrum:
+    """Per-run operators of the IF-RK4 loop on the ``rfftn`` half lattice.
+
+    The loop state is the raw half spectrum c = (phase * modes)[..., :N/2+1]:
+    unphased coefficients, so that ``scipy.fft`` maps them straight to grid
+    values.  The (-1)^(alpha_1+...+alpha_n) phase commutes with every
+    diagonal operator here and is applied only when a full-lattice field is
+    rebuilt.  The last half-lattice plane holds the Nyquist wavenumber,
+    stored as -N/2 as on the full lattice; every operator is even in alpha
+    or zero there.
+    """
+
+    def __init__(self, grid: TorusGrid, cfg: SolverConfig):
+        self.grid = grid
+        self.axes = tuple(range(1, 1 + grid.n))
+        half = (Ellipsis, slice(0, grid.N // 2 + 1))
+        self.alphas = [grid.alpha(k)[half] for k in range(grid.n)]
+        asq = grid.alpha_sq()[half]
+        self.inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
+        # -advect_coeff times the 2/3 mask, with the 2 pi i of the divergence folded in
+        self.coeff = -2j * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
+        lin = -cfg.nu * 4 * np.pi**2 * asq
+        self.e_full = np.exp(lin * cfg.dt)
+        self.e_half = np.exp(lin * cfg.dt / 2)
+        self.phase = _mode_phase(grid)[half]
+        n = grid.n
+        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self.pair_index = np.empty((n, n), dtype=int)
+        for p, (i, j) in enumerate(self.pairs):
+            self.pair_index[i, j] = self.pair_index[j, i] = p
+
+    def half(self, modes):
+        """Raw half spectrum of full-lattice (phased) modes."""
+        return modes[..., : self.grid.N // 2 + 1] * self.phase
+
+    def full(self, c):
+        """Full-lattice phased modes rebuilt by v_{-alpha} = conj(v_alpha).
+
+        The last-axis planes 0 and N/2 are their own mirror images; they are
+        made exactly conjugate-symmetric, which is the part the inverse real
+        transform reads.
+        """
+        N = self.grid.N
+        plane_axes = tuple(range(c.ndim - self.grid.n, c.ndim - 1))
+        c = c * self.phase
+        out = np.empty(c.shape[:-1] + (N,), dtype=complex)
+        out[..., : N // 2 + 1] = c
+        out[..., N // 2 + 1 :] = _reflect(np.conj(c[..., N // 2 - 1 : 0 : -1]), plane_axes)
+        for k in (0, N // 2):
+            plane = out[..., k]
+            out[..., k] = 0.5 * (plane + _reflect(np.conj(plane), plane_axes))
+        return out
+
+    def abs_sum(self, c):
+        """sum |v_alpha| over the full lattice: last-axis wavenumbers 1..N/2-1 count twice."""
+        a = np.abs(c)
+        return float(a.sum() + a[..., 1:-1].sum())
+
+    def nonlinear(self, c):
+        """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c."""
+        grid = self.grid
+        vel = scipy.fft.irfftn(c, s=grid.shape, axes=self.axes, norm="forward")
+        prods = np.empty((len(self.pairs),) + grid.shape)
+        for p, (i, j) in enumerate(self.pairs):
+            np.multiply(vel[i], vel[j], out=prods[p])
+        pm = scipy.fft.rfftn(prods, axes=self.axes, norm="forward")
+        div = [sum(self.alphas[j] * pm[self.pair_index[i, j]] for j in range(grid.n)) for i in range(grid.n)]
+        return self.coeff * _project_modes(div, self.alphas, self.inv_asq)
 
 
 def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
-    """nu Delta v - P[(v . grad) v]; divergence-free by construction."""
+    """nu Delta v - P[(v . grad) v]; divergence-free by construction.
+
+    ``v`` is taken as the real, solenoidal, 2/3-dealiased field that
+    ``simulate`` integrates: the advection term is evaluated from its half
+    spectrum in divergence form.
+    """
+    op = _HalfSpectrum(v.grid, cfg)
     lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
-    return SpectralField(v.grid, lin * v.modes + _nonlinear_modes(v, cfg))
+    return SpectralField(v.grid, lin * v.modes + op.full(op.nonlinear(op.half(v.modes))))
 
 
 def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 with integrating-factor RK4.
 
-    The field is projected and dealiased on entry.  If the grid maximum
-    exceeds ``cfg.blowup_threshold`` the run stops and the partial
-    trajectory is returned with ``blew_up`` set.
+    The field is projected and dealiased on entry; a non-finite field, or
+    one whose projection is not conjugate-symmetric to 1e-12 relative (not
+    a real field), is rejected with ValueError.  If the bound sum |v_alpha|
+    on the grid maximum exceeds ``cfg.blowup_threshold`` or is not finite,
+    the run stops and the partial trajectory is returned with ``blew_up``
+    set.
     """
     grid = v0.grid
-    state = dealias(leray_project(v0)) if cfg.dealias else leray_project(v0)
-    m = state.modes.copy()
+    if not np.all(np.isfinite(v0.modes)):
+        raise ValueError("initial field contains non-finite modes")
+    state = dealias(leray_project(v0)).modes
+    asym = float(np.max(np.abs(state - hermitian_symmetrize(state, grid))))
+    if asym > 1e-12 * float(np.max(np.abs(state))):
+        raise ValueError(f"initial field is not conjugate-symmetric (anti-Hermitian part {asym:.3e})")
 
-    lin = -cfg.nu * 4 * np.pi**2 * grid.alpha_sq()
+    op = _HalfSpectrum(grid, cfg)
+    m = op.half(state)
+    e_full, e_half = op.e_full, op.e_half
+    nl = op.nonlinear
     dt = cfg.dt
-    e_full = np.exp(lin * dt)
-    e_half = np.exp(lin * dt / 2)
 
     steps = int(round(cfg.t_end / dt))
     times = [0.0]
-    snaps = [SpectralField(grid, m.copy())]
+    snaps = [SpectralField(grid, op.full(m))]
     energies = [energy(snaps[0])]
     blew_up = False
     note = ""
-
-    def nl(modes):
-        return _nonlinear_modes(SpectralField(grid, modes), cfg)
 
     for step in range(steps):
         n1 = nl(m)
@@ -197,12 +263,17 @@ def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
         m = e_full * m + dt / 6.0 * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
         t = (step + 1) * dt
         # sup |v| <= sum |v_alpha|: cheap overflow guard without a transform
-        if np.sum(np.abs(m)) > cfg.blowup_threshold:
+        bound = op.abs_sum(m)
+        if not np.isfinite(bound) or bound > cfg.blowup_threshold:
             blew_up = True
-            note = f"grid max bound exceeded {cfg.blowup_threshold:.1e} at t={t:.6g}; run terminated"
+            if np.isfinite(bound):
+                what = f"grid max bound exceeded {cfg.blowup_threshold:.1e}"
+            else:
+                what = "non-finite state"
+            note = f"{what} at step {step + 1} (t={t:.6g}); run terminated"
             break
         if (step + 1) % cfg.snapshot_stride == 0 or step == steps - 1:
-            f = SpectralField(grid, m.copy())
+            f = SpectralField(grid, op.full(m))
             times.append(t)
             snaps.append(f)
             energies.append(energy(f))

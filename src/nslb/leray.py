@@ -67,25 +67,25 @@ def pressure_gradient_modes(v: SpectralField, i: int, divergence_warn=1e-8) -> S
     return SpectralField(grid, out[None])
 
 
-def leray_project(f: SpectralField) -> SpectralField:
-    """Orthogonal mode-wise projection onto divergence-free fields.
+def _project_modes(modes, alphas, inv_asq):
+    """Leray projection of an (n, ...) mode array on any mode lattice.
 
-    For alpha != 0 subtracts alpha (alpha . v_alpha)/|alpha|^2; the mean mode
-    is untouched (constants are solenoidal and orthogonal to gradients).
+    Subtracts alpha (alpha . v_alpha) / |alpha|^2 from every mode.
+    ``alphas`` holds the n wavenumber arrays, broadcastable against one
+    component, and ``inv_asq`` is 1/|alpha|^2 with 0 at alpha = 0, so the
+    mean mode is untouched (constants are solenoidal and orthogonal to
+    gradients).
     """
+    dot = sum(a * m for a, m in zip(alphas, modes)) * inv_asq
+    return np.stack([m - a * dot for a, m in zip(alphas, modes)])
+
+
+def leray_project(f: SpectralField) -> SpectralField:
+    """Orthogonal mode-wise projection onto divergence-free fields."""
     grid = f.grid
     if f.ncomp != grid.n:
         raise ValueError("projection needs one component per spatial dimension")
     asq = grid.alpha_sq()
-    asq_safe = np.where(asq == 0, 1.0, asq)
-    dot = np.zeros(grid.shape, dtype=complex)
-    for k in range(grid.n):
-        dot += grid.alpha(k) * f.modes[k]
-    out = np.empty_like(f.modes)
-    for k in range(grid.n):
-        out[k] = f.modes[k] - grid.alpha(k) * dot / asq_safe
-    # alpha = 0: projection acts as identity
-    zero = asq == 0
-    for k in range(grid.n):
-        out[k][zero] = f.modes[k][zero]
-    return SpectralField(grid, out)
+    inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
+    alphas = [grid.alpha(k) for k in range(grid.n)]
+    return SpectralField(grid, _project_modes(f.modes, alphas, inv_asq))

@@ -155,13 +155,17 @@ class PhysicalField:
         return float(np.max(np.abs(self.values)))
 
 
+def _reflect(a, axes):
+    """Entries at -alpha along ``axes``: storage index j -> (N - j) mod N."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
 def hermitian_symmetrize(modes, grid):
     """Project onto the conjugate-symmetric subspace, v_{-alpha} = conj(v_alpha)."""
     axes = tuple(range(modes.ndim - grid.n, modes.ndim))
-    refl = np.conj(modes)
-    for ax in axes:
-        refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
-    return 0.5 * (modes + refl)
+    return 0.5 * (modes + _reflect(np.conj(modes), axes))
 
 
 def to_modes(f: PhysicalField) -> SpectralField:
@@ -212,15 +216,11 @@ def sobolev_norm(v: SpectralField, s: float) -> float:
 
 def dealias(v: SpectralField) -> SpectralField:
     """2/3-rule truncation: zero every mode with some |alpha_k| > N/3."""
-    grid = v.grid
-    cutoff = grid.N / 3.0
-    keep = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n):
-        keep &= np.abs(grid.alpha(axis)) <= cutoff
-    return SpectralField(grid, v.modes * keep)
+    return SpectralField(v.grid, v.modes * dealias_mask(v.grid))
 
 
 def dealias_mask(grid: TorusGrid):
+    """Boolean mode mask of the 2/3 rule: True where every |alpha_k| <= N/3."""
     cutoff = grid.N / 3.0
     keep = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.n):

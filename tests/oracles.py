@@ -65,6 +65,42 @@ def brute_force_pressure_gradient(v, i):
     return out
 
 
+def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
+    """-advect_coeff * P[(v . grad) v] on the full mode lattice, 2/3-dealiased.
+
+    The advective form, evaluated with complex FFTs over the whole lattice:
+    grid values of v and of every partial d_j v_i, their pointwise products
+    summed over j, then the forward transform, the 2/3 mask and the mode-wise
+    Leray projection.  ``modes`` has shape (n, N, ..., N) in FFT order with
+    the (-1)^(alpha_1+...+alpha_n) phase of the -0.5 grid offset.
+    """
+    axes = tuple(range(1, 1 + n))
+    wave = np.fft.fftfreq(N, 1.0 / N)
+    alphas = []
+    for k in range(n):
+        shape = [1] * n
+        shape[k] = N
+        alphas.append(wave.reshape(shape))
+    phase = np.ones((N,) * n)
+    keep = np.ones((N,) * n, dtype=bool)
+    asq = np.zeros((N,) * n)
+    for a in alphas:
+        phase = phase * np.where(a.astype(int) % 2 == 0, 1.0, -1.0)
+        keep &= np.abs(a) <= N / 3.0
+        asq = asq + a**2
+    vel = np.fft.ifftn(modes * phase, axes=axes).real * N**n
+    adv = np.zeros((n,) + (N,) * n)
+    for i in range(n):
+        for j in range(n):
+            dgrid = np.fft.ifftn(2j * np.pi * alphas[j] * modes[i] * phase).real * N**n
+            adv[i] += vel[j] * dgrid
+    adv_modes = np.fft.fftn(adv, axes=axes) / N**n * phase * keep
+    dot = sum(alphas[k] * adv_modes[k] for k in range(n))
+    for k in range(n):
+        adv_modes[k] -= np.where(asq == 0, 0.0, alphas[k] * dot / np.where(asq == 0, 1.0, asq))
+    return -advect_coeff * adv_modes
+
+
 def centered_difference(values, axis, spacing):
     """Periodic centered difference on grid values."""
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * spacing)

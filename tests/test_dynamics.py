@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslb.dynamics import (
     SolverConfig,
+    _HalfSpectrum,
     Trajectory,
     energy,
     gradient_energy,
@@ -13,7 +17,8 @@ from nslb.dynamics import (
     weak_strong_bound,
 )
 from nslb.flows import perturbed_taylor_green, random_divergence_free, taylor_green
-from nslb.spectral import SpectralField, TorusGrid, divergence
+from nslb.spectral import SpectralField, TorusGrid, divergence, hermitian_symmetrize, to_grid
+from oracles import advective_nonlinear_modes
 
 
 def test_config_validation():
@@ -58,6 +63,66 @@ def test_rhs_euler_energy_conservation():
         advection = rhs(v, cfg).modes - lin_op * v.modes
         power = np.sum(np.conj(v.modes) * advection).real
         assert abs(power) < 1e-10
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("advect_coeff", [1.0, 0.7])
+def test_rhs_matches_advective_oracle(n, N, advect_coeff):
+    # the half-spectrum divergence form equals the full-lattice advective
+    # form on dealiased solenoidal fields
+    grid = TorusGrid(n, N)
+    cfg = SolverConfig(nu=0.03, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff)
+    lin = -cfg.nu * 4 * np.pi**2 * grid.alpha_sq()
+    for seed in range(3):
+        v = random_divergence_free(grid, np.random.default_rng(seed), kmax=N // 3)
+        expected = advective_nonlinear_modes(v.modes, n, N, advect_coeff)
+        got = rhs(v, cfg).modes - lin * v.modes
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _hermitian_field(n, N, seed):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(seed)
+    shape = (n,) + grid.shape
+    modes = hermitian_symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
+    return grid, modes
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_round_trip(n, N, seed):
+    grid, modes = _hermitian_field(n, N, seed)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
+    half = op.half(modes)
+    assert half.shape == (n,) + grid.shape[:-1] + (N // 2 + 1,)
+    assert np.array_equal(op.full(half), modes)
+    assert np.array_equal(op.half(op.full(half)), half)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_full_lattice_rebuild_is_the_field_the_loop_sees(n, N, seed):
+    # any half spectrum, including planes 0 and N/2 that are not their own
+    # conjugate mirror, rebuilds to the real field the inverse real transform reads
+    grid = TorusGrid(n, N)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
+    rng = np.random.default_rng(seed)
+    shape = (n,) + grid.shape[:-1] + (N // 2 + 1,)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    modes = op.full(half)
+    assert np.array_equal(hermitian_symmetrize(modes, grid), modes)
+    values = to_grid(SpectralField(grid, modes)).values
+    seen = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
+    assert np.max(np.abs(values - seen)) <= 1e-12 * np.max(np.abs(seen))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_abs_sum_is_full_lattice_sum(n, N, seed):
+    grid, modes = _hermitian_field(n, N, seed)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
+    full_sum = float(np.sum(np.abs(modes)))
+    assert op.abs_sum(op.half(modes)) == pytest.approx(full_sum, rel=1e-13)
 
 
 def test_simulate_zero_initial_data():
@@ -114,12 +179,47 @@ def test_rk4_convergence_order():
 
 def test_blowup_guard_returns_partial_trajectory():
     grid = TorusGrid(2, 16)
-    cfg = SolverConfig(nu=1e-8, dt=0.5, t_end=5.0, blowup_threshold=1e3, dealias=True)
+    cfg = SolverConfig(nu=1e-8, dt=0.5, t_end=5.0, blowup_threshold=1e3)
     v0 = random_divergence_free(grid, np.random.default_rng(3), rms=40.0)
     traj = simulate(v0, cfg)
     assert traj.blew_up
     assert traj.note != ""
     assert traj.times.size >= 1
+
+
+def test_blowup_guard_catches_non_finite_state():
+    # with no finite threshold the state overflows to inf/NaN, which an
+    # over-threshold comparison alone would let through
+    grid = TorusGrid(2, 16)
+    cfg = SolverConfig(nu=1e-8, dt=0.5, t_end=50.0, blowup_threshold=np.inf)
+    v0 = random_divergence_free(grid, np.random.default_rng(3), rms=40.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(v0, cfg)
+    assert traj.blew_up
+    assert "non-finite" in traj.note and "step" in traj.note
+    assert traj.times[-1] < cfg.t_end
+    assert np.all(np.isfinite(traj.energies))
+    assert all(np.all(np.isfinite(f.modes)) for f in traj.snapshots)
+
+
+def test_simulate_rejects_non_finite_initial_field():
+    grid = TorusGrid(2, 16)
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.01)
+    modes = random_divergence_free(grid, np.random.default_rng(0)).modes.copy()
+    modes[0][1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate(SpectralField(grid, modes), cfg)
+
+
+def test_simulate_rejects_non_hermitian_initial_field():
+    # a complex field has no real half spectrum; it must not be truncated silently
+    grid = TorusGrid(2, 16)
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.01)
+    v = random_divergence_free(grid, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        simulate(SpectralField(grid, 1j * v.modes + v.modes), cfg)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        simulate(SpectralField(grid, 1j * v.modes), cfg)
 
 
 def test_trajectory_validation():
