@@ -179,34 +179,29 @@ class BallGrid:
         sel = {None: self.mask, "mask": self.mask, "interior": self.interior, "boundary": self.boundary}[which]
         return np.stack([c[sel] for c in self.mesh], axis=-1)
 
+    def _shifted(self, arr, k, axis):
+        """arr[..., i + k, ...] along ``axis``, zero where i + k leaves the box."""
+        m = self.m
+        pad = np.zeros_like(arr)
+        s_src = [slice(None)] * self.n
+        s_dst = [slice(None)] * self.n
+        if k > 0:
+            s_src[axis] = slice(k, m)
+            s_dst[axis] = slice(0, m - k)
+        else:
+            s_src[axis] = slice(0, m + k)
+            s_dst[axis] = slice(-k, m)
+        pad[tuple(s_dst)] = arr[tuple(s_src)]
+        return pad
+
     def partial(self, values, axis):
         """d/dz_axis with centered stencils inside and one-sided O(h^2) at the edge."""
         v = np.asarray(values, dtype=float)
         out = np.zeros_like(v)
         h = self.h
-        m = self.m
 
-        def shifted(arr, k):
-            pad = np.zeros_like(arr)
-            s_src = [slice(None)] * self.n
-            s_dst = [slice(None)] * self.n
-            if k > 0:
-                s_src[axis] = slice(k, m)
-                s_dst[axis] = slice(0, m - k)
-            else:
-                s_src[axis] = slice(0, m + k)
-                s_dst[axis] = slice(-k, m)
-            pad[tuple(s_dst)] = arr[tuple(s_src)]
-            return pad
-
-        mask_f1 = shifted(self.mask, 1)
-        mask_b1 = shifted(self.mask, -1)
-        mask_f2 = shifted(self.mask, 2)
-        mask_b2 = shifted(self.mask, -2)
-        v_f1 = shifted(v, 1)
-        v_b1 = shifted(v, -1)
-        v_f2 = shifted(v, 2)
-        v_b2 = shifted(v, -2)
+        mask_f1, mask_b1, mask_f2, mask_b2 = (self._shifted(self.mask, k, axis) for k in (1, -1, 2, -2))
+        v_f1, v_b1, v_f2, v_b2 = (self._shifted(v, k, axis) for k in (1, -1, 2, -2))
 
         centered = self.mask & mask_f1 & mask_b1
         out[centered] = (v_f1[centered] - v_b1[centered]) / (2 * h)
@@ -228,23 +223,9 @@ class BallGrid:
         v = np.asarray(values, dtype=float)
         out = np.zeros_like(v)
         h = self.h
-        m = self.m
 
-        def shifted(arr, k):
-            pad = np.zeros_like(arr)
-            s_src = [slice(None)] * self.n
-            s_dst = [slice(None)] * self.n
-            if k > 0:
-                s_src[axis] = slice(k, m)
-                s_dst[axis] = slice(0, m - k)
-            else:
-                s_src[axis] = slice(0, m + k)
-                s_dst[axis] = slice(-k, m)
-            pad[tuple(s_dst)] = arr[tuple(s_src)]
-            return pad
-
-        masks = {k: shifted(self.mask, k) for k in (-3, -2, -1, 1, 2, 3)}
-        vals = {k: shifted(v, k) for k in (-3, -2, -1, 1, 2, 3)}
+        masks = {k: self._shifted(self.mask, k, axis) for k in (-3, -2, -1, 1, 2, 3)}
+        vals = {k: self._shifted(v, k, axis) for k in (-3, -2, -1, 1, 2, 3)}
         centered = self.mask & masks[1] & masks[-1]
         out[centered] = (vals[1][centered] - 2 * v[centered] + vals[-1][centered]) / h**2
         fwd = self.mask & ~masks[-1] & masks[1] & masks[2] & masks[3]
@@ -326,47 +307,68 @@ class TrajectorySampler:
         return interpolate_periodic(p.values, self.trajectory.grid, points)[0]
 
 
+def _poisson_system(ball: BallGrid, rhs, bvals):
+    """Sparse matrix (CSC) and right-hand side of the interior Dirichlet problem.
+
+    One row per interior node in ``np.argwhere`` order: the 2n-point
+    Laplacian, with each neighbour on the boundary ring moved into the
+    right-hand side.  Neighbours are visited in (axis, step) order, so the
+    subtractions from ``b`` happen in a fixed order per row.
+    """
+    interior = ball.interior
+    nodes = np.argwhere(interior)
+    m_int = nodes.shape[0]
+    idx = -np.ones(interior.shape, dtype=np.intp)
+    idx[interior] = np.arange(m_int)
+    h2 = ball.h**2
+    diag = np.arange(m_int)
+
+    rows, cols = [diag], [diag]
+    data = [np.full(m_int, -2.0 * ball.n / h2)]
+    b = rhs[interior]
+    for axis in range(ball.n):
+        for step in (-1, 1):
+            nb = nodes.copy()
+            nb[:, axis] += step
+            nb = tuple(nb.T)  # interior nodes never touch the box edge
+            inner = interior[nb]
+            rows.append(diag[inner])
+            cols.append(idx[nb][inner])
+            data.append(np.full(int(inner.sum()), 1.0 / h2))
+            b[~inner] -= bvals[nb][~inner] / h2
+    mat = scipy.sparse.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m_int, m_int)
+    )
+    return mat, b
+
+
 def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
     """Solve Delta p = rhs on the masked interior with nodal Dirichlet data.
 
-    ``boundary_values`` is defined on the boundary ring; returns p on the
-    full mask (boundary data reproduced exactly).
+    ``rhs_values`` and ``boundary_values`` are arrays of the shape of
+    ``ball.mask``; the right-hand side is read on the interior and the
+    Dirichlet data on the boundary ring, and both must be finite there.
+    Returns p on the full mask (boundary data reproduced exactly).
+
+    The matrix is symmetric negative definite and diagonally dominant, so it
+    is factored by SuperLU in symmetric mode with no pivoting, on a
+    minimum-degree ordering of A^T + A.
     """
-    n = ball.n
-    mask = ball.mask
-    interior = ball.interior
-    idx = -np.ones(mask.shape, dtype=int)
-    idx[interior] = np.arange(int(np.sum(interior)))
-    m_int = int(np.sum(interior))
-    h2 = ball.h**2
-
-    rows, cols, data = [], [], []
-    b = np.zeros(m_int)
-    rhs_flat = np.asarray(rhs_values)
-    bvals = np.asarray(boundary_values)
-
-    int_indices = np.argwhere(interior)
-    for row, node in enumerate(int_indices):
-        node_t = tuple(node)
-        rows.append(row)
-        cols.append(row)
-        data.append(-2.0 * n / h2)
-        b[row] += rhs_flat[node_t]
-        for axis in range(n):
-            for step in (-1, 1):
-                nb = node.copy()
-                nb[axis] += step
-                nb_t = tuple(nb)
-                if interior[nb_t]:
-                    rows.append(row)
-                    cols.append(idx[nb_t])
-                    data.append(1.0 / h2)
-                else:
-                    b[row] -= bvals[nb_t] / h2
-    mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m_int, m_int))
-    sol = scipy.sparse.linalg.spsolve(mat, b)
-    p = np.zeros(mask.shape)
-    p[interior] = sol
+    rhs = np.asarray(rhs_values, dtype=float)
+    bvals = np.asarray(boundary_values, dtype=float)
+    for name, arr in (("rhs_values", rhs), ("boundary_values", bvals)):
+        if arr.shape != ball.mask.shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected the ball shape {ball.mask.shape}")
+    if not np.all(np.isfinite(rhs[ball.interior])):
+        raise ValueError("rhs_values is non-finite on the interior")
+    if not np.all(np.isfinite(bvals[ball.boundary])):
+        raise ValueError("boundary_values is non-finite on the boundary ring")
+    mat, b = _poisson_system(ball, rhs, bvals)
+    lu = scipy.sparse.linalg.splu(
+        mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    p = np.zeros(ball.mask.shape)
+    p[ball.interior] = lu.solve(b)
     p[ball.boundary] = bvals[ball.boundary]
     return p
 

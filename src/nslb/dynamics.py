@@ -72,6 +72,12 @@ class SolverConfig:
             raise ValueError("viscosity must be positive")
         if self.dt <= 0:
             raise ValueError("time step must be positive")
+        if self.t_end <= 0:
+            raise ValueError("end time must be positive")
+        ratio = self.t_end / self.dt
+        steps = round(ratio)
+        if abs(ratio - steps) > 1e-9 * max(steps, 1):
+            raise ValueError(f"t_end = {self.t_end} is not a whole number of steps of dt = {self.dt} ({ratio:.6g} steps)")
         if self.integrator != "if_rk4":
             raise ValueError(f"unknown integrator {self.integrator!r}")
 

@@ -3,7 +3,10 @@ boundary-kernel series on the cylinder, Duhamel-representation residuals,
 and the reflection-paired Lipschitz convolution bound.
 
 Quadratures are midpoint rules on tensor grids; scalar sup-constants come
-from dense 1-D maximization.
+from dense 1-D maximization.  The lattice propagator of the boundary-kernel
+series is strictly lower block-Toeplitz in the time index, so it is stored
+as its m_t - 1 distinct node-to-node blocks and applied as a causal block
+convolution, one matrix product per time gap.
 """
 
 from __future__ import annotations
@@ -229,7 +232,13 @@ def elliptic_integral_check(a, b, radius, x_values, n=3) -> EllipticIntegralRepo
 
 
 class _CylinderLattice:
-    """Midpoint lattice on [s, tau] x (base ball) with the one-step propagator."""
+    """Midpoint lattice on [s, tau] x (base ball) with the one-step propagator.
+
+    The propagator from time index j1 to j2 > j1 depends only on the gap
+    j2 - j1 (it is strictly lower block-Toeplitz), so only the m_t - 1
+    distinct n_nodes x n_nodes blocks are stored: ``blocks[d - 1]`` carries
+    the gap d.
+    """
 
     def __init__(self, cyl: CylinderSpec, spec: KernelSpec, s, tau, m_x, m_t):
         self.ball = BallGrid(spec.n, cyl.r_0, m_x)
@@ -240,14 +249,18 @@ class _CylinderLattice:
         self.spec = spec
         self.tau = tau
         self.m_t = m_t
-        n_nodes = self.pts.shape[0]
+        self.n_nodes = self.pts.shape[0]
         diff = self.pts[:, None, :] - self.pts[None, :, :]
-        prop = np.zeros((m_t, n_nodes, m_t, n_nodes))
-        for j2 in range(m_t):
-            for j1 in range(j2):
-                prop[j2, :, j1, :] = gaussian(self.mids[j2] - self.mids[j1], diff, spec) * self.cell * self.dt
-        self.prop = prop.reshape(m_t * n_nodes, m_t * n_nodes)
-        self.n_nodes = n_nodes
+        self.blocks = [gaussian(d * self.dt, diff, spec) * self.cell * self.dt for d in range(1, m_t)]
+
+    def apply(self, state):
+        """Propagator times a lattice vector (time-major, m_t * n_nodes):
+        the causal block convolution out[j2] = sum_{j1 < j2} B_{j2-j1} state[j1]."""
+        st = np.asarray(state).reshape(self.m_t, self.n_nodes)
+        out = np.zeros_like(st)
+        for d, block in enumerate(self.blocks, start=1):
+            out[d:] += st[:-d] @ block.T
+        return out.reshape(-1)
 
     def target_weights(self, z):
         """Quadrature weights mapping lattice values to the event (tau, z)."""
@@ -288,9 +301,10 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
         lat = _CylinderLattice(cyl, spec, s, tau, m_x, m_t)
         state = np.concatenate([gaussian(m - s, lat.pts - v, spec) for m in lat.mids])
         tw = lat.target_weights(z)
-        for _ in range(2, K + 1):
+        terms.append(float(tw @ state))
+        for _ in range(3, K + 1):
+            state = lat.apply(state)
             terms.append(float(tw @ state))
-            state = lat.prop @ state
     terms = np.asarray(terms)
     converged = bool(terms.size < 3 or (abs(terms[-1]) <= abs(terms[-2]) <= abs(terms[-3])))
     return BoundarySeriesResult(float(np.sum(terms)), terms, float(abs(terms[-1])), converged)
@@ -476,14 +490,13 @@ def boundary_density(
         + 2.0 * np.asarray(initial_convolution(tau, z_points))
         + n_term_sign * 2.0 * np.asarray(nonlinear_convolution(tau, z_points))
     )
+    # lattice_vals under 0, 1, ..., series_order - 1 applications of the propagator
+    states = [lattice_vals][:series_order]
+    while len(states) < series_order:
+        states.append(lat.apply(states[-1]))
     for i, z in enumerate(z_points):
         tw = lat.target_weights(z)
-        state = lattice_vals.copy()
-        series = 0.0
-        for _ in range(series_order):
-            series += float(tw @ state)
-            state = lat.prop @ state
-        out[i] += series
+        out[i] += sum(float(tw @ state) for state in states)
     return out
 
 

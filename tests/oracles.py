@@ -6,6 +6,7 @@ solver paths under test.
 """
 
 import numpy as np
+import scipy.sparse
 
 
 def brute_force_pressure_gradient(v, i):
@@ -99,6 +100,108 @@ def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
     for k in range(n):
         adv_modes[k] -= np.where(asq == 0, 0.0, alphas[k] * dot / np.where(asq == 0, 1.0, asq))
     return -advect_coeff * adv_modes
+
+
+def loop_poisson_system(ball, rhs_values, boundary_values):
+    """(CSR matrix, right-hand side) of the ball Dirichlet Poisson problem,
+    assembled node by node.
+
+    One row per interior node in ``np.argwhere`` order: -2n/h^2 on the
+    diagonal, 1/h^2 for each interior axis neighbour, and each neighbour on
+    the boundary ring subtracted from the right-hand side as value/h^2,
+    visiting neighbours in (axis, step) order.
+    """
+    n = ball.n
+    interior = ball.interior
+    idx = -np.ones(interior.shape, dtype=int)
+    m_int = int(np.sum(interior))
+    idx[interior] = np.arange(m_int)
+    h2 = ball.h**2
+    rhs = np.asarray(rhs_values)
+    bvals = np.asarray(boundary_values)
+    rows, cols, data = [], [], []
+    b = np.zeros(m_int)
+    for row, node in enumerate(np.argwhere(interior)):
+        rows.append(row)
+        cols.append(row)
+        data.append(-2.0 * n / h2)
+        b[row] += rhs[tuple(node)]
+        for axis in range(n):
+            for step in (-1, 1):
+                nb = node.copy()
+                nb[axis] += step
+                nb_t = tuple(nb)
+                if interior[nb_t]:
+                    rows.append(row)
+                    cols.append(idx[nb_t])
+                    data.append(1.0 / h2)
+                else:
+                    b[row] -= bvals[nb_t] / h2
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m_int, m_int)), b
+
+
+def dense_propagator(pts, mids, cell, dt, nu_eff):
+    """The (m_t * n_nodes)^2 one-step propagator of the cylinder lattice.
+
+    Block (j2, j1) for j1 < j2 is G(mids[j2] - mids[j1], pts_i - pts_k)
+    cell dt, with G the heat kernel (4 pi nu t)^(-n/2) exp(-|y|^2/(4 nu t));
+    blocks on and above the diagonal are zero.  Rows and columns are
+    time-major.
+    """
+    m_t, (n_nodes, n) = len(mids), pts.shape
+    r_sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    prop = np.zeros((m_t, n_nodes, m_t, n_nodes))
+    for j2 in range(m_t):
+        for j1 in range(j2):
+            denom = 4.0 * nu_eff * (mids[j2] - mids[j1])
+            prop[j2, :, j1, :] = (np.pi * denom) ** (-n / 2.0) * np.exp(-r_sq / denom) * cell * dt
+    return prop.reshape(m_t * n_nodes, m_t * n_nodes)
+
+
+def shifted_stencils(ball, values, axis):
+    """(first, second) derivative of ``values`` along ``axis`` on the masked
+    ball, with the node-by-node stencil choice of ``BallGrid``: centered
+    where both neighbours are masked, one-sided second order at the mask
+    edge, lower-order fallbacks for isolated nodes.  Shifts are done here by
+    np.roll with the wrapped planes zeroed."""
+    v = np.asarray(values, dtype=float)
+    h = ball.h
+    m = ball.m
+    pos = np.arange(m).reshape([m if k == axis else 1 for k in range(ball.n)])
+
+    def shifted(arr, k):
+        out = np.roll(arr, -k, axis=axis)
+        return np.where((pos + k >= 0) & (pos + k < m), out, np.zeros_like(out))
+
+    mask = ball.mask
+    ms = {k: shifted(mask, k) for k in (-3, -2, -1, 1, 2, 3)}
+    vs = {k: shifted(v, k) for k in (-3, -2, -1, 1, 2, 3)}
+
+    d1 = np.zeros_like(v)
+    centered = mask & ms[1] & ms[-1]
+    d1[centered] = (vs[1][centered] - vs[-1][centered]) / (2 * h)
+    fwd = mask & ~ms[-1] & ms[1] & ms[2]
+    d1[fwd] = (-3 * v[fwd] + 4 * vs[1][fwd] - vs[2][fwd]) / (2 * h)
+    bwd = mask & ~ms[1] & ms[-1] & ms[-2]
+    d1[bwd] = (3 * v[bwd] - 4 * vs[-1][bwd] + vs[-2][bwd]) / (2 * h)
+    lone = mask & ~(centered | fwd | bwd)
+    f_only = lone & ms[1]
+    d1[f_only] = (vs[1][f_only] - v[f_only]) / h
+    b_only = lone & ms[-1] & ~ms[1]
+    d1[b_only] = (v[b_only] - vs[-1][b_only]) / h
+
+    d2 = np.zeros_like(v)
+    d2[centered] = (vs[1][centered] - 2 * v[centered] + vs[-1][centered]) / h**2
+    fwd = mask & ~ms[-1] & ms[1] & ms[2] & ms[3]
+    d2[fwd] = (2 * v[fwd] - 5 * vs[1][fwd] + 4 * vs[2][fwd] - vs[3][fwd]) / h**2
+    bwd = mask & ~ms[1] & ms[-1] & ms[-2] & ms[-3]
+    d2[bwd] = (2 * v[bwd] - 5 * vs[-1][bwd] + 4 * vs[-2][bwd] - vs[-3][bwd]) / h**2
+    lone = mask & ~(centered | fwd | bwd)
+    f2 = lone & ms[1] & ms[2]
+    d2[f2] = (v[f2] - 2 * vs[1][f2] + vs[2][f2]) / h**2
+    b2 = lone & ms[-1] & ms[-2] & ~(ms[1] & ms[2])
+    d2[b2] = (v[b2] - 2 * vs[-1][b2] + vs[-2][b2]) / h**2
+    return d1, d2
 
 
 def centered_difference(values, axis, spacing):

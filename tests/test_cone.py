@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from nslb.cone import (
     BallGrid,
@@ -9,6 +10,7 @@ from nslb.cone import (
     derivative_rescale,
     dtau_dt,
     mu_coeffs,
+    _poisson_system,
     poisson_dirichlet,
     sample_w,
     sample_w_function,
@@ -19,6 +21,7 @@ from nslb.cone import (
 from nslb.dynamics import SolverConfig, simulate
 from nslb.flows import StreamFlow, TaylorGreenFlow, taylor_green
 from nslb.spectral import TorusGrid
+from oracles import loop_poisson_system, shifted_stencils
 
 
 CONE = ConeSpec(t_s=1.0, x_s=(0.1, -0.2), t_1=0.5)
@@ -169,6 +172,72 @@ def test_poisson_dirichlet_manufactured():
         p = poisson_dirichlet(ball, rhs, exact)
         errs[m] = np.max(np.abs((p - exact)[ball.mask]))
     assert errs[41] <= errs[21] / 3.0  # second-order solve
+
+
+@pytest.mark.parametrize("n, m", [(2, 8), (2, 21), (3, 8), (3, 13)])
+def test_ball_stencils_match_oracle(n, m):
+    ball = BallGrid(n, 0.45, m)
+    rng = np.random.default_rng(n * 100 + m)
+    values = rng.normal(size=ball.mask.shape)
+    for axis in range(n):
+        d1, d2 = shifted_stencils(ball, values, axis)
+        assert np.array_equal(ball.partial(values, axis), d1)
+        assert np.array_equal(ball.second_partial(values, axis), d2)
+
+
+@pytest.mark.parametrize("n, m", [(2, 9), (2, 24), (3, 9), (3, 14)])
+def test_poisson_assembly_matches_loop_oracle(n, m):
+    ball = BallGrid(n, 0.5, m)
+    rng = np.random.default_rng(7 * n + m)
+    rhs = rng.normal(size=ball.mask.shape)
+    bvals = rng.normal(size=ball.mask.shape)
+    mat, b = _poisson_system(ball, rhs, bvals)
+    want_mat, want_b = loop_poisson_system(ball, rhs, bvals)
+    assert mat.shape == want_mat.shape
+    assert (mat != want_mat).nnz == 0
+    assert np.array_equal(b, want_b)
+    p = poisson_dirichlet(ball, rhs, bvals)
+    want = np.zeros(ball.mask.shape)
+    want[ball.interior] = scipy.sparse.linalg.spsolve(want_mat, want_b)
+    want[ball.boundary] = bvals[ball.boundary]
+    assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_poisson_dirichlet_rejects_bad_input():
+    ball = BallGrid(2, 0.5, 11)
+    good = np.zeros(ball.mask.shape)
+    with pytest.raises(ValueError, match="rhs_values"):
+        poisson_dirichlet(ball, good[:-1], good)
+    with pytest.raises(ValueError, match="boundary_values"):
+        poisson_dirichlet(ball, good, good.ravel())
+    bad_rhs = good.copy()
+    bad_rhs[tuple(np.argwhere(ball.interior)[0])] = np.nan
+    with pytest.raises(ValueError, match="rhs_values"):
+        poisson_dirichlet(ball, bad_rhs, good)
+    bad_bc = good.copy()
+    bad_bc[tuple(np.argwhere(ball.boundary)[0])] = np.inf
+    with pytest.raises(ValueError, match="boundary_values"):
+        poisson_dirichlet(ball, good, bad_bc)
+    # only the interior right-hand side and the boundary-ring data are read
+    rhs = np.where(ball.interior, 0.0, np.nan)
+    bc = np.where(ball.boundary, 0.0, np.nan)
+    assert np.all(poisson_dirichlet(ball, rhs, bc)[ball.mask] == 0.0)
+
+
+def test_transformed_residual_rejects_non_finite_pressure():
+    class NanPressure:
+        nu = 0.02
+
+        @staticmethod
+        def velocity(t, pts):
+            return np.zeros((2, len(pts)))
+
+        @staticmethod
+        def pressure(t, pts):
+            return np.full(len(pts), np.nan)
+
+    with pytest.raises(ValueError, match="boundary_values"):
+        transformed_residual(NanPressure, CONE, 2.0, BallGrid(2, 0.4, 17))
 
 
 def test_transformed_residual_zero_field():

@@ -26,6 +26,13 @@ def test_config_validation():
         SolverConfig(nu=0.0, dt=1e-3, t_end=1.0)
     with pytest.raises(ValueError):
         SolverConfig(nu=0.1, dt=-1e-3, t_end=1.0)
+    with pytest.raises(ValueError, match="end time"):
+        SolverConfig(nu=0.1, dt=0.1, t_end=-1.0)
+    # 1.0 / 0.3 is not a whole number of steps; rounding would stop at t = 0.9
+    with pytest.raises(ValueError, match="whole number of steps"):
+        SolverConfig(nu=0.1, dt=0.3, t_end=1.0)
+    for t_end, dt in ((0.08, 0.002), (0.5, 0.001), (0.1, 1.25e-4), (0.2, 5e-4)):
+        SolverConfig(nu=0.1, dt=dt, t_end=t_end)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=1.0)
     grid = TorusGrid(2, 32)
     assert cfg.stability_ratio(grid) == pytest.approx(1e-3 * 0.1 * (2 * np.pi * 16) ** 2)

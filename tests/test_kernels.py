@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslb.cone import BallGrid, ConeSpec, CylinderSpec
 from nslb.kernels import (
     BoundReport,
     KernelSpec,
+    _CylinderLattice,
     boundary_density,
     boundary_kernel_series,
     duhamel_residual,
@@ -18,7 +21,7 @@ from nslb.kernels import (
     symmetric_convolution,
 )
 
-from oracles import midpoint_grid
+from oracles import dense_propagator, midpoint_grid
 
 
 def test_kernel_spec_validation():
@@ -164,6 +167,72 @@ def test_boundary_series_composition_bounded_by_free_kernel():
     # (tau - s) G(tau - s) by the semigroup identity
     free_term2 = (target[0] - source[0]) * gaussian(target[0] - source[0], target[1] - source[1], spec)
     assert res.terms[1] <= free_term2 * (1 + 1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    m_t=st.sampled_from([2, 3, 6]),
+    m_x=st.integers(8, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lattice_apply_matches_dense_propagator(n, m_t, m_x, seed):
+    spec = KernelSpec(nu_eff=0.5, n=n)
+    lat = _CylinderLattice(CylinderSpec(t_in=1.0, r_0=0.5), spec, 1.0, 1.3, m_x, m_t)
+    dense = dense_propagator(lat.pts, lat.mids, lat.cell, lat.dt, spec.nu_eff)
+    x = np.random.default_rng(seed).normal(size=m_t * lat.n_nodes)
+    want = dense @ x
+    assert np.max(np.abs(lat.apply(x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_series_and_density_match_dense_propagator_powers():
+    # term k of the series is tw . P^(k-2) state0, and the density's series
+    # part is sum_k tw . P^k bracket, with P the dense lattice propagator
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    (tau, z), (s, v) = (1.3, np.array([0.1, 0.0])), (1.0, np.array([-0.1, 0.05]))
+    lat = _CylinderLattice(cyl, spec, s, tau, 10, 6)
+    dense = dense_propagator(lat.pts, lat.mids, lat.cell, lat.dt, spec.nu_eff)
+    state = np.concatenate([gaussian(m - s, lat.pts - v, spec) for m in lat.mids])
+    tw = lat.target_weights(z)
+    want = [gaussian(tau - s, z - v, spec)]
+    for _ in range(4):
+        want.append(tw @ state)
+        state = dense @ state
+    got = boundary_kernel_series(5, cyl, spec, (tau, z), (s, v), m_x=10, m_t=6).terms
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def field(s, xi):
+        xi = np.atleast_2d(xi)
+        return np.cos(3 * xi[:, 0] + s) + xi[:, 1] ** 2
+
+    def zero(s, xi):
+        return np.zeros(len(np.atleast_2d(xi)))
+
+    z_pts = cyl.r_0 * np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    got = boundary_density(zero, field, zero, cyl, spec, 1.05, z_pts, series_order=3, m_x=10, m_t=6)
+    lat = _CylinderLattice(cyl, spec, cyl.t_in, 1.05, 10, 6)
+    dense = dense_propagator(lat.pts, lat.mids, lat.cell, lat.dt, spec.nu_eff)
+    vals = np.concatenate([2.0 * field(m, lat.pts) for m in lat.mids])
+    powers = [vals, dense @ vals, dense @ (dense @ vals)]
+    want = 2.0 * field(1.05, z_pts) + [sum(lat.target_weights(zp) @ p for p in powers) for zp in z_pts]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_boundary_series_3d_at_default_size():
+    # the documented defaults m_x=16, m_t=8 in 3D: the lattice keeps the
+    # m_t - 1 distinct propagator blocks, not the dense (m_t n_nodes)^2 matrix
+    spec = KernelSpec(nu_eff=0.5, n=3)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    target = (1.3, np.array([0.1, 0.0, 0.05]))
+    source = (1.0, np.array([-0.1, 0.05, 0.0]))
+    res = boundary_kernel_series(3, cyl, spec, target, source)
+    assert res.terms[0] == gaussian(target[0] - source[0], target[1] - source[1], spec)
+    assert np.all(np.isfinite(res.terms)) and abs(res.terms[2]) < abs(res.terms[1]) < res.terms[0]
+    lat = _CylinderLattice(cyl, spec, source[0], target[0], 16, 8)
+    assert len(lat.blocks) == 7
+    assert all(b.shape == (lat.n_nodes, lat.n_nodes) for b in lat.blocks)
+    assert sum(b.nbytes for b in lat.blocks) == 7 * lat.n_nodes**2 * 8
 
 
 def _heat_ladder(cyl, spec, sigma0, horizon, m, m_t):
