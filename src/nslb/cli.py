@@ -170,7 +170,7 @@ def run_simulate(cfg: Config, out: Path, rng):
             "nu": nu,
             "dt": dt,
             "t_end": t_end,
-            "integrator": solver.integrator,
+            "integrator": "if_rk4",
             "stability_ratio": tagged(solver.stability_ratio(grid), "measured"),
         },
         "final_energy": tagged(float(energies[-1]), "measured"),
@@ -179,7 +179,7 @@ def run_simulate(cfg: Config, out: Path, rng):
         "note": traj.note,
         "checks": checks,
     }
-    return report, all(checks.values())
+    return report
 
 
 @_register("transform-check")
@@ -212,15 +212,10 @@ def run_transform_check(cfg: Config, out: Path, rng):
         div_norms[m] = float(np.sqrt(np.mean(div[ball.interior] ** 2)))
     div_order = float(np.log2(div_norms[17] / div_norms[33]))
 
-    class _Sampler:
-        velocity = staticmethod(flow.velocity)
-        pressure = staticmethod(flow.pressure)
-
-    _Sampler.nu = nu
     res = {}
     for m in (17, 33):
         ball = BallGrid(cone.n, 0.8 * cyl.r_0, m)
-        res[m] = transformed_residual(_Sampler, cone, tau0, ball, dtau=ball.h).residual_l2
+        res[m] = transformed_residual(flow, cone, tau0, ball, dtau=ball.h).residual_l2
     res_ratio = float(res[17] / res[33])
 
     checks = {
@@ -243,7 +238,7 @@ def run_transform_check(cfg: Config, out: Path, rng):
         "residual_refinement_ratio": tagged(res_ratio, "measured"),
         "checks": checks,
     }
-    return report, all(checks.values())
+    return report
 
 
 @_register("fit-singularity")
@@ -305,7 +300,7 @@ def run_fit_singularity(cfg: Config, out: Path, rng):
         },
         "checks": {"all_cases": ok},
     }
-    return report, ok
+    return report
 
 
 @_register("verify-kernels")
@@ -364,22 +359,21 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
         },
         "checks": {"all_bounds": ok, "mass_1e-8": mass_ok, "elliptic_slope_15pct": elliptic_ok},
     }
-    return report, ok
+    return report
 
 
 @_register("rescale-audit")
 def run_rescale_audit(cfg: Config, out: Path, rng):
     horizons = cfg.floats("rescale", "horizons", default=[0.5, 1.0, 2.0])
     sweeps = cfg.get("rescale", "sweep_points", int, default=1000)
-    ok = True
     mu_audits = []
     for big_t in horizons:
         params = RescaleParams(r=1.0 / 16, t0=big_t - 0.5, T=big_t)
         svals = np.linspace(0.0, 1.0 / np.sqrt(3.0), sweeps)
-        worst = min(mu_of_s(s, params).mu - mu_of_s(s, params).lower_bound for s in svals)
+        audits = [mu_of_s(s, params) for s in svals]
+        worst = min(a.mu - a.lower_bound for a in audits)
         bound_ok = worst >= -1e-12
-        upper_ok = all(mu_of_s(s, params).bounds_hold for s in svals[:: max(1, sweeps // 100)])
-        ok = ok and bound_ok and upper_ok
+        upper_ok = all(a.bounds_hold for a in audits[:: max(1, sweeps // 100)])
         mu_audits.append(
             {
                 "T": big_t,
@@ -391,20 +385,17 @@ def run_rescale_audit(cfg: Config, out: Path, rng):
     params = RescaleParams(r=1.0 / 16, t0=0.0, T=1.0)
     s_half = float(s_of_t(0.5, params))
     smap_ok = abs(s_half - 1.0 / np.sqrt(3.0)) <= 1e-14
-    ok = ok and smap_ok
 
     alpha_grid_ok = True
     for delta in np.linspace(0.05, 0.95, 10):
         for eps0 in np.linspace(0.0, 0.4, 9):
             alpha_grid_ok = alpha_grid_ok and growth_exponent(delta, eps0) > 1.0
-    ok = ok and alpha_grid_ok
 
     big_n = cfg.get("grid", "N", int, default=32)
     nu = cfg.get("physics", "nu", float, default=0.05)
     grid = TorusGrid(n=2, N=big_n)
     v0 = perturbed_taylor_green(grid, amplitude=1.0, eps=0.2)
     inc = increment_bound_check(v0, nu, params)
-    ok = ok and inc.passed
 
     report = {
         "experiment": "rescale-audit",
@@ -426,7 +417,7 @@ def run_rescale_audit(cfg: Config, out: Path, rng):
             "increment_slope_ge_1.2": inc.passed,
         },
     }
-    return report, ok
+    return report
 
 
 @_register("duhamel-residual")
@@ -462,7 +453,6 @@ def run_duhamel(cfg: Config, out: Path, rng):
     )
     forced_dec = all(f2 < f1 for f1, f2 in zip(forced_res, forced_res[1:]))
     order = float(np.log(forced_res[0] / forced_res[-1]) / np.log(resolutions[-1] / resolutions[0]))
-    ok = heat_ok and forced_dec and order >= 1.5
     report = {
         "experiment": "duhamel-residual",
         "nu_eff": nu_eff,
@@ -476,7 +466,7 @@ def run_duhamel(cfg: Config, out: Path, rng):
             "forced_order_ge_1.5": forced_dec and order >= 1.5,
         },
     }
-    return report, ok
+    return report
 
 
 def heat_bump_solution(cyl: CylinderSpec, nu_eff, sigma0):
@@ -547,18 +537,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("NSLB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     try:
         cfg = Config(args.config)
         out = Path(args.out) if args.out else Path(args.config).resolve().parent / "out"
         out.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
         started = _time.time()
-        report, ok = EXPERIMENTS[args.experiment](cfg, out, rng)
+        report = EXPERIMENTS[args.experiment](cfg, out, rng)
     except ConfigError as exc:
         print(f"nslb: config error: {exc}", file=sys.stderr)
         return 2
@@ -574,14 +559,14 @@ def main(argv=None):
         fh.write("\n")
     with open(out / "report.meta.json", "w") as fh:
         json.dump(
-            {"wall_seconds": _time.time() - started, "timestamp": _time.time(), "nslb_threads": threads},
+            {"wall_seconds": _time.time() - started, "timestamp": _time.time(), "nslb_threads": os.environ.get("NSLB_THREADS")},
             fh,
             indent=2,
         )
 
-    if not ok:
-        failing = [k for k, v in report.get("checks", {}).items() if not v]
-        print(f"nslb: assertion failed: {', '.join(failing) if failing else 'see report'}", file=sys.stderr)
+    failing = [k for k, v in report["checks"].items() if not v]
+    if failing:
+        print(f"nslb: assertion failed: {', '.join(failing)}", file=sys.stderr)
         return 1
     print(f"nslb: {args.experiment} ok -> {report_path}")
     return 0

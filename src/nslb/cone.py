@@ -158,20 +158,9 @@ class BallGrid:
         self.mesh = mesh
         r_sq = sum(c**2 for c in mesh)
         self.mask = r_sq <= radius**2 + 1e-12
-        interior = self.mask.copy()
+        self.interior = self.mask.copy()
         for axis in range(n):
-            lo = np.roll(self.mask, 1, axis=axis)
-            hi = np.roll(self.mask, -1, axis=axis)
-            # roll wraps; edge planes of the box are never interior anyway
-            edge = np.zeros_like(self.mask)
-            sl_lo = [slice(None)] * n
-            sl_lo[axis] = 0
-            sl_hi = [slice(None)] * n
-            sl_hi[axis] = m - 1
-            edge[tuple(sl_lo)] = True
-            edge[tuple(sl_hi)] = True
-            interior &= lo & hi & ~edge
-        self.interior = interior
+            self.interior &= self._shifted(self.mask, 1, axis) & self._shifted(self.mask, -1, axis)
         self.boundary = self.mask & ~self.interior
 
     def points(self, which=None):

@@ -18,6 +18,12 @@ __all__ = [
 ]
 
 
+def _on_grid(velocity, grid: TorusGrid, t=0.0):
+    """Values (n, N, ..., N) of velocity(t, points) at the grid points."""
+    pts = np.stack([c.reshape(-1) for c in grid.meshes()], axis=-1)
+    return velocity(t, pts).reshape((grid.n,) + grid.shape)
+
+
 @dataclass(frozen=True)
 class TaylorGreenFlow:
     """Closed-form decaying vortex pair on the unit 2-torus.
@@ -56,19 +62,7 @@ class TaylorGreenFlow:
     def field(self, grid: TorusGrid, t=0.0) -> SpectralField:
         if grid.n != 2:
             raise ValueError("Taylor-Green flow is two-dimensional")
-        x, y = grid.meshes()
-        a = self.amplitude * self.decay(t)
-        vals = np.stack(
-            [
-                a * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y),
-                -a * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
-            ]
-        )
-        return to_modes(PhysicalField(grid, vals))
-
-    def l2_norm(self, t):
-        # each component has mean square A^2/4, so |v|_L2 = A/sqrt(2)
-        return self.amplitude * self.decay(t) / np.sqrt(2.0)
+        return to_modes(PhysicalField(grid, _on_grid(self.velocity, grid, t)))
 
 
 def taylor_green(grid: TorusGrid, amplitude=1.0, nu=0.0, t=0.0) -> SpectralField:
@@ -110,20 +104,8 @@ def perturbed_taylor_green(grid: TorusGrid, amplitude=1.0, eps=0.1) -> SpectralF
     """
     if grid.n != 2:
         raise ValueError("perturbed Taylor-Green is two-dimensional")
-    x, y = grid.meshes()
-    base = np.stack(
-        [
-            amplitude * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y),
-            -amplitude * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
-        ]
-    )
-    # u = (d psi / dx2, -d psi / dx1) with psi = sin(2 pi x1) sin(4 pi x2)
-    pert = np.stack(
-        [
-            4 * np.pi * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y),
-            -2 * np.pi * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y),
-        ]
-    ) / (4 * np.pi)
+    base = _on_grid(TaylorGreenFlow(nu=0.0, amplitude=amplitude).velocity, grid)
+    pert = _on_grid(StreamFlow(k1=1, k2=2).velocity, grid) / (4 * np.pi)
     return to_modes(PhysicalField(grid, base + eps * amplitude * pert))
 
 

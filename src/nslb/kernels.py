@@ -11,6 +11,7 @@ convolution, one matrix product per time gap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,34 +122,27 @@ def kernel_bound_check(delta, spec: KernelSpec, kind="derivative", t_decades=(-3
     n = spec.n
     nu = spec.nu_eff
     ts = np.logspace(t_decades[0], t_decades[1], n_t)
-    c_obs = 0.0
     if kind == "kernel":
         a = n / 2.0 - delta
         c_pred = np.pi ** (delta - n / 2.0) * _sup_1d(lambda q: q**a * np.exp(-q))
-        for t in ts:
-            rads = np.logspace(-3, 1, n_y)
-            if a > 0:
-                rads = np.append(rads, np.sqrt(4 * nu * t * a))
-            y = np.zeros((rads.size, n))
-            y[:, 0] = rads
-            vals = np.abs(gaussian(t, y, spec)) * (4 * np.pi * nu * t) ** delta * rads ** (n - 2 * delta)
-            c_obs = max(c_obs, float(np.max(vals)))
+        power = n - 2 * delta
+        weighted = functools.partial(gaussian, spec=spec)
     elif kind == "derivative":
         a = n / 2.0 + 1.0 - delta
         c_pred = _sup_1d(lambda z: z**a * np.exp(-(z**2)))
-        for t in ts:
-            rads = np.logspace(-3, 1, n_y)
-            rads = np.append(rads, np.sqrt(4 * nu * t * a))
-            y = np.zeros((rads.size, n))
-            y[:, 0] = rads  # axis direction maximizes |y_j| at fixed |y|
-            vals = (
-                np.abs(gaussian_derivative_bound_form(t, y, 0, spec))
-                * (4 * np.pi * nu * t) ** delta
-                * rads ** (n + 1 - 2 * delta)
-            )
-            c_obs = max(c_obs, float(np.max(vals)))
+        power = n + 1 - 2 * delta
+        weighted = functools.partial(gaussian_derivative_bound_form, j=0, spec=spec)
     else:
         raise ValueError("kind must be 'kernel' or 'derivative'")
+    c_obs = 0.0
+    for t in ts:
+        rads = np.logspace(-3, 1, n_y)
+        if a > 0:
+            rads = np.append(rads, np.sqrt(4 * nu * t * a))
+        y = np.zeros((rads.size, n))
+        y[:, 0] = rads  # for the derivative, the axis direction maximizes |y_j| at fixed |y|
+        vals = np.abs(weighted(t, y)) * (4 * np.pi * nu * t) ** delta * rads**power
+        c_obs = max(c_obs, float(np.max(vals)))
     return BoundReport(float(delta), kind, c_obs, c_pred, c_obs <= c_pred * (1 + 1e-6), nu)
 
 

@@ -33,7 +33,8 @@ def write_snapshot(path, field: PhysicalField, time):
 
 
 def read_snapshot(path):
-    """Returns (PhysicalField, time); rejects bad magic, version, or truncation."""
+    """Returns (PhysicalField, time); rejects bad magic, version, grid,
+    component count, or payload length."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -43,12 +44,17 @@ def read_snapshot(path):
         raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise SnapshotError(f"unsupported version {version}, reader supports {VERSION}")
+    try:
+        grid = TorusGrid(n=int(n), N=int(big_n))
+    except ValueError as exc:
+        raise SnapshotError(f"bad grid in header: {exc}") from exc
+    if ncomp == 0:
+        raise SnapshotError("header declares no field components")
     expected = ncomp * big_n**n * 8
     got = len(raw) - _HEADER.size
     if got != expected:
         raise SnapshotError(
             f"payload length mismatch at byte offset {_HEADER.size + got}: got {got} bytes, need {expected}"
         )
-    grid = TorusGrid(n=int(n), N=int(big_n))
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape((ncomp,) + grid.shape)
     return PhysicalField(grid, values.copy()), float(time)

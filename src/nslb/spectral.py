@@ -37,15 +37,12 @@ class TorusGrid:
 
     n: int
     N: int
-    period: float = 1.0
 
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {self.N}")
-        if self.period != 1.0:
-            raise ValueError("grid is normalized to unit period")
 
     @property
     def shape(self):
@@ -146,10 +143,6 @@ class PhysicalField:
     @property
     def ncomp(self):
         return self.values.shape[0]
-
-    def l2_norm(self):
-        """Grid L2 norm, sqrt(sum_i mean_x v_i^2) (unit-volume torus)."""
-        return float(np.sqrt(np.sum(np.mean(self.values**2, axis=tuple(range(1, self.values.ndim))))))
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))

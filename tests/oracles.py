@@ -220,3 +220,61 @@ def midpoint_grid(lo, hi, m, dim):
     mesh = np.meshgrid(*(ax,) * dim, indexing="ij")
     pts = np.stack([c.reshape(-1) for c in mesh], axis=-1)
     return pts, ((hi - lo) / m) ** dim
+
+
+def prefix_hopf_max_violation(times, kinetic, grads, nu):
+    """max_j kinetic[j] + nu int_0^{t_j} grads - kinetic[0], each integral a
+    separate np.trapezoid over the prefix 0..j."""
+    violations = []
+    for j in range(len(times)):
+        dissip = np.trapezoid(grads[: j + 1], times[: j + 1]) if j > 0 else 0.0
+        violations.append(kinetic[j] + nu * dissip - kinetic[0])
+    return float(np.max(violations))
+
+
+def prefix_weak_strong_c(times, gaps, integrand):
+    """max(0, max_j log(gaps[j]/gaps[0]) / int_0^{t_j} integrand) over the
+    prefixes with a positive integral, each a separate np.trapezoid."""
+    c_needed = 0.0
+    for j in range(1, len(times)):
+        integral = np.trapezoid(integrand[: j + 1], times[: j + 1])
+        if integral <= 0:
+            continue
+        c_needed = max(c_needed, np.log(gaps[j] / gaps[0]) / integral)
+    return float(c_needed)
+
+
+def roll_interior(mask):
+    """Nodes of ``mask`` whose 2n axis neighbours are all in ``mask``, with
+    the neighbours found by np.roll and the wrapped box faces cleared."""
+    interior = mask.copy()
+    for axis in range(mask.ndim):
+        edge = np.zeros_like(mask)
+        face = [slice(None)] * mask.ndim
+        for j in (0, mask.shape[axis] - 1):
+            face[axis] = j
+            edge[tuple(face)] = True
+        interior &= np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis) & ~edge
+    return interior
+
+
+def taylor_green_values(x, y, a):
+    """Grid values of the vortex pair a (cos 2pi x sin 2pi y, -sin 2pi x cos 2pi y)."""
+    return np.stack(
+        [
+            a * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y),
+            -a * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+        ]
+    )
+
+
+def perturbed_taylor_green_values(x, y, amplitude, eps):
+    """The vortex pair plus eps * amplitude / (4 pi) times the solenoidal
+    field of the stream function sin(2 pi x) sin(4 pi y)."""
+    pert = np.stack(
+        [
+            4 * np.pi * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y),
+            -2 * np.pi * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y),
+        ]
+    ) / (4 * np.pi)
+    return taylor_green_values(x, y, amplitude) + eps * amplitude * pert

@@ -1,9 +1,16 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslb.cli import main
 from nslb.snapshots import MAGIC, VERSION, SnapshotError, read_snapshot, write_snapshot
@@ -79,6 +86,53 @@ def test_snapshot_bad_magic_and_version(tmp_path):
     assert raw[:4] == MAGIC
 
 
+def snapshot_bytes(magic, version, n, big_n, ncomp, payload_len, time=0.5):
+    return struct.pack("<4sIIIId", magic, version, n, big_n, ncomp, time) + bytes(payload_len)
+
+
+@pytest.mark.parametrize(
+    "n, big_n, ncomp, match",
+    [(2, 7, 1, "N must be even"), (2, 4, 2, "N must be even"), (4, 8, 1, "dimension"), (2, 8, 0, "no field components")],
+)
+def test_snapshot_bad_grid_or_ncomp_rejected(tmp_path, n, big_n, ncomp, match):
+    # each payload has the length its header implies
+    path = tmp_path / "bad.nslb"
+    path.write_bytes(snapshot_bytes(MAGIC, VERSION, n, big_n, ncomp, ncomp * big_n**n * 8))
+    with pytest.raises(SnapshotError, match=match):
+        read_snapshot(path)
+
+
+U32_MAX = 2**32 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=st.sampled_from([MAGIC, b"NSLC", bytes(4)]),
+    version=st.sampled_from([VERSION, 0, VERSION + 1, U32_MAX]),
+    n=st.one_of(st.integers(0, 5), st.just(U32_MAX)),
+    big_n=st.one_of(st.integers(0, 20), st.just(U32_MAX)),
+    ncomp=st.one_of(st.integers(0, 4), st.just(U32_MAX)),
+    length_change=st.one_of(st.just(0), st.integers(-40, 16)),
+)
+def test_snapshot_reader_fuzzed_headers(magic, version, n, big_n, ncomp, length_change):
+    # the file is the header plus the payload it implies (capped at 1 MiB),
+    # then cut or padded; the reader raises SnapshotError or returns exactly
+    # what the header declares
+    implied = ncomp * big_n**n * 8 if n <= 5 else 0
+    raw = snapshot_bytes(magic, version, n, big_n, ncomp, min(implied, 1 << 20))
+    raw = raw[: len(raw) + length_change] if length_change < 0 else raw + bytes(length_change)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.nslb"
+        path.write_bytes(raw)
+        try:
+            field, t = read_snapshot(path)
+        except SnapshotError:
+            return
+    assert (magic, version) == (MAGIC, VERSION)
+    assert (field.grid.n, field.grid.N, field.ncomp, t) == (n, big_n, ncomp, 0.5)
+    assert field.values.shape == (ncomp,) + (big_n,) * n
+
+
 def test_simulate_experiment_outputs(tmp_path):
     cfg = write_config(tmp_path, SIMULATE_CFG)
     out = tmp_path / "out"
@@ -133,6 +187,14 @@ def test_unparseable_value_exits_2(tmp_path, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_bad_snapshot_stride_exits_2(tmp_path, capsys, stride):
+    cfg = write_config(tmp_path, SIMULATE_CFG.replace("snapshot_stride = 10", f"snapshot_stride = {stride}"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "snapshot_stride" in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -167,3 +229,41 @@ def test_report_constants_carry_provenance(tmp_path):
     assert "timestamp" not in json.dumps(report)
     meta = json.loads((out / "report.meta.json").read_text())
     assert "timestamp" in meta
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_EXPERIMENTS = {
+    "duhamel_residual.cfg": "duhamel-residual",
+    "fit_singularity.cfg": "fit-singularity",
+    "rescale_audit.cfg": "rescale-audit",
+    "taylor_green.cfg": "simulate",
+    "transform_check.cfg": "transform-check",
+    "verify_kernels.cfg": "verify-kernels",
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_committed_config_passes_and_is_deterministic(tmp_path, config):
+    path = CONFIGS / config
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([CONFIG_EXPERIMENTS[config], "--config", str(path), "--out", str(out), "--seed", "7"]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_nslb_threads_applied_before_numpy_loads():
+    # the BLAS reads its thread cap once, when numpy first loads it
+    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["NSLB_THREADS"] = "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = (
+        "import os, sys, nslb; "
+        "assert 'numpy' not in sys.modules; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "1"]

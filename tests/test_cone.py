@@ -21,7 +21,7 @@ from nslb.cone import (
 from nslb.dynamics import SolverConfig, simulate
 from nslb.flows import StreamFlow, TaylorGreenFlow, taylor_green
 from nslb.spectral import TorusGrid
-from oracles import loop_poisson_system, shifted_stencils
+from oracles import loop_poisson_system, roll_interior, shifted_stencils
 
 
 CONE = ConeSpec(t_s=1.0, x_s=(0.1, -0.2), t_1=0.5)
@@ -172,6 +172,15 @@ def test_poisson_dirichlet_manufactured():
         p = poisson_dirichlet(ball, rhs, exact)
         errs[m] = np.max(np.abs((p - exact)[ball.mask]))
     assert errs[41] <= errs[21] / 3.0  # second-order solve
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_interior_matches_roll_oracle(n):
+    for m in range(8, 40):
+        for radius in (0.3, 0.45, 0.8, 1.0):
+            ball = BallGrid(n, radius, m)
+            assert np.array_equal(ball.interior, roll_interior(ball.mask))
+            assert np.array_equal(ball.boundary, ball.mask & ~ball.interior)
 
 
 @pytest.mark.parametrize("n, m", [(2, 8), (2, 21), (3, 8), (3, 13)])

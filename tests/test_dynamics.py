@@ -16,9 +16,15 @@ from nslb.dynamics import (
     simulate,
     weak_strong_bound,
 )
-from nslb.flows import perturbed_taylor_green, random_divergence_free, taylor_green
-from nslb.spectral import SpectralField, TorusGrid, divergence, hermitian_symmetrize, to_grid
-from oracles import advective_nonlinear_modes
+from nslb.flows import TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
+from nslb.spectral import PhysicalField, SpectralField, TorusGrid, divergence, hermitian_symmetrize, to_grid, to_modes
+from oracles import (
+    advective_nonlinear_modes,
+    perturbed_taylor_green_values,
+    prefix_hopf_max_violation,
+    prefix_weak_strong_c,
+    taylor_green_values,
+)
 
 
 def test_config_validation():
@@ -33,6 +39,10 @@ def test_config_validation():
         SolverConfig(nu=0.1, dt=0.3, t_end=1.0)
     for t_end, dt in ((0.08, 0.002), (0.5, 0.001), (0.1, 1.25e-4), (0.2, 5e-4)):
         SolverConfig(nu=0.1, dt=dt, t_end=t_end)
+    # a zero stride divided by zero inside simulate; a negative one was accepted
+    for stride in (0, -1, -10):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            SolverConfig(nu=0.1, dt=1e-3, t_end=1.0, snapshot_stride=stride)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=1.0)
     grid = TorusGrid(2, 32)
     assert cfg.stability_ratio(grid) == pytest.approx(1e-3 * 0.1 * (2 * np.pi * 16) ** 2)
@@ -298,27 +308,67 @@ def test_weak_strong_perturbed_pair_stable_under_refinement():
     assert abs(rep_coarse.c_min - rep_fine.c_min) <= 0.2 * max(rep_coarse.c_min, rep_fine.c_min, 1e-12)
 
 
+def const_field(grid, vx, vy):
+    modes = np.zeros((2,) + grid.shape, dtype=complex)
+    modes[0][0, 0] = vx
+    modes[1][0, 0] = vy
+    return SpectralField(grid, modes)
+
+
 def test_weak_strong_calibration_synthetic_growth():
     # hand-built pair with gap g0^2 exp(2 kappa t) against a constant
-    # reference of magnitude c0: minimal C is exactly 2 kappa/(c0^4 + c0^2)
+    # reference of magnitude c0: minimal C is exactly 2 kappa/(c0^4 + c0^2),
+    # on a short record and on a long one
     grid = TorusGrid(2, 16)
     c0, kappa, g0 = 1.2, 0.8, 1e-3
-    times = np.linspace(0.0, 1.0, 21)
+    for records in (21, 401):
+        times = np.linspace(0.0, 1.0, records)
+        snaps_a = [const_field(grid, c0, 0.0) for _ in times]
+        snaps_b = [const_field(grid, c0, g0 * np.exp(kappa * t)) for t in times]
+        traj_a = Trajectory(times, snaps_a, np.array([energy(f) for f in snaps_a]))
+        traj_b = Trajectory(times, snaps_b, np.array([energy(f) for f in snaps_b]))
+        rep = weak_strong_bound(traj_a, traj_b)
+        expected = 2 * kappa / (c0**4 + c0**2)
+        assert rep.p == 4
+        assert rep.c_min == pytest.approx(expected, rel=1e-10)
 
-    def const_field(vx, vy):
-        modes = np.zeros((2,) + grid.shape, dtype=complex)
-        modes[0][0, 0] = vx
-        modes[1][0, 0] = vy
-        return SpectralField(grid, modes)
 
-    snaps_a = [const_field(c0, 0.0) for _ in times]
-    snaps_b = [const_field(c0, g0 * np.exp(kappa * t)) for t in times]
+@pytest.mark.parametrize("initial", ["taylor-green", "random"])
+def test_hopf_quadrature_matches_prefix_oracle(initial):
+    # one cumulative trapezoid against a fresh np.trapezoid per prefix, on
+    # runs of 400 and more records: the sums may round differently
+    if initial == "taylor-green":
+        grid, cfg = TorusGrid(2, 32), SolverConfig(nu=0.1, dt=1e-3, t_end=0.5)
+        v0 = taylor_green(grid, 1.0)
+    else:
+        grid, cfg = TorusGrid(2, 16), SolverConfig(nu=0.01, dt=1e-3, t_end=0.4)
+        v0 = random_divergence_free(grid, np.random.default_rng(8), kmax=3)
+    traj = simulate(v0, cfg)
+    assert traj.times.size >= 400
+    grads = np.array([gradient_energy(f) for f in traj.snapshots])
+    want = prefix_hopf_max_violation(traj.times, traj.energies, grads, cfg.nu)
+    assert abs(hopf_energy_check(traj, cfg).max_violation - want) <= 1e-14 * traj.energies[0]
+
+
+def test_weak_strong_quadrature_matches_prefix_oracle():
+    # 451 records of constant fields on uneven times: the reference is zero
+    # for the first 50, so the leading prefixes have no integral and are
+    # skipped, and the random gap grows on some prefixes and shrinks on others
+    grid = TorusGrid(2, 16)
+    rng = np.random.default_rng(12)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5e-3, 1.5e-3, 450))])
+    ref = rng.normal(size=(times.size, 2))
+    ref[:50] = 0.0
+    other = ref + rng.normal(scale=1e-3, size=ref.shape)
+    snaps_a = [const_field(grid, *v) for v in ref]
+    snaps_b = [const_field(grid, *v) for v in other]
     traj_a = Trajectory(times, snaps_a, np.array([energy(f) for f in snaps_a]))
     traj_b = Trajectory(times, snaps_b, np.array([energy(f) for f in snaps_b]))
-    rep = weak_strong_bound(traj_a, traj_b)
-    expected = 2 * kappa / (c0**4 + c0**2)
-    assert rep.p == 4
-    assert rep.c_min == pytest.approx(expected, rel=1e-10)
+    gaps = np.array([2.0 * energy(a - b) for a, b in zip(snaps_a, snaps_b)])
+    l4 = np.array([l4_norm(f) for f in snaps_a])
+    want = prefix_weak_strong_c(times, gaps, l4**4 + l4**2)
+    assert want > 0.0
+    assert weak_strong_bound(traj_a, traj_b).c_min == pytest.approx(want, rel=1e-13)
 
 
 def test_weak_strong_zero_reference():
@@ -356,3 +406,23 @@ def test_gradient_energy_taylor_green():
     v = taylor_green(grid, 1.0)
     # every mode sits on |alpha|^2 = 2: |grad v|^2 = 8 pi^2 |v|^2
     assert gradient_energy(v) == pytest.approx(8 * np.pi**2 * 2 * energy(v), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_taylor_green_fields_match_formula_oracle(N):
+    # the grid fields come from the pointwise velocities; their modes equal
+    # those of the closed-form grid values bit for bit
+    grid = TorusGrid(2, N)
+    x, y = grid.meshes()
+    flow = TaylorGreenFlow(nu=0.03, amplitude=1.7)
+    for t in (0.0, 0.4):
+        want = to_modes(PhysicalField(grid, taylor_green_values(x, y, flow.amplitude * flow.decay(t))))
+        assert np.array_equal(flow.field(grid, t).modes, want.modes)
+    for amplitude, eps in ((1.0, 0.2), (0.6, 0.1)):
+        want = to_modes(PhysicalField(grid, perturbed_taylor_green_values(x, y, amplitude, eps)))
+        assert np.array_equal(perturbed_taylor_green(grid, amplitude=amplitude, eps=eps).modes, want.modes)
+    # the vortex pair is exactly the four modes alpha = (+-1, +-1)
+    modes = taylor_green(grid, 1.0).modes
+    assert np.max(np.abs(np.abs(modes[:, [1, 1, -1, -1], [1, -1, 1, -1]]) - 0.25)) < 1e-15
+    modes[:, [1, 1, -1, -1], [1, -1, 1, -1]] = 0.0
+    assert np.max(np.abs(modes)) < 1e-15
