@@ -84,7 +84,7 @@ class Config:
             return default
         try:
             if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                return self.parser.getboolean(section, key)
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"field [{section}] {key} = {raw!r}: {exc}")
@@ -121,6 +121,7 @@ def run_simulate(cfg: Config, out: Path, rng):
     dt = cfg.get("physics", "dt", float, required=True)
     t_end = cfg.get("physics", "t_end", float, required=True)
     stride = cfg.get("physics", "snapshot_stride", int, default=1)
+    write_snapshots = cfg.get("output", "snapshots", bool, default=False)
     grid = TorusGrid(n=n, N=big_n)
     v0 = _initial_field(cfg, grid, rng)
     solver = SolverConfig(nu=nu, dt=dt, t_end=t_end, snapshot_stride=stride)
@@ -142,7 +143,7 @@ def run_simulate(cfg: Config, out: Path, rng):
     csv_path = out / "timeseries.csv"
     _write_csv(csv_path, rows, ["time", "energy", "enstrophy", "divergence_max", "sobolev_h1", "sobolev_h2"])
 
-    if cfg.get("output", "snapshots", bool, default=False):
+    if write_snapshots:
         for k, (t, f) in enumerate(zip(traj.times, traj.snapshots)):
             write_snapshot(out / f"state_{k:05d}.nslb", to_grid(f), t)
 
@@ -339,7 +340,7 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
     pts = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=-1)
     mass = float(np.sum(gaussian(0.3, pts, spec)) * (2 * width / 256) ** 2)
     mass_ok = abs(mass - 1.0) <= 1e-8
-    elliptic = elliptic_integral_check(2.0, 0.5, 1.0, [0.05, 0.1, 0.2, 0.3, 0.5, 1.0], n=3)
+    elliptic = elliptic_integral_check(2.0, 0.5, 1.0, [0.05, 0.1, 0.2, 0.3, 0.5, 1.0])
     elliptic_ok = (
         elliptic.bound_holds
         and abs(elliptic.small_x_slope - elliptic.predicted_slope) <= 0.15 * abs(elliptic.predicted_slope)
@@ -423,7 +424,10 @@ def run_rescale_audit(cfg: Config, out: Path, rng):
 @_register("duhamel-residual")
 def run_duhamel(cfg: Config, out: Path, rng):
     nu_eff = cfg.get("kernels", "nu_eff", float, default=0.5)
-    resolutions = [int(x) for x in cfg.floats("kernels", "resolutions", default=[17, 25, 33])]
+    resolutions = cfg.floats("kernels", "resolutions", default=[17, 25, 33])
+    if not all(float(x).is_integer() for x in resolutions):
+        raise ConfigError(f"field [kernels] resolutions = {resolutions}: resolutions must be whole numbers")
+    resolutions = [int(x) for x in resolutions]
     spec = KernelSpec(nu_eff=nu_eff, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     horizon = 0.05
@@ -444,7 +448,7 @@ def run_duhamel(cfg: Config, out: Path, rng):
             if source:
                 sources.append(source(s, ball))
         snaps.append((cyl.t_in + horizon, (ball, state(cyl.t_in + horizon, ball))))
-        return duhamel_residual(snaps, sources, None, cyl, spec, probes=probes)
+        return duhamel_residual(snaps, sources, cyl, spec, probes=probes)
 
     heat_res = [ladder(m, heat).residual_max for m in resolutions]
     forced_res = [ladder(m, forced, forced_source).residual_max for m in resolutions]

@@ -163,9 +163,9 @@ class BallGrid:
             self.interior &= self._shifted(self.mask, 1, axis) & self._shifted(self.mask, -1, axis)
         self.boundary = self.mask & ~self.interior
 
-    def points(self, which=None):
+    def points(self, which):
         """(m_pts, n) coordinates of masked nodes ('mask', 'interior', 'boundary')."""
-        sel = {None: self.mask, "mask": self.mask, "interior": self.interior, "boundary": self.boundary}[which]
+        sel = {"mask": self.mask, "interior": self.interior, "boundary": self.boundary}[which]
         return np.stack([c[sel] for c in self.mesh], axis=-1)
 
     def _shifted(self, arr, k, axis):
@@ -255,11 +255,14 @@ def _cone_points(cone: ConeSpec, t, z_points):
     return np.asarray(cone.x_s) + (cone.t_s - t) * np.asarray(z_points)
 
 
-def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid, margin=0.05) -> ComparisonField:
-    """Sample w from an analytic velocity callable velocity_fn(t, points)->(ncomp, m)."""
+def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid) -> ComparisonField:
+    """Sample w from an analytic velocity callable velocity_fn(t, points)->(ncomp, m).
+
+    The ball may exceed the cylinder base radius by at most 5%.
+    """
     cyl = CylinderSpec.from_cone(cone)
-    if ball.radius > cyl.r_0 * (1 + margin):
-        raise ValueError(f"ball radius {ball.radius} exceeds cylinder base {cyl.r_0} (margin {margin})")
+    if ball.radius > cyl.r_0 * 1.05:
+        raise ValueError(f"ball radius {ball.radius} exceeds cylinder base {cyl.r_0} (margin 0.05)")
     t = float(t_of_tau(tau, cone))
     pts = ball.points("mask")
     vals = np.asarray(velocity_fn(t, _cone_points(cone, t, pts)))
@@ -270,12 +273,13 @@ def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid, margin=0
     return ComparisonField(float(tau), ball, out)
 
 
-def sample_w(trajectory, cone: ConeSpec, tau, ball: BallGrid, margin=0.05) -> ComparisonField:
-    """Sample w from a stored trajectory (linear in time, multilinear in space)."""
+def sample_w(trajectory, cone: ConeSpec, tau, ball: BallGrid) -> ComparisonField:
+    """Sample w from a stored trajectory (linear in time, multilinear in space);
+    the ball radius limit is that of ``sample_w_function``."""
     t = float(t_of_tau(tau, cone))
     if t < trajectory.times[0] - 1e-12 or t > trajectory.times[-1] + 1e-12:
         raise ValueError(f"tau={tau} maps to t={t} outside the trajectory range")
-    return sample_w_function(trajectory.velocity_at, cone, tau, ball, margin=margin)
+    return sample_w_function(trajectory.velocity_at, cone, tau, ball)
 
 
 class TrajectorySampler:

@@ -230,16 +230,15 @@ def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
 def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Integrate from v0 with integrating-factor RK4.
 
-    The field is projected and dealiased on entry; a non-finite field, or
-    one whose projection is not conjugate-symmetric to 1e-12 relative (not
-    a real field), is rejected with ValueError.  If the bound sum |v_alpha|
+    The field is projected and dealiased on entry (``SpectralField`` has
+    already rejected non-finite modes); one whose projection is not
+    conjugate-symmetric to 1e-12 relative (not a real field) is rejected
+    with ValueError.  If the bound sum |v_alpha|
     on the grid maximum exceeds ``cfg.blowup_threshold`` or is not finite,
     the run stops and the partial trajectory is returned with ``blew_up``
     set.
     """
     grid = v0.grid
-    if not np.all(np.isfinite(v0.modes)):
-        raise ValueError("initial field contains non-finite modes")
     state = dealias(leray_project(v0)).modes
     asym = float(np.max(np.abs(state - hermitian_symmetrize(state, grid))))
     if asym > 1e-12 * float(np.max(np.abs(state))):

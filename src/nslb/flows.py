@@ -65,8 +65,9 @@ class TaylorGreenFlow:
         return to_modes(PhysicalField(grid, _on_grid(self.velocity, grid, t)))
 
 
-def taylor_green(grid: TorusGrid, amplitude=1.0, nu=0.0, t=0.0) -> SpectralField:
-    return TaylorGreenFlow(nu=nu, amplitude=amplitude).field(grid, t)
+def taylor_green(grid: TorusGrid, amplitude=1.0) -> SpectralField:
+    """Taylor-Green initial data (t = 0) of the given amplitude."""
+    return TaylorGreenFlow(nu=0.0, amplitude=amplitude).field(grid)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,11 @@ def gaussian(t, y, spec: KernelSpec):
     if np.any(np.asarray(t) <= 0):
         raise ValueError("kernel time must be positive")
     r_sq, _ = _split(y, spec.n)
+    return _gaussian_sq(t, r_sq, spec)
+
+
+def _gaussian_sq(t, r_sq, spec: KernelSpec):
+    """The kernel of ``gaussian`` from squared distances r_sq = |y|^2 (no time check)."""
     denom = 4.0 * spec.nu_eff * np.asarray(t, dtype=float)
     return (np.pi * denom) ** (-spec.n / 2.0) * np.exp(-r_sq / denom)
 
@@ -88,9 +93,9 @@ def gaussian_derivative_bound_form(t, y, j, spec: KernelSpec):
     return gaussian_derivative(t, y, j, spec) / np.pi
 
 
-def _sup_1d(fn, lo=1e-4, hi=10.0, step=1e-4):
-    """Dense 1-D maximization on a uniform grid over (0, hi]."""
-    zs = np.arange(lo, hi + step, step)
+def _sup_1d(fn):
+    """Dense 1-D maximization on the uniform grid 1e-4, 2e-4, ..., 10."""
+    zs = np.arange(1e-4, 10.0 + 1e-4, 1e-4)
     return float(np.max(fn(zs)))
 
 
@@ -104,7 +109,7 @@ class BoundReport:
     nu_eff: float
 
 
-def kernel_bound_check(delta, spec: KernelSpec, kind="derivative", t_decades=(-3.0, 1.0), n_t=40, n_y=400) -> BoundReport:
+def kernel_bound_check(delta, spec: KernelSpec, kind="derivative") -> BoundReport:
     """Scan sup over (t, |y|) of the weighted kernel against its analytic constant.
 
     kind='kernel':      |G| (4 pi nu t)^delta |y|^(n - 2 delta)
@@ -113,15 +118,16 @@ def kernel_bound_check(delta, spec: KernelSpec, kind="derivative", t_decades=(-3
                         vs  sup_z z^(n/2 + 1 - delta) e^(-z^2)
 
     Both weighted quantities depend on (t, y) only through |y|^2/(4 nu t),
-    so the observed sup is diffusivity-independent.  The log-spaced radius
-    scan is augmented with the stationary radius at each time so the sup is
+    so the observed sup is diffusivity-independent.  The scan takes 40
+    log-spaced times in [1e-3, 10] and 400 log-spaced radii in [1e-3, 10],
+    augmented with the stationary radius at each time so the sup is
     attained on the grid.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     n = spec.n
     nu = spec.nu_eff
-    ts = np.logspace(t_decades[0], t_decades[1], n_t)
+    ts = np.logspace(-3.0, 1.0, 40)
     if kind == "kernel":
         a = n / 2.0 - delta
         c_pred = np.pi ** (delta - n / 2.0) * _sup_1d(lambda q: q**a * np.exp(-q))
@@ -136,7 +142,7 @@ def kernel_bound_check(delta, spec: KernelSpec, kind="derivative", t_decades=(-3
         raise ValueError("kind must be 'kernel' or 'derivative'")
     c_obs = 0.0
     for t in ts:
-        rads = np.logspace(-3, 1, n_y)
+        rads = np.logspace(-3, 1, 400)
         if a > 0:
             rads = np.append(rads, np.sqrt(4 * nu * t * a))
         y = np.zeros((rads.size, n))
@@ -160,38 +166,36 @@ class EllipticIntegralReport:
     bound_holds: bool
 
 
-def _sphere_factor(a, x, r, n, n_theta=256):
-    """Integral of |x e_1 - r omega|^{-a} over the unit sphere (n=3) or circle."""
-    if n == 3:
-        lo, hi = (x - r) ** 2, (x + r) ** 2
-        if lo == 0.0:
-            lo = 1e-30
-        if a == 2.0:
-            return np.pi / (x * r) * np.log(hi / lo)
-        pw = 1.0 - a / 2.0
-        return 2 * np.pi / (2 * x * r) * (hi**pw - lo**pw) / pw
-    theta = (np.arange(n_theta) + 0.5) * 2 * np.pi / n_theta
-    d_sq = x**2 + r**2 - 2 * x * r * np.cos(theta)
-    return float(np.mean(d_sq ** (-a / 2.0)) * 2 * np.pi)
+def _sphere_factor(a, x, r):
+    """Integral of |x e_1 - r omega|^{-a} over the unit sphere in R^3."""
+    lo, hi = (x - r) ** 2, (x + r) ** 2
+    if lo == 0.0:
+        lo = 1e-30
+    if a == 2.0:
+        return np.pi / (x * r) * np.log(hi / lo)
+    pw = 1.0 - a / 2.0
+    return 2 * np.pi / (2 * x * r) * (hi**pw - lo**pw) / pw
 
 
-def elliptic_integral_check(a, b, radius, x_values, n=3) -> EllipticIntegralReport:
-    """Quadrature audit of I(x) = int_B dy / (|x-y|^a |y|^b) <= max(c |x|^{n-a-b}, c).
+def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
+    """Quadrature audit of I(x) = int_B dy / (|x-y|^a |y|^b) <= max(c |x|^{n-a-b}, c)
+    on the ball B of R^n, n = 3.
 
-    The ball integral reduces to a radial integral (angular part analytic
-    for n=3, midpoint sum for n=2) evaluated adaptively.  The |x|^{n-a-b}
-    branch shows up as the divergence of I itself when n - a - b < 0 and as
-    the two-pole interaction I(0) - I(x) when the exponent is positive (I
-    stays bounded then); ``small_x_slope`` measures whichever branch
-    applies, on the sweep points below radius/2.
+    The ball integral reduces to a radial integral (angular part analytic)
+    evaluated adaptively.  The |x|^{n-a-b} branch shows up as the
+    divergence of I itself when n - a - b < 0 and as the two-pole
+    interaction I(0) - I(x) when the exponent is positive (I stays bounded
+    then); ``small_x_slope`` measures whichever branch applies, on the
+    sweep points below radius/2.
     """
+    n = 3
     if a >= n or b >= n:
         raise ValueError("need a < n and b < n for integrable poles")
     xs = np.asarray(sorted(x_values), dtype=float)
 
     def integral_at(x):
         def radial(r):
-            return r ** (n - 1 - b) * _sphere_factor(a, x, r, n)
+            return r ** (n - 1 - b) * _sphere_factor(a, x, r)
 
         breaks = sorted({min(float(x), radius), radius}) if x > 0 else [radius]
         total = 0.0
@@ -208,8 +212,7 @@ def elliptic_integral_check(a, b, radius, x_values, n=3) -> EllipticIntegralRepo
     predicted = n - a - b
     if a + b < n:
         # angular factor at x=0 is the sphere area over r^a
-        area = 4 * np.pi if n == 3 else 2 * np.pi
-        i0 = area * radius ** (n - a - b) / (n - a - b)
+        i0 = 4 * np.pi * radius ** (n - a - b) / (n - a - b)
     else:
         i0 = float("inf")
     small = xs < 0.5 * radius
@@ -244,8 +247,9 @@ class _CylinderLattice:
         self.tau = tau
         self.m_t = m_t
         self.n_nodes = self.pts.shape[0]
-        diff = self.pts[:, None, :] - self.pts[None, :, :]
-        self.blocks = [gaussian(d * self.dt, diff, spec) * self.cell * self.dt for d in range(1, m_t)]
+        # squared node distances, summed axis by axis: no (nodes, nodes, n) array
+        r_sq = sum((self.pts[:, None, k] - self.pts[None, :, k]) ** 2 for k in range(spec.n))
+        self.blocks = [_gaussian_sq(d * self.dt, r_sq, spec) * self.cell * self.dt for d in range(1, m_t)]
 
     def apply(self, state):
         """Propagator times a lattice vector (time-major, m_t * n_nodes):
@@ -304,32 +308,6 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
     return BoundarySeriesResult(float(np.sum(terms)), terms, float(abs(terms[-1])), converged)
 
 
-def _surface_nodes(cyl: CylinderSpec, n, m_b):
-    """Midpoint nodes and weights on the lateral boundary circle/sphere."""
-    if n == 2:
-        theta = (np.arange(m_b) + 0.5) * 2 * np.pi / m_b
-        pts = cyl.r_0 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        w = np.full(m_b, 2 * np.pi * cyl.r_0 / m_b)
-        return pts, w
-    m_phi = m_b
-    m_th = max(4, m_b // 2)
-    phi = (np.arange(m_phi) + 0.5) * 2 * np.pi / m_phi
-    th = (np.arange(m_th) + 0.5) * np.pi / m_th
-    ph_g, th_g = np.meshgrid(phi, th, indexing="ij")
-    pts = cyl.r_0 * np.stack(
-        [np.sin(th_g) * np.cos(ph_g), np.sin(th_g) * np.sin(ph_g), np.cos(th_g)], axis=-1
-    ).reshape(-1, 3)
-    w = (cyl.r_0**2 * np.sin(th_g) * (2 * np.pi / m_phi) * (np.pi / m_th)).reshape(-1)
-    return pts, w
-
-
-def _ball_values(entry):
-    """(ball, values) from a ComparisonField or an explicit (ball, array) pair."""
-    if hasattr(entry, "ball"):
-        return entry.ball, entry.values
-    return entry
-
-
 def _ball_interp(ball: BallGrid, values, points):
     """Multilinear interpolation of masked-grid values at interior points."""
     pts = np.atleast_2d(points)
@@ -358,38 +336,29 @@ class DuhamelReport:
     rhs: np.ndarray
 
 
-def duhamel_residual(
-    snapshots,
-    sources,
-    boundary_data,
-    cyl: CylinderSpec,
-    spec: KernelSpec,
-    probes,
-    component=0,
-    m_boundary=64,
-) -> DuhamelReport:
-    """Mismatch between a field and its heat representation on the cylinder.
+def duhamel_residual(snapshots, sources, cyl: CylinderSpec, spec: KernelSpec, probes) -> DuhamelReport:
+    """Mismatch between a scalar field and its heat representation on the cylinder.
 
-    ``snapshots`` is a list of (s, field):
+    ``snapshots`` is a list of (s, (ball, values)):
 
       * entry 0 at the cylinder entry time (initial data),
       * entries 1..M at the midpoints of a uniform partition of
         [t_in, tau] (source ladder),
       * the last entry at tau itself (the state being tested).
 
-    ``sources`` aligns with the midpoint entries and carries the forcing of
-    d_tau w - nu_eff Lap w = S (None for source-free fields).
-    ``boundary_data`` is None or a callable (s, points) -> layer density
-    integrated against the kernel over the lateral boundary.  Fields may be
-    ComparisonField objects or (ball, array) pairs.
+    Every entry must sit on the entry ball (same n, radius and m) with
+    values of the shape of its mask.  ``sources`` aligns with the midpoint
+    entries and carries the forcing of d_tau w - nu_eff Lap w = S, as arrays
+    of the mask shape (None for source-free fields).  The representation has
+    no lateral-boundary layer term: the initial-data and source integrals
+    over the base ball are the whole right-hand side.
     """
     if len(snapshots) < 3:
         raise ValueError("need entry data, at least one midpoint snapshot, and the final state")
-    s0, entry0 = snapshots[0]
-    ball, w0 = _ball_values(entry0)
+    s0, (ball, w0) = snapshots[0]
     if abs(s0 - cyl.t_in) > 1e-9:
         raise ValueError("first snapshot must sit at the cylinder entry time")
-    tau, entry_tau = snapshots[-1]
+    tau, (_, w_tau) = snapshots[-1]
     mid = snapshots[1:-1]
     m_t = len(mid)
     ds = (tau - s0) / m_t
@@ -399,37 +368,30 @@ def duhamel_residual(
         raise ValueError("middle snapshots must sit on the uniform midpoint ladder")
     if sources is not None and len(sources) != m_t:
         raise ValueError("sources must align with the midpoint snapshots")
+    for k, (_, (b, _)) in enumerate(snapshots):
+        if (b.n, b.radius, b.m) != (ball.n, ball.radius, ball.m):
+            raise ValueError(f"snapshot {k} is on a different ball grid from the entry snapshot")
+    arrays = [(f"snapshot {k}", values) for k, (_, (_, values)) in enumerate(snapshots)]
+    arrays += [(f"source {k}", src) for k, src in enumerate(sources or ())]
+    for name, arr in arrays:
+        if np.shape(arr) != ball.mask.shape:
+            raise ValueError(f"{name} has shape {np.shape(arr)}, expected the ball shape {ball.mask.shape}")
 
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     pts = ball.points("mask")
     cell = ball.h**ball.n
-
-    def comp_values(values):
-        return values[component][ball.mask] if values.ndim > ball.n else values[ball.mask]
-
-    w0_comp = comp_values(w0)
-    src_comp = None
-    if sources is not None:
-        src_comp = [comp_values(_ball_values((ball, s))[1]) for s in sources]
-
-    if boundary_data is not None:
-        bpts, bw = _surface_nodes(cyl, ball.n, m_boundary)
+    w0_in = w0[ball.mask]
+    src_in = None if sources is None else [src[ball.mask] for src in sources]
 
     rhs_vals = np.zeros(probes.shape[0])
     for k, z in enumerate(probes):
-        acc = float(np.sum(w0_comp * gaussian(tau - s0, z - pts, spec)) * cell)
-        if src_comp is not None:
-            for s_j, src in zip(expected, src_comp):
+        acc = float(np.sum(w0_in * gaussian(tau - s0, z - pts, spec)) * cell)
+        if src_in is not None:
+            for s_j, src in zip(expected, src_in):
                 acc += float(np.sum(src * gaussian(tau - s_j, z - pts, spec)) * cell * ds)
-        if boundary_data is not None:
-            for s_j in expected:
-                dens = np.asarray(boundary_data(s_j, bpts))
-                acc += float(np.sum(dens * gaussian(tau - s_j, z - bpts, spec) * bw) * ds)
         rhs_vals[k] = acc
 
-    _, w_tau = _ball_values(entry_tau)
-    w_comp = w_tau[component] if w_tau.ndim > ball.n else w_tau
-    lhs_vals = _ball_interp(ball, w_comp, probes)
+    lhs_vals = _ball_interp(ball, w_tau, probes)
     diff = lhs_vals - rhs_vals
     return DuhamelReport(
         float(tau),
@@ -494,20 +456,20 @@ def boundary_density(
     return out
 
 
-def symmetric_convolution(l_fn, l0, j, t, spec: KernelSpec, x=None, half_width=None, m=96):
-    """Convolution of a Lipschitz function against the kernel gradient.
+def symmetric_convolution(l_fn, l0, j, t, spec: KernelSpec):
+    """Convolution of a Lipschitz function against the kernel gradient,
+    evaluated at x = 0.
 
-    Every node y with y_j > 0 is paired with its j-reflection, so the
-    integrand becomes (l(x-y) - l(x-y_reflected)) G_j(t, y) and constants
-    cancel exactly node by node.  Returns (value, bound) with the moment
-    bound |value| <= 2 l0, from |l(x-y) - l(x-y^-j)| <= 2 l0 |y_j| and
-    int 2 |y_j| |G_j| dy = 2.
+    The midpoint rule runs on 96 nodes per axis over the cube of half-width
+    8 sqrt(2 nu t).  Every node y with y_j > 0 is paired with its
+    j-reflection, so the integrand becomes (l(-y) - l(-y_reflected))
+    G_j(t, y) and constants cancel exactly node by node.  Returns
+    (value, bound) with the moment bound |value| <= 2 l0, from
+    |l(-y) - l(-y^-j)| <= 2 l0 |y_j| and int 2 |y_j| |G_j| dy = 2.
     """
     n = spec.n
-    if x is None:
-        x = np.zeros(n)
-    x = np.asarray(x, dtype=float)
-    width = half_width if half_width is not None else 8.0 * np.sqrt(2 * spec.nu_eff * t)
+    m = 96
+    width = 8.0 * np.sqrt(2 * spec.nu_eff * t)
     axis_full = (np.arange(m) + 0.5) / m * 2 * width - width
     axis_half = axis_full[axis_full > 0]
     axes = [axis_full] * n
@@ -518,18 +480,17 @@ def symmetric_convolution(l_fn, l0, j, t, spec: KernelSpec, x=None, half_width=N
     y_ref[:, j] = -y_ref[:, j]
     cell = (2 * width / m) ** n
     g_j = gaussian_derivative(t, y, j, spec)
-    vals = (np.asarray(l_fn(x - y)) - np.asarray(l_fn(x - y_ref))) * g_j
+    vals = (np.asarray(l_fn(-y)) - np.asarray(l_fn(-y_ref))) * g_j
     value = float(np.sum(vals) * cell)
     return value, 2.0 * float(l0)
 
 
-def lipschitz_convolution_bound(l0, delta, diffusion_scale, elapsed, c=None):
+def lipschitz_convolution_bound(l0, delta, diffusion_scale, elapsed):
     """Time-integrated increment bound l0 C diffusion_scale^delta elapsed^(1-delta).
 
     ``diffusion_scale`` plays the role of (floor of the drift coefficient)
-    x viscosity x squared spatial scale; C defaults to the n = 3 audit
-    constant sup_z z^(n/2+1-delta) e^(-z^2).
+    x viscosity x squared spatial scale; C is the n = 3 audit constant
+    sup_z z^(n/2+1-delta) e^(-z^2).
     """
-    if c is None:
-        c = _sup_1d(lambda z: z ** (3 / 2 + 1 - delta) * np.exp(-(z**2)))
+    c = _sup_1d(lambda z: z ** (3 / 2 + 1 - delta) * np.exp(-(z**2)))
     return float(l0) * float(c) * float(diffusion_scale) ** delta * float(elapsed) ** (1 - delta)

@@ -51,15 +51,16 @@ def poisson_pressure(v: SpectralField) -> SpectralField:
     return SpectralField(grid, p[None])
 
 
-def pressure_gradient_modes(v: SpectralField, i: int, divergence_warn=1e-8) -> SpectralField:
+def pressure_gradient_modes(v: SpectralField, i: int) -> SpectralField:
     """Mode array of d p / d x_i for the velocity field v.
 
-    Warns (does not reject) when v is visibly not divergence-free, since the
+    Warns (does not reject) when v is visibly not divergence-free (a
+    divergence mode above 1e-8 times the largest velocity mode), since the
     pressure formula presumes a solenoidal field.
     """
     div_max = np.max(np.abs(divergence(v).modes))
     scale = max(np.max(np.abs(v.modes)), 1e-300)
-    if div_max > divergence_warn * scale:
+    if div_max > 1e-8 * scale:
         warnings.warn(f"pressure gradient of a non-solenoidal field (max divergence mode {div_max:.3e})")
     grid = v.grid
     p = poisson_pressure(v).modes[0]

@@ -126,12 +126,11 @@ class CknVerdict:
     """Exponent-window verdicts for the n = 3 partial-regularity theory.
 
     velocity window: mu < 3/8 and lam < 3/4;
-    gradient window: mu < 1/2 and lam < 3/2 + eps.
+    gradient window: mu < 1/2 and lam < 3/2 + 0.01.
     """
 
     velocity_ok: bool
     gradient_ok: bool
-    eps: float = 0.01
 
 
 VELOCITY_MU_LIMIT = 3.0 / 8.0
@@ -140,21 +139,21 @@ GRADIENT_MU_LIMIT = 1.0 / 2.0
 GRADIENT_LAMBDA_LIMIT = 3.0 / 2.0
 
 
-def fit_singularity_orders(samples: ConeSamples, min_samples=30, min_decades=1.0) -> SingularityFit:
+def fit_singularity_orders(samples: ConeSamples) -> SingularityFit:
     """Least squares on log|f| = log c - mu log(t_s - t) - lam log r.
 
-    Rejects degenerate layouts (too few samples or less than one decade of
-    spread in either regressor).  Negative exponent estimates are clamped
-    to zero and flagged.
+    Rejects degenerate layouts (fewer than 30 samples or less than one
+    decade of spread in either regressor).  Negative exponent estimates are
+    clamped to zero and flagged.
     """
-    if samples.count < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {samples.count}")
+    if samples.count < 30:
+        raise ValueError(f"need at least 30 samples, got {samples.count}")
     log_dt = np.log(samples.dt_vals)
     log_r = np.log(samples.r_vals)
     for name, reg in (("t_s - t", log_dt), ("|x - x_s|", log_r)):
         spread = (reg.max() - reg.min()) / np.log(10.0)
-        if spread < min_decades:
-            raise ValueError(f"sample spread in {name} covers {spread:.2f} decades; need >= {min_decades}")
+        if spread < 1.0:
+            raise ValueError(f"sample spread in {name} covers {spread:.2f} decades; need >= 1.0")
     if np.any(samples.values <= 0):
         raise ValueError("sample magnitudes must be positive for the log fit")
     target = np.log(samples.values)
@@ -171,15 +170,15 @@ def fit_singularity_orders(samples: ConeSamples, min_samples=30, min_decades=1.0
     return SingularityFit(float(lam), float(mu), float(np.exp(log_c)), rms, samples.count, clamped)
 
 
-def ckn_gate(fit: SingularityFit, kind="velocity", eps=0.01) -> CknVerdict:
+def ckn_gate(fit: SingularityFit, kind="velocity") -> CknVerdict:
     """Exponent-window verdict for a fitted singularity order."""
     if kind not in ("velocity", "gradient"):
         raise ValueError("kind must be 'velocity' or 'gradient'")
     if not np.isfinite(fit.residual):
         raise ValueError("fit residual must be finite")
     velocity_ok = fit.mu < VELOCITY_MU_LIMIT and fit.lam < VELOCITY_LAMBDA_LIMIT
-    gradient_ok = fit.mu < GRADIENT_MU_LIMIT and fit.lam < GRADIENT_LAMBDA_LIMIT + eps
-    return CknVerdict(velocity_ok, gradient_ok, eps)
+    gradient_ok = fit.mu < GRADIENT_MU_LIMIT and fit.lam < GRADIENT_LAMBDA_LIMIT + 0.01
+    return CknVerdict(velocity_ok, gradient_ok)
 
 
 @dataclass(frozen=True)
@@ -206,14 +205,14 @@ class ScanReport:
     classification: str
 
 
-def uniform_bound_scan(evaluate, taus, z_probe, cauchy_tol=1e-3, slope_threshold=0.1) -> ScanReport:
+def uniform_bound_scan(evaluate, taus, z_probe) -> ScanReport:
     """Track sup_tau |w(tau, z_probe)| on an increasing tau ladder.
 
     ``evaluate(tau, z)`` returns the comparison-field magnitude at the probe
-    (a fixed offset from the tip axis).  A converging running sup (Cauchy
-    increments below tolerance over the last decade) is the bounded,
-    left-continuous outcome; a log-log slope above the threshold classifies
-    the scan as diverging like (1 + tau)^(mu + lam).
+    (a fixed offset from the tip axis).  A converging running sup (relative
+    Cauchy increment below 1e-3 over the last decade) is the bounded,
+    left-continuous outcome; a log-log slope above 0.1 classifies the scan
+    as diverging like (1 + tau)^(mu + lam).
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(np.diff(taus) <= 0):
@@ -231,8 +230,8 @@ def uniform_bound_scan(evaluate, taus, z_probe, cauchy_tol=1e-3, slope_threshold
         slope = float(np.polyfit(np.log1p(taus[positive]), np.log(vals[positive]), 1)[0])
     else:
         slope = 0.0
-    converged = cauchy < cauchy_tol
-    classification = "bounded" if (converged and slope <= slope_threshold) else "diverging"
+    converged = cauchy < 1e-3
+    classification = "bounded" if (converged and slope <= 0.1) else "diverging"
     return ScanReport(taus, vals, running, converged, cauchy, slope, classification)
 
 
@@ -263,14 +262,15 @@ class LedgerEntry:
     justification: str
 
 
-def bootstrap_ledger(start=(0.0, 3.0), steps=2, n=3, eps=0.01):
-    """Regularity bookkeeping ladder from an L^p entry point.
+def bootstrap_ledger(start=(0.0, 3.0), steps=2):
+    """Regularity bookkeeping ladder from an L^p entry point in dimension n = 3.
 
     Step 0 embeds the start space into its L^2-scale Sobolev image (the
     embedding identity is checked); each further step records a gain of one
-    derivative order, landing at H^{k - eps}.  The ledger is bookkeeping
-    only; no equation is solved.
+    derivative order, landing at H^{k - eps} with eps = 0.01.  The ledger is
+    bookkeeping only; no equation is solved.
     """
+    n, eps = 3, 0.01
     s0, p0 = start
     if steps < 0:
         raise ValueError("steps must be nonnegative")

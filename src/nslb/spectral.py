@@ -93,6 +93,7 @@ class SpectralField:
 
     ``modes`` has shape (ncomp, N, ..., N) in FFT ordering along each
     spatial axis.  Velocity fields carry grid.n components; scalars one.
+    Non-finite modes are rejected with ValueError.
     """
 
     grid: TorusGrid
@@ -104,6 +105,8 @@ class SpectralField:
             m = m[None]
         if m.shape[1:] != self.grid.shape:
             raise ValueError(f"mode array shape {m.shape} does not match grid {self.grid.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("mode array contains non-finite values")
         object.__setattr__(self, "modes", m)
 
     @property

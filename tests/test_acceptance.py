@@ -143,7 +143,7 @@ def test_criterion_5_duhamel_residual():
         for k in range(m_t):
             snaps.append((cyl.t_in + (k + 0.5) * ds, state(cyl.t_in + (k + 0.5) * ds)))
         snaps.append((cyl.t_in + horizon, state(cyl.t_in + horizon)))
-        return duhamel_residual(snaps, None, None, cyl, spec, probes=probes).residual_max
+        return duhamel_residual(snaps, None, cyl, spec, probes=probes).residual_max
 
     default = run(33, 8)
     assert default <= 1e-4

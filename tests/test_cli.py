@@ -195,6 +195,22 @@ def test_bad_snapshot_stride_exits_2(tmp_path, capsys, stride):
     assert "config error" in err and "snapshot_stride" in err
 
 
+@pytest.mark.parametrize("spelling", ["ture", "2"])
+def test_misspelt_boolean_exits_2(tmp_path, capsys, spelling):
+    cfg = write_config(tmp_path, SIMULATE_CFG.replace("snapshots = true", f"snapshots = {spelling}"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "snapshots" in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_non_integer_resolution_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[kernels]\nnu_eff = 0.5\nresolutions = 17.9 25 33\n")
+    assert main(["duhamel-residual", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "resolutions" in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

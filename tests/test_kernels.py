@@ -114,13 +114,13 @@ def test_bound_form_is_scaled_gradient():
 
 
 def test_elliptic_integral_ball_volume():
-    rep = elliptic_integral_check(0.0, 0.0, 1.0, [0.1, 0.5], n=3)
+    rep = elliptic_integral_check(0.0, 0.0, 1.0, [0.1, 0.5])
     assert np.allclose(rep.integrals, 4 * np.pi / 3, rtol=1e-8)
     assert rep.bound_holds
 
 
 def test_elliptic_integral_two_pole_scaling():
-    rep = elliptic_integral_check(2.0, 0.5, 1.0, [0.05, 0.1, 0.2, 0.3, 0.5, 1.0], n=3)
+    rep = elliptic_integral_check(2.0, 0.5, 1.0, [0.05, 0.1, 0.2, 0.3, 0.5, 1.0])
     # the |x|^{n-a-b} branch: measured against n - a - b = 0.5 within 15%
     assert abs(rep.small_x_slope - rep.predicted_slope) <= 0.15 * abs(rep.predicted_slope)
     assert rep.bound_holds
@@ -130,7 +130,7 @@ def test_elliptic_integral_far_field():
     # x far outside the ball: integral ~ |x|^{ -a } int |y|^{-b}
     a, b, radius = 2.0, 0.5, 1.0
     xs = [5.0, 10.0]
-    rep = elliptic_integral_check(a, b, radius, xs, n=3)
+    rep = elliptic_integral_check(a, b, radius, xs)
     tail = 4 * np.pi * radius ** (3 - b) / (3 - b)  # int_B |y|^{-b} dy
     for x, val in zip(rep.x_values, rep.integrals):
         assert val == pytest.approx(tail / x**a, rel=0.05)
@@ -138,9 +138,9 @@ def test_elliptic_integral_far_field():
 
 def test_elliptic_integral_rejects_nonintegrable():
     with pytest.raises(ValueError):
-        elliptic_integral_check(3.0, 0.5, 1.0, [0.1], n=3)
+        elliptic_integral_check(3.0, 0.5, 1.0, [0.1])
     with pytest.raises(ValueError):
-        elliptic_integral_check(0.5, 3.2, 1.0, [0.1], n=3)
+        elliptic_integral_check(0.5, 3.2, 1.0, [0.1])
 
 
 def test_boundary_series_base_case_and_decay():
@@ -258,7 +258,7 @@ def test_duhamel_pure_heat_residual():
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     probes = [[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]]
     snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 33, 8)
-    rep = duhamel_residual(snaps, None, None, cyl, spec, probes=probes)
+    rep = duhamel_residual(snaps, None, cyl, spec, probes=probes)
     assert rep.residual_max <= 1e-4
 
 
@@ -271,7 +271,7 @@ def test_duhamel_zero_everything():
     for k in range(4):
         snaps.append((cyl.t_in + (k + 0.5) * 0.0125, (ball, zero)))
     snaps.append((cyl.t_in + 0.05, (ball, zero)))
-    rep = duhamel_residual(snaps, None, None, cyl, spec, probes=[[0.0, 0.0]])
+    rep = duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]])
     assert rep.residual_max == 0.0
 
 
@@ -301,8 +301,8 @@ def test_duhamel_constant_source_canary():
     snaps.append((cyl.t_in + horizon, (ball, heat(cyl.t_in + horizon) + c_src * horizon)))
 
     probes = [[0.0, 0.0]]
-    with_src = duhamel_residual(snaps, sources, None, cyl, spec, probes=probes)
-    without_src = duhamel_residual(snaps, None, None, cyl, spec, probes=probes)
+    with_src = duhamel_residual(snaps, sources, cyl, spec, probes=probes)
+    without_src = duhamel_residual(snaps, None, cyl, spec, probes=probes)
     # the constant-source state does not vanish at the base rim, so a few
     # percent of kernel mass belongs to the (omitted) boundary term; the
     # canary still separates cleanly: dropping the source costs c * elapsed
@@ -347,7 +347,7 @@ def test_duhamel_forced_refinement_order():
             snaps.append((s, state(s)))
             sources.append(source(s))
         snaps.append((cyl.t_in + horizon, state(cyl.t_in + horizon)))
-        return duhamel_residual(snaps, sources, None, cyl, spec, probes=[[0.0, 0.0], [0.25, 0.0]]).residual_max
+        return duhamel_residual(snaps, sources, cyl, spec, probes=[[0.0, 0.0], [0.25, 0.0]]).residual_max
 
     coarse = run(17, 4)
     fine = run(33, 8)
@@ -361,10 +361,42 @@ def test_duhamel_rejects_bad_ladder():
     ball = BallGrid(2, cyl.r_0, 17)
     zero = np.zeros(ball.mask.shape)
     with pytest.raises(ValueError):
-        duhamel_residual([(1.0, (ball, zero)), (1.05, (ball, zero))], None, None, cyl, spec, [[0, 0]])
+        duhamel_residual([(1.0, (ball, zero)), (1.05, (ball, zero))], None, cyl, spec, [[0, 0]])
     bad = [(1.0, (ball, zero)), (1.02, (ball, zero)), (1.05, (ball, zero))]
     with pytest.raises(ValueError):
-        duhamel_residual(bad, None, None, cyl, spec, [[0, 0]])
+        duhamel_residual(bad, None, cyl, spec, [[0, 0]])
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+@pytest.mark.parametrize("other", [(2, 0.4, 33), (2, 0.5, 25), (3, 0.5, 9)])
+def test_duhamel_rejects_entry_off_the_entry_ball(index, other):
+    # a final state on a radius-0.4 ball used to be read on the entry ball's
+    # grid and gave a residual of 0.0154 with no error
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 33, 8)
+    ball = BallGrid(*other)
+    snaps[index] = (snaps[index][0], (ball, np.zeros(ball.mask.shape)))
+    with pytest.raises(ValueError, match="different ball grid"):
+        duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]])
+
+
+def test_duhamel_rejects_arrays_off_the_ball_shape():
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 17, 4)
+    ball = snaps[0][1][0]
+    for index, reshape in ((-1, lambda v: v[None]), (0, lambda v: v[:-1]), (1, lambda v: v.T[None])):
+        bad = list(snaps)
+        s, (_, values) = bad[index]
+        bad[index] = (s, (ball, reshape(values)))
+        with pytest.raises(ValueError, match=f"snapshot {index % len(snaps)} has shape .* expected the ball shape"):
+            duhamel_residual(bad, None, cyl, spec, probes=[[0.0, 0.0]])
+    zero = [np.zeros(ball.mask.shape)] * 4
+    with pytest.raises(ValueError, match="source 3"):
+        duhamel_residual(snaps, zero[:3] + [np.zeros((1,) + ball.mask.shape)], cyl, spec, probes=[[0.0, 0.0]])
+    with_zero = duhamel_residual(snaps, zero, cyl, spec, probes=[[0.0, 0.0]])
+    assert with_zero.residual_max == duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]]).residual_max
 
 
 def test_boundary_density_variants_and_duhamel_arbiter():

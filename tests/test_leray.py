@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nslb.dynamics import energy
 from nslb.flows import random_divergence_free, taylor_green
 from nslb.leray import (
     leray_project,
@@ -170,3 +173,29 @@ def test_pressure_mode_square_summability(n, decay):
         partial = np.array([np.sum(power[shells <= r]) for r in radii])
         tail_increments = np.diff(partial)[radii[:-1] >= grid.N // 2]
         assert np.all(tail_increments < 1e-6)
+
+
+def _random_real_field(n, N, seed):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(seed)
+    return to_modes(PhysicalField(grid, rng.standard_normal((n,) + grid.shape)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_projection_idempotent_orthogonal_solenoidal(n, N, seed):
+    v = _random_real_field(n, N, seed)
+    pv = leray_project(v)
+    scale = float(np.max(np.abs(v.modes)))
+    assert np.max(np.abs(leray_project(pv).modes - pv.modes)) <= 1e-13 * scale
+    # <Pv, v - Pv> over the modes: the projection is orthogonal mode by mode
+    assert abs(np.vdot(pv.modes, v.modes - pv.modes)) <= 1e-13 * float(np.sum(np.abs(v.modes) ** 2))
+    assert np.max(np.abs(divergence(pv).modes)) <= 1e-13 * 2 * np.pi * N * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_parseval_energy_matches_grid_mean(n, N, seed):
+    v = _random_real_field(n, N, seed)
+    grid_energy = 0.5 * float(np.mean(np.sum(to_grid(v).values ** 2, axis=0)))
+    assert energy(v) == pytest.approx(grid_energy, rel=1e-13)

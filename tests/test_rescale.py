@@ -18,7 +18,7 @@ from nslb.spectral import SpectralField, TorusGrid
 
 
 def params(**kw):
-    base = dict(r=1.0 / 16, t0=0.0, T=1.0, m=2, C_m=1.0, delta=0.5, eps0=0.1)
+    base = dict(r=1.0 / 16, t0=0.0, T=1.0, C_m=1.0, delta=0.5, eps0=0.1)
     base.update(kw)
     return RescaleParams(**base)
 
@@ -26,8 +26,6 @@ def params(**kw):
 def test_params_validation():
     with pytest.raises(ValueError):
         params(r=-1.0)
-    with pytest.raises(ValueError):
-        params(m=1)
     with pytest.raises(ValueError):
         params(delta=1.0)
     with pytest.raises(ValueError):
@@ -75,7 +73,7 @@ def test_mu_lower_bound_sweeps(big_t):
 
 def test_r_policy_values():
     p = params(C_m=1.0, T=1.0)
-    assert r_policy(p, c_nm=32.0) == pytest.approx(1.0 / 256.0)
+    assert r_policy(p) == pytest.approx(1.0 / 256.0)
     # monotone decreasing in horizon and data norm; halving under (1+T) doubling
     assert r_policy(params(T=2.0)) < r_policy(params(T=1.0))
     assert r_policy(params(C_m=2.0)) < r_policy(params(C_m=1.0))
@@ -115,7 +113,7 @@ def test_hm_cm_proxy_norm_single_mode():
     # Sobolev part: sqrt(2 * 0.25 * (1+1)^2) = sqrt(2); C^m part:
     # 1 + 2pi + (2pi)^2 from the sup of the function and its derivatives
     expected = np.sqrt(0.5 * (2.0) ** 2) + 1.0 + 2 * np.pi + (2 * np.pi) ** 2
-    assert hm_cm_proxy_norm(v, m=2) == pytest.approx(expected, rel=1e-10)
+    assert hm_cm_proxy_norm(v) == pytest.approx(expected, rel=1e-10)
 
 
 def test_increment_zero_data():

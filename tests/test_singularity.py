@@ -208,7 +208,7 @@ def test_embedding_gain_identity():
 
 
 def test_bootstrap_ledger():
-    ladder = bootstrap_ledger((0.0, 3.0), steps=2, n=3, eps=0.01)
+    ladder = bootstrap_ledger((0.0, 3.0), steps=2)
     assert [(e.s, e.p) for e in ladder] == [(0.5, 2.0), (0.99, 2.0), (1.99, 2.0)]
     assert ladder[0].justification == "embedding"
     assert all(e.justification == "derivative-gain" for e in ladder[1:])

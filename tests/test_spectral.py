@@ -81,6 +81,11 @@ def test_non_finite_rejected():
     vals[0, 3, 4] = np.nan
     with pytest.raises(ValueError):
         to_modes(PhysicalField(grid, vals))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        modes = np.zeros((2,) + grid.shape, dtype=complex)
+        modes[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralField(grid, modes)
 
 
 def test_derivative_analytic():
