@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cone import ConeSpec, BallGrid, CylinderSpec, mu_coeffs, t_of_tau, tau_of_t, transformed_residual
+from .cone import ConeSpec, BallGrid, CylinderSpec, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
 from .dynamics import SolverConfig, energy, gradient_energy, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
 from .kernels import KernelSpec, duhamel_residual, elliptic_integral_check, gaussian, kernel_bound_check
@@ -36,7 +36,6 @@ from .singularity import (
 )
 from .snapshots import write_snapshot
 from .spectral import TorusGrid, divergence, sobolev_norm, to_grid
-from .cone import sample_w_function
 
 EXPERIMENTS = {}
 

@@ -309,7 +309,11 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
 
 
 def _ball_interp(ball: BallGrid, values, points):
-    """Multilinear interpolation of masked-grid values at interior points."""
+    """Multilinear interpolation of masked-grid values at points of the ball.
+
+    Raises ValueError when a point has a corner of non-zero weight off
+    ``ball.mask``: the values there are not data.
+    """
     pts = np.atleast_2d(points)
     u = (pts + ball.radius) / ball.h
     base = np.floor(u).astype(int)
@@ -320,9 +324,15 @@ def _ball_interp(ball: BallGrid, values, points):
         w = np.ones(pts.shape[0])
         for axis in range(ball.n):
             bit = (corner >> axis) & 1
-            idx.append(np.clip(base[:, axis] + bit, 0, ball.m - 1))
+            idx.append(base[:, axis] + bit)
             w = w * (frac[:, axis] if bit else 1.0 - frac[:, axis])
-        out += values[tuple(idx)] * w
+        in_box = np.all([(i >= 0) & (i < ball.m) for i in idx], axis=0)
+        idx = tuple(np.clip(i, 0, ball.m - 1) for i in idx)
+        off = (w != 0.0) & ~(in_box & ball.mask[idx])
+        if np.any(off):
+            k = int(np.argmax(off))
+            raise ValueError(f"probe {k} at {pts[k].tolist()} interpolates from a node off the ball")
+        out += values[idx] * w
     return out
 
 
@@ -351,7 +361,9 @@ def duhamel_residual(snapshots, sources, cyl: CylinderSpec, spec: KernelSpec, pr
     entries and carries the forcing of d_tau w - nu_eff Lap w = S, as arrays
     of the mask shape (None for source-free fields).  The representation has
     no lateral-boundary layer term: the initial-data and source integrals
-    over the base ball are the whole right-hand side.
+    over the base ball are the whole right-hand side.  Each probe must
+    interpolate the final state from masked nodes only; a probe off the
+    ball raises ValueError.
     """
     if len(snapshots) < 3:
         raise ValueError("need entry data, at least one midpoint snapshot, and the final state")
@@ -378,6 +390,9 @@ def duhamel_residual(snapshots, sources, cyl: CylinderSpec, spec: KernelSpec, pr
             raise ValueError(f"{name} has shape {np.shape(arr)}, expected the ball shape {ball.mask.shape}")
 
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    if not np.all(np.isfinite(probes)):
+        raise ValueError("probes must be finite")
+    lhs_vals = _ball_interp(ball, w_tau, probes)
     pts = ball.points("mask")
     cell = ball.h**ball.n
     w0_in = w0[ball.mask]
@@ -391,7 +406,6 @@ def duhamel_residual(snapshots, sources, cyl: CylinderSpec, spec: KernelSpec, pr
                 acc += float(np.sum(src * gaussian(tau - s_j, z - pts, spec)) * cell * ds)
         rhs_vals[k] = acc
 
-    lhs_vals = _ball_interp(ball, w_tau, probes)
     diff = lhs_vals - rhs_vals
     return DuhamelReport(
         float(tau),

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nslb import cone
 from nslb.cone import (
     BallGrid,
     ConeSpec,
@@ -24,6 +32,7 @@ from nslb.spectral import TorusGrid
 from oracles import loop_poisson_system, roll_interior, shifted_stencils
 
 
+ROOT = Path(__file__).resolve().parent.parent
 CONE = ConeSpec(t_s=1.0, x_s=(0.1, -0.2), t_1=0.5)
 
 
@@ -231,6 +240,98 @@ def test_poisson_dirichlet_rejects_bad_input():
     rhs = np.where(ball.interior, 0.0, np.nan)
     bc = np.where(ball.boundary, 0.0, np.nan)
     assert np.all(poisson_dirichlet(ball, rhs, bc)[ball.mask] == 0.0)
+
+
+def _random_quadratic(ball, rng):
+    quad = rng.normal(size=(ball.n, ball.n))
+    quad = quad + quad.T
+    lin, const = rng.normal(size=ball.n), float(rng.normal())
+    z = ball.mesh
+    exact = sum(quad[i, j] * z[i] * z[j] for i in range(ball.n) for j in range(ball.n))
+    exact = exact + sum(lin[i] * z[i] for i in range(ball.n)) + const
+    return exact, np.full(ball.mask.shape, 2.0 * np.trace(quad))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([8, 13, 21, 33]),
+    radius=st.sampled_from([0.3, 0.5, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_poisson_cg_matches_direct_solve(n, m, radius, seed):
+    ball = BallGrid(n, radius, m)
+    rng = np.random.default_rng(seed)
+    rhs = rng.normal(size=ball.mask.shape)
+    bvals = rng.normal(size=ball.mask.shape)
+    want_mat, want_b = loop_poisson_system(ball, rhs, bvals)
+    want = np.zeros(ball.mask.shape)
+    want[ball.interior] = scipy.sparse.linalg.spsolve(want_mat, want_b)
+    want[ball.boundary] = bvals[ball.boundary]
+    p = poisson_dirichlet(ball, rhs, bvals)
+    assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    m=st.sampled_from([8, 13, 21, 33]),
+    radius=st.sampled_from([0.3, 0.5, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_poisson_reproduces_quadratics(n, m, radius, seed):
+    # the 2n-point Laplacian is exact on quadratics, so only the solve errs;
+    # 3-D m = 33 on the radius-0.5 ball is the benchmark's Poisson check
+    ball = BallGrid(n, radius, m)
+    exact, rhs = _random_quadratic(ball, np.random.default_rng(seed))
+    p = poisson_dirichlet(ball, rhs, exact)
+    assert np.max(np.abs(p - exact)[ball.mask]) <= 1e-10
+
+
+def _run_python(code, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in ("NSLB_THREADS", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_poisson_no_convergence_raises_runtime_error(monkeypatch, tmp_path):
+    ball = BallGrid(3, 0.5, 13)
+    exact, rhs = _random_quadratic(ball, np.random.default_rng(3))
+    monkeypatch.setattr(cone, "_cg_iteration_cap", lambda size: 1)
+    with pytest.raises(RuntimeError, match=r"did not converge in 1 iterations: relative residual \d"):
+        poisson_dirichlet(ball, rhs, exact)
+    # through the CLI a numerical failure exits 1, not 2 as a config error
+    code = (
+        "import sys, nslb.cone; from nslb.cli import main; "
+        "nslb.cone._cg_iteration_cap = lambda size: 1; "
+        f"sys.exit(main(['transform-check', '--config', {str(ROOT / 'configs' / 'transform_check.cfg')!r}, "
+        f"'--out', {str(tmp_path)!r}]))"
+    )
+    done = _run_python(code)
+    assert done.returncode == 1
+    assert "RuntimeError: conjugate gradients did not converge in 1 iterations" in done.stderr
+    assert "config error" not in done.stderr
+
+
+def test_poisson_bytes_independent_of_blas_threads():
+    # 14,531 unknowns: above the size where OpenBLAS splits a dot product
+    # across threads, which changes its last bits
+    code = (
+        "import hashlib, numpy as np; from nslb.cone import BallGrid, poisson_dirichlet; "
+        "ball = BallGrid(3, 0.5, 33); rng = np.random.default_rng(11); "
+        "p = poisson_dirichlet(ball, rng.normal(size=ball.mask.shape), rng.normal(size=ball.mask.shape)); "
+        "print(hashlib.sha256(p.tobytes()).hexdigest())"
+    )
+    runs = [_run_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert all(done.returncode == 0 for done in runs), [done.stderr for done in runs]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    done = _run_python("import sys, nslb.cone; print('scipy.sparse.linalg' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_transformed_residual_rejects_non_finite_pressure():

@@ -399,6 +399,20 @@ def test_duhamel_rejects_arrays_off_the_ball_shape():
     assert with_zero.residual_max == duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]]).residual_max
 
 
+@pytest.mark.parametrize("probe", [[0.45, 0.45], [2.0, 0.0], [np.nan, 0.0]])
+def test_duhamel_rejects_probes_off_the_ball(probe):
+    # (0.45, 0.45) lies outside the radius-0.5 ball; its interpolation
+    # indices used to be clipped, giving lhs 0 against rhs 3.5e-3 unflagged
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 33, 8)
+    with pytest.raises(ValueError, match="probe 1 .*off the ball|finite"):
+        duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0], probe])
+    # a node on the rim is data: its outward corners carry zero weight
+    rim = duhamel_residual(snaps, None, cyl, spec, probes=[[0.5, 0.0], [0.0, -0.5]])
+    assert rim.residual_max <= 1e-4
+
+
 def test_boundary_density_variants_and_duhamel_arbiter():
     # both printed sign variants are evaluable; for a field with negligible
     # nonlinear part they coincide, and the Duhamel residual picks a winner
