@@ -16,11 +16,13 @@ import configparser
 import csv
 import json
 import os
+import platform
 import sys
 import time as _time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cone import ConeSpec, BallGrid, CylinderSpec, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
@@ -532,6 +534,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _environment():
+    """Interpreter and library versions, and the public scipy subpackages
+    loaded so far: an import regression shows up here without a profiler."""
+    subpackages = [
+        name
+        for name, mod in list(sys.modules.items())
+        if name.startswith("scipy.") and name.count(".") == 1 and not name.startswith("scipy._") and hasattr(mod, "__path__")
+    ]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "scipy_subpackages": sorted(subpackages),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="nslb", description="Navier-Stokes laboratory batch runner")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
@@ -542,6 +560,9 @@ def main(argv=None):
 
     try:
         cfg = Config(args.config)
+        named = cfg.get("experiment", "name")
+        if named is not None and named != args.experiment:
+            raise ConfigError(f"field [experiment] name = {named!r} does not match the experiment {args.experiment!r}")
         out = Path(args.out) if args.out else Path(args.config).resolve().parent / "out"
         out.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(args.seed)
@@ -562,7 +583,12 @@ def main(argv=None):
         fh.write("\n")
     with open(out / "report.meta.json", "w") as fh:
         json.dump(
-            {"wall_seconds": _time.time() - started, "timestamp": _time.time(), "nslb_threads": os.environ.get("NSLB_THREADS")},
+            {
+                "wall_seconds": _time.time() - started,
+                "timestamp": _time.time(),
+                "nslb_threads": os.environ.get("NSLB_THREADS"),
+                "environment": _environment(),
+            },
             fh,
             indent=2,
         )

@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .cone import BallGrid, CylinderSpec
 
@@ -166,15 +165,47 @@ class EllipticIntegralReport:
     bound_holds: bool
 
 
-def _sphere_factor(a, x, r):
-    """Integral of |x e_1 - r omega|^{-a} over the unit sphere in R^3."""
-    lo, hi = (x - r) ** 2, (x + r) ** 2
-    if lo == 0.0:
-        lo = 1e-30
+def _sphere_factor(a, x, r, gap):
+    """Integral of |x e_1 - r omega|^{-a} over the unit sphere in R^3;
+    ``gap`` is |x - r|, passed in so that it keeps full precision next to
+    the pole r = x."""
+    lo, hi = gap**2, (x + r) ** 2
     if a == 2.0:
         return np.pi / (x * r) * np.log(hi / lo)
     pw = 1.0 - a / 2.0
     return 2 * np.pi / (2 * x * r) * (hi**pw - lo**pw) / pw
+
+
+# Tanh-sinh (double-exponential) rule of Takahasi & Mori (1974): the
+# substitution u = (1 + tanh((pi/2) sinh t)) / 2 maps t in R onto (0, 1) and
+# decays doubly exponentially at both ends, so one trapezoid step on t
+# integrates the log and algebraic endpoint poles of the radial integrand.
+# Fixed step 2^-5 on t in [0, 6.5] (mirrored for t < 0).  For each t,
+# _TS_OFFSET is the node's distance to the nearer end of (0, 1) and
+# _TS_WEIGHT its weight, both per unit interval length.
+_TS_STEP = 2.0**-5
+_TS_T = np.arange(0.0, 6.5 + _TS_STEP / 2, _TS_STEP)
+_TS_DECAY = np.exp(-np.pi * np.sinh(_TS_T))  # exp(-2 * (pi/2) sinh t)
+_TS_OFFSET = _TS_DECAY / (1.0 + _TS_DECAY)
+_TS_WEIGHT = _TS_STEP * np.pi * np.cosh(_TS_T) * _TS_DECAY / (1.0 + _TS_DECAY) ** 2
+# nodes closer than this to an end are dropped: their weights are negligible,
+# and their squared gaps would underflow
+_TS_MIN_OFFSET = 1e-150
+
+
+def _tanh_sinh(f, lo, hi):
+    """Integral of f over [lo, hi] by the fixed tanh-sinh rule.
+
+    Each node is placed as (end, offset), end + offset being the point, with
+    ``end`` the nearer end of the interval: f gets the offset at full
+    precision, so no node lands on an end even when end + offset rounds to it.
+    """
+    offset = (hi - lo) * _TS_OFFSET
+    weight = (hi - lo) * _TS_WEIGHT
+    keep = offset >= _TS_MIN_OFFSET
+    offset, weight = offset[keep], weight[keep]
+    # t = 0 (the midpoint) is counted once, from the lower end
+    return float(np.sum(f(lo, offset) * weight) + np.sum(f(hi, -offset[1:]) * weight[1:]))
 
 
 def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
@@ -182,11 +213,11 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
     on the ball B of R^n, n = 3.
 
     The ball integral reduces to a radial integral (angular part analytic)
-    evaluated adaptively.  The |x|^{n-a-b} branch shows up as the
-    divergence of I itself when n - a - b < 0 and as the two-pole
-    interaction I(0) - I(x) when the exponent is positive (I stays bounded
-    then); ``small_x_slope`` measures whichever branch applies, on the
-    sweep points below radius/2.
+    evaluated by a fixed tanh-sinh rule, split at r = |x|.  The |x|^{n-a-b}
+    branch shows up as the divergence of I itself when n - a - b < 0 and as
+    the two-pole interaction I(0) - I(x) when the exponent is positive (I
+    stays bounded then); ``small_x_slope`` measures whichever branch
+    applies, on the sweep points below radius/2.
     """
     n = 3
     if a >= n or b >= n:
@@ -194,8 +225,9 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
     xs = np.asarray(sorted(x_values), dtype=float)
 
     def integral_at(x):
-        def radial(r):
-            return r ** (n - 1 - b) * _sphere_factor(a, x, r)
+        def radial(end, offset):
+            r = end + offset
+            return r ** (n - 1 - b) * _sphere_factor(a, x, r, np.abs((x - end) - offset))
 
         breaks = sorted({min(float(x), radius), radius}) if x > 0 else [radius]
         total = 0.0
@@ -203,8 +235,7 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
         for hi in breaks:
             if hi <= lo:
                 continue
-            val, _ = scipy.integrate.quad(radial, lo, hi, limit=200)
-            total += val
+            total += _tanh_sinh(radial, lo, hi)
             lo = hi
         return total
 

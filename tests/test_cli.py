@@ -269,6 +269,26 @@ def test_committed_config_passes_and_is_deterministic(tmp_path, config):
     assert reports[0] == reports[1]
 
 
+def test_config_named_for_another_experiment_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify-kernels", "--config", str(CONFIGS / "taylor_green.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[experiment] name" in err
+    assert not (out / "report.json").exists()
+
+
+def test_config_named_for_its_experiment_runs_and_sidecar_records_environment(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "taylor_green.cfg"), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["experiment"] == "simulate"
+    env = json.loads((out / "report.meta.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "scipy_subpackages"}
+    assert env["numpy"] == np.__version__
+    subpackages = env["scipy_subpackages"]
+    assert subpackages == sorted(subpackages)
+    assert {"scipy.fft", "scipy.sparse"} <= set(subpackages)
+
+
 def test_nslb_threads_applied_before_numpy_loads():
     # the BLAS reads its thread cap once, when numpy first loads it
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}

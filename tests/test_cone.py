@@ -328,12 +328,6 @@ def test_poisson_bytes_independent_of_blas_threads():
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_import_leaves_sparse_linalg_unloaded():
-    done = _run_python("import sys, nslb.cone; print('scipy.sparse.linalg' in sys.modules)")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
-
-
 def test_transformed_residual_rejects_non_finite_pressure():
     class NanPressure:
         nu = 0.02

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslb.dynamics import (
     SolverConfig,
     _HalfSpectrum,
+    _cumulative_trapezoid,
     Trajectory,
     energy,
     gradient_energy,
@@ -331,6 +333,26 @@ def test_weak_strong_calibration_synthetic_growth():
         expected = 2 * kappa / (c0**4 + c0**2)
         assert rep.p == 4
         assert rep.c_min == pytest.approx(expected, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(min_value=2, max_value=500),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    x_scale=st.floats(1e-6, 1e6),
+    y_scale=st.floats(1e-6, 1e6),
+)
+def test_cumulative_trapezoid_is_scipy_bit_for_bit(size, seed, x_scale, y_scale):
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(0.01, 1.0, size)  # uneven spacing
+    x = (np.cumsum(steps) - 0.5 * np.sum(steps)) * x_scale
+    assert np.all(np.diff(x) > 0)
+    y = rng.normal(size=size) * y_scale
+    got = _cumulative_trapezoid(y, x)
+    assert np.array_equal(got, scipy.integrate.cumulative_trapezoid(y, x))
+    # hopf_energy_check prepends the zero integral at the first record
+    with_initial = np.concatenate(([0.0], got))
+    assert np.array_equal(with_initial, scipy.integrate.cumulative_trapezoid(y, x, initial=0.0))
 
 
 @pytest.mark.parametrize("initial", ["taylor-green", "random"])

@@ -1,0 +1,47 @@
+"""What importing ``nslb`` costs: which scipy subpackages it loads."""
+
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nslb"
+
+# heavy scipy subpackages no nslb module needs at import time
+UNLOADED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+
+
+def _perfbench_modules():
+    """The module list the benchmark child imports (and times) as set-up."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.NSLB_MODULES
+
+
+def test_nslb_modules_leave_heavy_scipy_unloaded():
+    modules = _perfbench_modules()
+    code = (
+        "import importlib, json, sys\n"
+        f"for name in {list(modules)!r}:\n"
+        "    importlib.import_module('nslb.' + name)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert {"scipy.fft", "scipy.sparse"} <= loaded
+    assert [name for name in UNLOADED if name in loaded] == []
+
+
+def test_no_source_file_names_scipy_integrate():
+    # a call-site import would pass the subprocess test above while moving
+    # the import cost from set-up into the run itself
+    pattern = re.compile(r"scipy\.integrate|from\s+scipy\s+import\s+[^\n]*\bintegrate\b")
+    offenders = [str(path.relative_to(ROOT)) for path in sorted(SRC.rglob("*.py")) if pattern.search(path.read_text())]
+    assert offenders == []

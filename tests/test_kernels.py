@@ -136,6 +136,53 @@ def test_elliptic_integral_far_field():
         assert val == pytest.approx(tail / x**a, rel=0.05)
 
 
+def _quad_elliptic_integrals(a, b, radius, xs, **quad_kw):
+    """The radial integrals of ``elliptic_integral_check`` by adaptive
+    ``scipy.integrate.quad`` on the same break points."""
+
+    def sphere_factor(x, r):
+        lo, hi = (x - r) ** 2 or 1e-30, (x + r) ** 2
+        if a == 2.0:
+            return np.pi / (x * r) * np.log(hi / lo)
+        pw = 1.0 - a / 2.0
+        return np.pi / (x * r) * (hi**pw - lo**pw) / pw
+
+    out = []
+    for x in xs:
+        total, lo = 0.0, 0.0
+        for hi in sorted({min(x, radius), radius}):
+            if hi > lo:
+                total += scipy.integrate.quad(lambda r: r ** (2 - b) * sphere_factor(x, r), lo, hi, **quad_kw)[0]
+                lo = hi
+        out.append(total)
+    return np.array(out)
+
+
+def test_elliptic_integral_matches_tight_quad_on_configured_case():
+    xs = [0.05, 0.1, 0.2, 0.3, 0.5, 1.0]
+    rep = elliptic_integral_check(2.0, 0.5, 1.0, xs)
+    want = _quad_elliptic_integrals(2.0, 0.5, 1.0, xs, epsabs=0, epsrel=1e-13, limit=500)
+    np.testing.assert_allclose(rep.integrals, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.5])
+def test_elliptic_integral_without_pole_at_x_is_closed_form(b):
+    # a = 0: I(x) = int_B |y|^{-b} dy = 4 pi R^{3-b} / (3-b) for every x
+    radius = 1.0
+    rep = elliptic_integral_check(0.0, b, radius, [0.1, 0.5, 1.0, 5.0])
+    np.testing.assert_allclose(rep.integrals, 4 * np.pi * radius ** (3 - b) / (3 - b), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 2.0, 2.5, 2.9])
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.5, 2.5])
+def test_elliptic_integral_matches_default_quad_on_pole_grid(a, b):
+    # log (a = 2) and algebraic (a up to 2.9, b up to 2.5) endpoint poles at r = x and r = 0
+    xs = [0.05, 0.3, 0.5, 1.0, 5.0]
+    rep = elliptic_integral_check(a, b, 1.0, xs)
+    assert np.all(np.isfinite(rep.integrals))
+    np.testing.assert_allclose(rep.integrals, _quad_elliptic_integrals(a, b, 1.0, xs, limit=200), rtol=1e-7, atol=0)
+
+
 def test_elliptic_integral_rejects_nonintegrable():
     with pytest.raises(ValueError):
         elliptic_integral_check(3.0, 0.5, 1.0, [0.1])
