@@ -37,7 +37,7 @@ from .singularity import (
     synthesize_singular_field,
 )
 from .snapshots import write_snapshot
-from .spectral import TorusGrid, divergence, sobolev_norm, to_grid
+from .spectral import TorusGrid, _hermitian_to_grid, divergence, sobolev_norm
 
 EXPERIMENTS = {}
 
@@ -145,8 +145,9 @@ def run_simulate(cfg: Config, out: Path, rng):
     _write_csv(csv_path, rows, ["time", "energy", "enstrophy", "divergence_max", "sobolev_h1", "sobolev_h2"])
 
     if write_snapshots:
+        # simulate records exactly conjugate-symmetric snapshots
         for k, (t, f) in enumerate(zip(traj.times, traj.snapshots)):
-            write_snapshot(out / f"state_{k:05d}.nslb", to_grid(f), t)
+            write_snapshot(out / f"state_{k:05d}.nslb", _hermitian_to_grid(f), t)
 
     # The inequality holds up to the trapezoid error of the dissipation
     # integral; estimate that budget from the recorded series itself:

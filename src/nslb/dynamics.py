@@ -13,8 +13,12 @@ of the n(n+1)/2 products v_i v_j.  For a solenoidal state kept inside
 |alpha_k| <= N/3 this equals the advective form P[(v . grad) v] once the
 2/3 mask is applied: when 3 does not divide N, the products alias only
 onto modes the mask removes (Orszag 1971; Canuto, Hussaini, Quarteroni &
-Zang, Spectral Methods, 2007).  Full-lattice ``SpectralField`` snapshots
-are rebuilt from the half spectrum only at record points.
+Zang, Spectral Methods, 2007).  Divergence, projection, mask and
+coefficient are linear in the product transforms, so they are folded
+into one real tensor K[i, p] per mode, built once per run; the RK4 stages
+are combined in place in two preallocated buffers.  Full-lattice
+``SpectralField`` snapshots are rebuilt from the half spectrum only at
+record points.
 """
 
 from __future__ import annotations
@@ -154,26 +158,38 @@ class _HalfSpectrum:
     rebuilt.  The last half-lattice plane holds the Nyquist wavenumber,
     stored as -N/2 as on the full lattice; every operator is even in alpha
     or zero there.
+
+    The advection term -c * mask * P[div(v (x) v)] is linear in the product
+    transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is applied as
+    -i * sum_p K[:, p] w_p.  Column p of the real tensor K is the Leray
+    projection of the divergence of a unit product p, that is alpha_j e_i +
+    alpha_i e_j (alpha_i e_i when i = j), times 2 pi * advect_coeff * mask.
     """
 
     def __init__(self, grid: TorusGrid, cfg: SolverConfig):
         self.grid = grid
         self.axes = tuple(range(1, 1 + grid.n))
         half = (Ellipsis, slice(0, grid.N // 2 + 1))
-        self.alphas = [grid.alpha(k)[half] for k in range(grid.n)]
+        n = grid.n
+        alphas = [grid.alpha(k)[half] for k in range(n)]
         asq = grid.alpha_sq()[half]
-        self.inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
-        # -advect_coeff times the 2/3 mask, with the 2 pi i of the divergence folded in
-        self.coeff = -2j * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
+        inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
         lin = -cfg.nu * 4 * np.pi**2 * asq
         self.e_full = np.exp(lin * cfg.dt)
         self.e_half = np.exp(lin * cfg.dt / 2)
         self.phase = _mode_phase(grid)[half]
-        n = grid.n
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self.pair_index = np.empty((n, n), dtype=int)
+        half_shape = asq.shape
+        scale = 2 * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
+        self.K = np.empty((n, len(self.pairs)) + half_shape)
         for p, (i, j) in enumerate(self.pairs):
-            self.pair_index[i, j] = self.pair_index[j, i] = p
+            div = np.zeros((n,) + half_shape)
+            div[i] += alphas[j]
+            if j != i:
+                div[j] += alphas[i]
+            self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
+        self._prods = np.empty((len(self.pairs),) + grid.shape)
+        self._term = np.empty(half_shape, dtype=complex)
 
     def half(self, modes):
         """Raw half spectrum of full-lattice (phased) modes."""
@@ -203,15 +219,22 @@ class _HalfSpectrum:
         return float(a.sum() + a[..., 1:-1].sum())
 
     def nonlinear(self, c):
-        """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c."""
-        grid = self.grid
-        vel = scipy.fft.irfftn(c, s=grid.shape, axes=self.axes, norm="forward")
-        prods = np.empty((len(self.pairs),) + grid.shape)
+        """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c,
+        as a new array."""
+        vel = scipy.fft.irfftn(c, s=self.grid.shape, axes=self.axes, norm="forward")
+        prods = self._prods
         for p, (i, j) in enumerate(self.pairs):
             np.multiply(vel[i], vel[j], out=prods[p])
-        pm = scipy.fft.rfftn(prods, axes=self.axes, norm="forward")
-        div = [sum(self.alphas[j] * pm[self.pair_index[i, j]] for j in range(grid.n)) for i in range(grid.n)]
-        return self.coeff * _project_modes(div, self.alphas, self.inv_asq)
+        w = scipy.fft.rfftn(prods, axes=self.axes, norm="forward")
+        out = np.empty(c.shape, dtype=complex)
+        term = self._term
+        for i, k_i in enumerate(self.K):
+            np.multiply(k_i[0], w[0], out=out[i])
+            for p in range(1, len(self.pairs)):
+                np.multiply(k_i[p], w[p], out=term)
+                out[i] += term
+        out *= -1j
+        return out
 
 
 def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
@@ -248,6 +271,9 @@ def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    dt_e_half, two_e_half = dt * e_half, 2.0 * e_half
+    a, b = np.empty_like(m), np.empty_like(m)  # stage buffers
 
     steps = int(round(cfg.t_end / dt))
     times = [0.0]
@@ -256,15 +282,35 @@ def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
     blew_up = False
     note = ""
 
+    # Each line computes, in place and in the same order of operations, the
+    # expression in its comment, so the state is bit for bit that of the
+    # out-of-place update.
     for step in range(steps):
         n1 = nl(m)
-        va = e_half * (m + 0.5 * dt * n1)
-        n2 = nl(va)
-        vb = e_half * m + 0.5 * dt * n2
-        n3 = nl(vb)
-        vc = e_full * m + dt * e_half * n3
-        n4 = nl(vc)
-        m = e_full * m + dt / 6.0 * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        # a = e_half * (m + 0.5 * dt * n1)
+        np.multiply(half_dt, n1, out=a)
+        np.add(m, a, out=a)
+        np.multiply(e_half, a, out=a)
+        n2 = nl(a)
+        # a = e_half * m + 0.5 * dt * n2
+        np.multiply(e_half, m, out=a)
+        np.multiply(half_dt, n2, out=b)
+        np.add(a, b, out=a)
+        n3 = nl(a)
+        # a = e_full * m + dt * e_half * n3
+        np.multiply(e_full, m, out=a)
+        np.multiply(dt_e_half, n3, out=b)
+        np.add(a, b, out=a)
+        n4 = nl(a)
+        # m = e_full * m + dt / 6.0 * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        np.add(n2, n3, out=b)
+        np.multiply(two_e_half, b, out=b)
+        np.multiply(e_full, n1, out=a)
+        np.add(a, b, out=a)
+        np.add(a, n4, out=a)
+        np.multiply(sixth_dt, a, out=a)
+        np.multiply(e_full, m, out=m)
+        np.add(m, a, out=m)
         t = (step + 1) * dt
         # sup |v| <= sum |v_alpha|: cheap overflow guard without a transform
         bound = op.abs_sum(m)

@@ -169,6 +169,8 @@ def _sphere_factor(a, x, r, gap):
     """Integral of |x e_1 - r omega|^{-a} over the unit sphere in R^3;
     ``gap`` is |x - r|, passed in so that it keeps full precision next to
     the pole r = x."""
+    if x == 0:
+        return 4 * np.pi * r ** (-a)
     lo, hi = gap**2, (x + r) ** 2
     if a == 2.0:
         return np.pi / (x * r) * np.log(hi / lo)
@@ -217,12 +219,16 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
     branch shows up as the divergence of I itself when n - a - b < 0 and as
     the two-pole interaction I(0) - I(x) when the exponent is positive (I
     stays bounded then); ``small_x_slope`` measures whichever branch
-    applies, on the sweep points below radius/2.
+    applies, on the sweep points in (0, radius/2).  x = 0 may be swept
+    when a + b < n (I(0) = 4 pi radius^{n-a-b} / (n-a-b)); otherwise I(0)
+    diverges and ValueError is raised.
     """
     n = 3
     if a >= n or b >= n:
         raise ValueError("need a < n and b < n for integrable poles")
     xs = np.asarray(sorted(x_values), dtype=float)
+    if a + b >= n and np.any(xs == 0):
+        raise ValueError(f"I(0) diverges for a + b = {a + b} >= n = {n}")
 
     def integral_at(x):
         def radial(end, offset):
@@ -246,7 +252,7 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
         i0 = 4 * np.pi * radius ** (n - a - b) / (n - a - b)
     else:
         i0 = float("inf")
-    small = xs < 0.5 * radius
+    small = (xs > 0) & (xs < 0.5 * radius)  # log|x| fit
     slope = float("nan")
     if np.sum(small) >= 2:
         branch = vals[small] if predicted < 0 else np.maximum(i0 - vals[small], 1e-300)

@@ -12,9 +12,11 @@ never assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "TorusGrid",
@@ -71,20 +73,35 @@ class TorusGrid:
         return self.wavenumbers().reshape(shape)
 
     def alpha_sq(self):
-        """|alpha|^2 on the full mode lattice."""
-        out = np.zeros(self.shape)
-        for axis in range(self.n):
-            out = out + self.alpha(axis) ** 2
-        return out
+        """|alpha|^2 on the full mode lattice (built once per grid, read-only)."""
+        return _alpha_sq(self)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# The per-grid constant arrays are shared by every caller on equal grids;
+# they are read-only so that an in-place write raises instead of changing
+# them for everyone.
+@functools.cache
+def _alpha_sq(grid):
+    out = np.zeros(grid.shape)
+    for axis in range(grid.n):
+        out = out + grid.alpha(axis) ** 2
+    return _read_only(out)
+
+
+@functools.cache
 def _mode_phase(grid):
-    """(-1)^(alpha_1 + ... + alpha_n), the exact phase of the -0.5 grid offset."""
+    """(-1)^(alpha_1 + ... + alpha_n), the exact phase of the -0.5 grid offset
+    (built once per grid, read-only)."""
     phase = np.ones(grid.shape)
     for axis in range(grid.n):
         k = grid.alpha(axis).astype(int)
         phase = phase * np.where(k % 2 == 0, 1.0, -1.0)
-    return phase
+    return _read_only(phase)
 
 
 @dataclass(frozen=True)
@@ -182,6 +199,21 @@ def to_grid(v: SpectralField) -> PhysicalField:
     axes = tuple(range(1, 1 + grid.n))
     vals = np.fft.ifftn(v.modes * _mode_phase(grid), axes=axes) * grid.N**grid.n
     return PhysicalField(grid, vals.real)
+
+
+def _hermitian_to_grid(v: SpectralField) -> PhysicalField:
+    """``to_grid`` of an exactly conjugate-symmetric field, by the inverse
+    real transform of its half spectrum (last-axis wavenumbers 0..N/2).
+
+    The inverse real transform reads only the half spectrum and takes the
+    rest from conjugate symmetry, so for any other field it returns the
+    grid values of a different, symmetrized field.
+    """
+    grid = v.grid
+    half = (Ellipsis, slice(0, grid.N // 2 + 1))
+    c = v.modes[half] * _mode_phase(grid)[half]
+    vals = scipy.fft.irfftn(c, s=grid.shape, axes=tuple(range(1, 1 + grid.n)), norm="forward")
+    return PhysicalField(grid, vals)
 
 
 def derivative(v: SpectralField, i: int, k: int) -> SpectralField:

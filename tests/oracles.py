@@ -6,6 +6,7 @@ solver paths under test.
 """
 
 import numpy as np
+import scipy.fft
 import scipy.sparse
 
 
@@ -100,6 +101,57 @@ def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
     for k in range(n):
         adv_modes[k] -= np.where(asq == 0, 0.0, alphas[k] * dot / np.where(asq == 0, 1.0, asq))
     return -advect_coeff * adv_modes
+
+
+def projected_divergence_modes(c, n, N, advect_coeff=1.0):
+    """-advect_coeff * mask * P[div(v (x) v)] on the rfftn half lattice,
+    unfused: divergence sums, then the Leray projection, then the
+    coefficient.
+
+    ``c`` is the raw (unphased) half spectrum, shape (n, N, ..., N/2+1):
+    grid values by the inverse real transform, every product v_i v_j, one
+    forward transform each, div_i = sum_j 2 pi i alpha_j (v_i v_j)_alpha,
+    then div - alpha (alpha . div) / |alpha|^2 (mean mode kept) and the 2/3
+    mask.
+    """
+    shape = (N,) * n
+    axes = tuple(range(1, 1 + n))
+    wave = np.fft.fftfreq(N, 1.0 / N)
+    alphas = []
+    for k in range(n):
+        a = np.broadcast_to(wave.reshape([N if j == k else 1 for j in range(n)]), shape)
+        alphas.append(a[..., : N // 2 + 1])
+    asq = sum(a**2 for a in alphas)
+    keep = np.all([np.abs(a) <= N / 3.0 for a in alphas], axis=0)
+    vel = scipy.fft.irfftn(c, s=shape, axes=axes, norm="forward")
+    prod = {}
+    for i in range(n):
+        for j in range(n):
+            prod[i, j] = scipy.fft.rfftn(vel[i] * vel[j], norm="forward")
+    div = [sum(2j * np.pi * alphas[j] * prod[i, j] for j in range(n)) for i in range(n)]
+    dot = sum(alphas[k] * div[k] for k in range(n))
+    out = np.empty(c.shape, dtype=complex)
+    for k in range(n):
+        proj = np.where(asq == 0, 0.0, alphas[k] * dot / np.where(asq == 0, 1.0, asq))
+        out[k] = -advect_coeff * keep * (div[k] - proj)
+    return out
+
+
+def out_of_place_if_rk4(nonlinear, e_full, e_half, dt, m, steps):
+    """The integrating-factor RK4 update written out of place: the states
+    after each of ``steps`` steps from the half spectrum ``m``."""
+    states = []
+    for _ in range(steps):
+        n1 = nonlinear(m)
+        va = e_half * (m + 0.5 * dt * n1)
+        n2 = nonlinear(va)
+        vb = e_half * m + 0.5 * dt * n2
+        n3 = nonlinear(vb)
+        vc = e_full * m + dt * e_half * n3
+        n4 = nonlinear(vc)
+        m = e_full * m + dt / 6.0 * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        states.append(m)
+    return states
 
 
 def loop_poisson_system(ball, rhs_values, boundary_values):

@@ -171,6 +171,38 @@ mus = 0.1 0.3
     assert (out_a / "report.json").read_bytes() != (out_c / "report.json").read_bytes()
 
 
+def test_3d_simulate_outputs_byte_identical_for_same_seed(tmp_path):
+    # the in-place RK4 stages and the reused product buffer must not make a
+    # run depend on anything but config and seed
+    cfg = write_config(
+        tmp_path,
+        """
+[grid]
+n = 3
+N = 12
+
+[physics]
+initial = random
+amplitude = 1.0
+nu = 0.05
+dt = 0.002
+t_end = 0.01
+snapshot_stride = 1
+
+[output]
+snapshots = true
+""",
+    )
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+    names = sorted(p.name for p in outs[0].glob("state_*.nslb"))
+    assert len(names) == 6
+    assert sorted(p.name for p in outs[1].glob("state_*.nslb")) == names
+    for name in ["report.json", "timeseries.csv"] + names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_missing_field_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[grid]\nn = 2\nN = 32\n\n[physics]\ndt = 0.001\nt_end = 0.1\n")
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])

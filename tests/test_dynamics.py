@@ -19,12 +19,25 @@ from nslb.dynamics import (
     weak_strong_bound,
 )
 from nslb.flows import TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
-from nslb.spectral import PhysicalField, SpectralField, TorusGrid, divergence, hermitian_symmetrize, to_grid, to_modes
+from nslb.leray import leray_project
+from nslb.spectral import (
+    PhysicalField,
+    SpectralField,
+    TorusGrid,
+    _hermitian_to_grid,
+    dealias,
+    divergence,
+    hermitian_symmetrize,
+    to_grid,
+    to_modes,
+)
 from oracles import (
     advective_nonlinear_modes,
+    out_of_place_if_rk4,
     perturbed_taylor_green_values,
     prefix_hopf_max_violation,
     prefix_weak_strong_c,
+    projected_divergence_modes,
     taylor_green_values,
 )
 
@@ -97,6 +110,70 @@ def test_rhs_matches_advective_oracle(n, N, advect_coeff):
         expected = advective_nonlinear_modes(v.modes, n, N, advect_coeff)
         got = rhs(v, cfg).modes - lin * v.modes
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 10, 12, 16]),
+    advect_coeff=st.sampled_from([1.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff, seed):
+    # the per-run tensor K is the divergence, projection, mask and
+    # coefficient of the unfused evaluation; N = 12 puts modes on the N/3 shell
+    grid = TorusGrid(n, N)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff))
+    rng = np.random.default_rng(seed)
+    shape = (n,) + grid.shape[:-1] + (N // 2 + 1,)
+    for c in (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        op.half(random_divergence_free(grid, rng, kmax=N // 3).modes),
+    ):
+        expected = projected_divergence_modes(c, n, N, advect_coeff)
+        got = op.nonlinear(c)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 12)])
+def test_in_place_rk4_equals_out_of_place_update(n, N):
+    grid = TorusGrid(n, N)
+    cfg = SolverConfig(nu=0.05, dt=2e-3, t_end=1e-2)
+    v0 = random_divergence_free(grid, np.random.default_rng(4), kmax=N // 3)
+    traj = simulate(v0, cfg)
+    op = _HalfSpectrum(grid, cfg)
+    m0 = op.half(dealias(leray_project(v0)).modes)
+    # copied per call: the reference keeps four distinct stage values even
+    # if ``nonlinear`` handed out a reused buffer
+    states = out_of_place_if_rk4(lambda c: op.nonlinear(c).copy(), op.e_full, op.e_half, cfg.dt, m0, 5)
+    assert len(traj.snapshots) == 6
+    for f, m in zip(traj.snapshots[1:], states):
+        assert np.array_equal(f.modes, op.full(m))
+
+
+def test_recorded_snapshots_do_not_alias_the_loop_state():
+    # each snapshot equals the final state of a run stopped there, so later
+    # in-place steps did not write into it
+    grid = TorusGrid(3, 12)
+    v0 = random_divergence_free(grid, np.random.default_rng(5), kmax=4)
+    traj = simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=1e-2))
+    for k in range(1, 6):
+        short = simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=k * 2e-3))
+        assert np.array_equal(traj.snapshots[k].modes, short.snapshots[-1].modes)
+    for j, fj in enumerate(traj.snapshots):
+        assert not any(np.shares_memory(fj.modes, fk.modes) for fk in traj.snapshots[j + 1 :])
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 12), (3, 16)])
+def test_snapshot_grid_values_by_real_transform_match_to_grid(n, N):
+    grid = TorusGrid(n, N)
+    v0 = random_divergence_free(grid, np.random.default_rng(6), kmax=N // 3)
+    traj = simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=6e-3))
+    for f in traj.snapshots:
+        want = to_grid(f).values
+        got = _hermitian_to_grid(f).values
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _hermitian_field(n, N, seed):

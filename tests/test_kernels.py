@@ -190,6 +190,26 @@ def test_elliptic_integral_rejects_nonintegrable():
         elliptic_integral_check(0.5, 3.2, 1.0, [0.1])
 
 
+@pytest.mark.parametrize("a, b, radius", [(2.0, 0.5, 1.0), (0.5, 1.0, 2.0), (0.0, 0.0, 1.0), (1.5, 1.4, 0.7)])
+def test_elliptic_integral_at_origin_is_closed_form(a, b, radius):
+    # I(0) = int_B |y|^{-a-b} dy = 4 pi R^{3-a-b} / (3-a-b); the small-x fit
+    # skips x = 0
+    rep = elliptic_integral_check(a, b, radius, [0.0, 0.05, 0.1, 0.5])
+    assert rep.integrals[0] == pytest.approx(4 * np.pi * radius ** (3 - a - b) / (3 - a - b), rel=1e-13)
+    assert np.all(np.isfinite(rep.integrals))
+    without_origin = elliptic_integral_check(a, b, radius, [0.05, 0.1, 0.5])
+    np.testing.assert_array_equal(rep.integrals[1:], without_origin.integrals)
+    np.testing.assert_equal(rep.small_x_slope, without_origin.small_x_slope)
+    assert rep.bound_holds
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (2.5, 0.9)])
+def test_elliptic_integral_at_origin_rejects_divergent(a, b):
+    with pytest.raises(ValueError, match="I\\(0\\) diverges"):
+        elliptic_integral_check(a, b, 1.0, [0.0, 0.1])
+    elliptic_integral_check(a, b, 1.0, [0.1, 0.2])  # x > 0 stays finite
+
+
 def test_boundary_series_base_case_and_decay():
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)

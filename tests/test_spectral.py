@@ -5,6 +5,9 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    _hermitian_to_grid,
+    _mode_phase,
+    hermitian_symmetrize,
     dealias,
     derivative,
     divergence,
@@ -177,3 +180,35 @@ def test_interpolation_affine_exact():
     out = interpolate_periodic(values, grid, pts)
     exact = 2.0 * pts[:, 0] + 0.5 * pts[:, 1] - 0.1
     assert np.max(np.abs(out[0] - exact)) < 1e-13
+
+
+@pytest.mark.parametrize("n, N", [(2, 10), (3, 8)])
+def test_per_grid_constants_built_once_and_read_only(n, N):
+    grid = TorusGrid(n, N)
+    asq, phase = grid.alpha_sq(), _mode_phase(grid)
+    assert TorusGrid(n, N).alpha_sq() is asq and _mode_phase(TorusGrid(n, N)) is phase
+    wave = grid.wavenumbers()
+    mesh = np.meshgrid(*(wave,) * n, indexing="ij")
+    assert np.array_equal(asq, sum(k**2 for k in mesh))
+    assert np.array_equal(phase, (-1.0) ** sum(k.astype(int) for k in mesh))
+    for shared in (asq, phase):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[(0,) * n] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared *= 2.0
+    assert asq[(0,) * n] == 0.0 and phase[(0,) * n] == 1.0
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
+    # a derivative across the Nyquist plane is not conjugate-symmetric;
+    # to_grid keeps the real part of the full complex inverse transform
+    grid = TorusGrid(n, N)
+    d = derivative(to_modes(random_field(grid, 3)), 0, 0)
+    assert not np.array_equal(hermitian_symmetrize(d.modes, grid), d.modes)
+    mesh = np.meshgrid(*(grid.wavenumbers(),) * n, indexing="ij")
+    phase = (-1.0) ** sum(k.astype(int) for k in mesh)
+    want = (np.fft.ifftn(d.modes * phase, axes=tuple(range(1, n + 1))) * N**n).real
+    assert np.array_equal(to_grid(d).values, want)
+    # the half-spectrum transform reads another (symmetrized) field
+    assert not np.allclose(_hermitian_to_grid(d).values, want, rtol=0, atol=1e-8)
