@@ -8,7 +8,7 @@ Subpackages by concern:
   dynamics    -- projected Navier-Stokes integration plus energy diagnostics
   cone        -- backward cones, the cone-to-cylinder map, comparison fields
   kernels     -- Gaussian kernels, bound audits, boundary series, Duhamel residuals
-  singularity -- exponent synthesis/fitting, exponent-window gates, scans
+  singularity -- exponent synthesis/fitting and exponent-window gates
   rescale     -- rescaled-window coefficient audits and increment checks
   snapshots   -- binary field snapshots
   cli         -- batch experiments with deterministic JSON/CSV reports

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cone import ConeSpec, BallGrid, CylinderSpec, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
+from .cone import ConeSpec, BallGrid, CylinderSpec, dtau_dt, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
 from .dynamics import SolverConfig, energy, gradient_energy, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
 from .kernels import KernelSpec, duhamel_residual, elliptic_integral_check, gaussian, kernel_bound_check
@@ -91,13 +91,17 @@ class Config:
             raise ConfigError(f"field [{section}] {key} = {raw!r}: {exc}")
 
     def floats(self, section, key, default=None):
+        """A whitespace- or comma-separated list; a present but empty field is an error."""
         raw = self.get(section, key)
         if raw is None:
             return default
         try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
+            values = [float(tok) for tok in raw.replace(",", " ").split()]
         except ValueError as exc:
             raise ConfigError(f"field [{section}] {key}: {exc}")
+        if not values:
+            raise ConfigError(f"field [{section}] {key} is empty: give at least one value")
+        return values
 
 
 def _initial_field(cfg, grid, rng):
@@ -200,7 +204,7 @@ def run_transform_check(cfg: Config, out: Path, rng):
     h_fd = 1e-6
     t_probe = np.linspace(0.0, t_s - 0.05, 101)
     fd = (tau_of_t(t_probe + h_fd, cone) - tau_of_t(t_probe - h_fd, cone)) / (2 * h_fd)
-    analytic = cone.t_s / (cone.t_s - t_probe) ** 2
+    analytic = dtau_dt(t_probe, cone)
     fd_err = float(np.max(np.abs(fd - analytic) / analytic))
     mu1_const = float(np.max(np.abs([mu_coeffs(t, cone).mu1 * (1 + t) - 1.0 for t in taus[::50]])))
 
@@ -430,6 +434,10 @@ def run_duhamel(cfg: Config, out: Path, rng):
     if not all(float(x).is_integer() for x in resolutions):
         raise ConfigError(f"field [kernels] resolutions = {resolutions}: resolutions must be whole numbers")
     resolutions = [int(x) for x in resolutions]
+    if len(resolutions) < 2 or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        # the checks read the residuals as a refinement ladder, and the forced
+        # order is a slope between the first and last resolution
+        raise ConfigError(f"field [kernels] resolutions = {resolutions}: need at least two, in increasing order")
     spec = KernelSpec(nu_eff=nu_eff, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     horizon = 0.05

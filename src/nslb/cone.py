@@ -34,10 +34,7 @@ __all__ = [
     "t_of_tau",
     "dtau_dt",
     "mu_coeffs",
-    "derivative_rescale",
-    "sample_w",
     "sample_w_function",
-    "TrajectorySampler",
     "transformed_residual",
     "poisson_dirichlet",
 ]
@@ -125,14 +122,6 @@ def mu_coeffs(tau, cone: ConeSpec) -> MuCoeffs:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return MuCoeffs(mu1=1.0 / (1.0 + tau), mu2=1.0 / cone.t_s)
-
-
-def derivative_rescale(order, tau, cone: ConeSpec) -> float:
-    """(t_s - t)^{-|order|} = ((1 + tau)/t_s)^{|order|} relating |D^a_x v| to |D^a_z w|."""
-    total = int(np.sum(order)) if np.ndim(order) else int(order)
-    if total < 0:
-        raise ValueError("derivative order must be nonnegative")
-    return float(((1.0 + tau) / cone.t_s) ** total)
 
 
 class BallGrid:
@@ -241,10 +230,6 @@ class ComparisonField:
     ball: BallGrid
     values: np.ndarray  # (ncomp, m, ..., m), zero outside the mask
 
-    @property
-    def ncomp(self):
-        return self.values.shape[0]
-
     def divergence_fd(self):
         """Finite-difference divergence in z over the mask."""
         return sum(self.ball.partial(self.values[k], k) for k in range(self.ball.n))
@@ -270,33 +255,6 @@ def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid) -> Compa
     for c in range(ncomp):
         out[c][ball.mask] = vals[c]
     return ComparisonField(float(tau), ball, out)
-
-
-def sample_w(trajectory, cone: ConeSpec, tau, ball: BallGrid) -> ComparisonField:
-    """Sample w from a stored trajectory (linear in time, multilinear in space);
-    the ball radius limit is that of ``sample_w_function``."""
-    t = float(t_of_tau(tau, cone))
-    if t < trajectory.times[0] - 1e-12 or t > trajectory.times[-1] + 1e-12:
-        raise ValueError(f"tau={tau} maps to t={t} outside the trajectory range")
-    return sample_w_function(trajectory.velocity_at, cone, tau, ball)
-
-
-class TrajectorySampler:
-    """Adapter exposing velocity and pressure samples of a solver trajectory."""
-
-    def __init__(self, trajectory):
-        self.trajectory = trajectory
-
-    def velocity(self, t, points):
-        return self.trajectory.velocity_at(t, points)
-
-    def pressure(self, t, points):
-        from .leray import poisson_pressure
-        from .spectral import interpolate_periodic, to_grid
-
-        f = self.trajectory.field_at(t)
-        p = to_grid(poisson_pressure(f))
-        return interpolate_periodic(p.values, self.trajectory.grid, points)[0]
 
 
 def _poisson_system(ball: BallGrid, rhs, bvals):

@@ -36,7 +36,6 @@ from .spectral import (
     dealias,
     dealias_mask,
     hermitian_symmetrize,
-    interpolate_periodic,
     to_grid,
 )
 from .leray import _project_modes, leray_project
@@ -111,24 +110,6 @@ class Trajectory:
     @property
     def grid(self) -> TorusGrid:
         return self.snapshots[0].grid
-
-    def field_at(self, t) -> SpectralField:
-        """Snapshot linearly interpolated in mode space."""
-        ts = self.times
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
-            raise ValueError(f"time {t} outside recorded range [{ts[0]}, {ts[-1]}]")
-        j = int(np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2)) if ts.size > 1 else 0
-        if ts.size == 1:
-            return self.snapshots[0]
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        w = float(np.clip(w, 0.0, 1.0))
-        modes = (1 - w) * self.snapshots[j].modes + w * self.snapshots[j + 1].modes
-        return SpectralField(self.grid, modes)
-
-    def velocity_at(self, t, points):
-        """Time-linear, space-multilinear sample of the stored velocity."""
-        f = self.field_at(t)
-        return interpolate_periodic(to_grid(f).values, self.grid, points)
 
 
 def energy(v: SpectralField) -> float:

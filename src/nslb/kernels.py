@@ -1,6 +1,6 @@
 """Gaussian fundamental solutions, pointwise bound audits, the recursive
-boundary-kernel series on the cylinder, Duhamel-representation residuals,
-and the reflection-paired Lipschitz convolution bound.
+boundary-kernel series on the cylinder and Duhamel-representation
+residuals.
 
 Quadratures are midpoint rules on tensor grids; scalar sup-constants come
 from dense 1-D maximization.  The lattice propagator of the boundary-kernel
@@ -29,8 +29,6 @@ __all__ = [
     "boundary_kernel_series",
     "duhamel_residual",
     "boundary_density",
-    "symmetric_convolution",
-    "lipschitz_convolution_bound",
 ]
 
 
@@ -46,11 +44,6 @@ class KernelSpec:
             raise ValueError("effective diffusivity must be positive")
         if self.n not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-
-    @classmethod
-    def from_cone(cls, nu, cone) -> "KernelSpec":
-        """Transformed-coordinates kernel: diffusivity nu / t_s."""
-        return cls(nu_eff=nu / cone.t_s, n=cone.n)
 
 
 def _split(y, n):
@@ -505,43 +498,3 @@ def boundary_density(
         tw = lat.target_weights(z)
         out[i] += sum(float(tw @ state) for state in states)
     return out
-
-
-def symmetric_convolution(l_fn, l0, j, t, spec: KernelSpec):
-    """Convolution of a Lipschitz function against the kernel gradient,
-    evaluated at x = 0.
-
-    The midpoint rule runs on 96 nodes per axis over the cube of half-width
-    8 sqrt(2 nu t).  Every node y with y_j > 0 is paired with its
-    j-reflection, so the integrand becomes (l(-y) - l(-y_reflected))
-    G_j(t, y) and constants cancel exactly node by node.  Returns
-    (value, bound) with the moment bound |value| <= 2 l0, from
-    |l(-y) - l(-y^-j)| <= 2 l0 |y_j| and int 2 |y_j| |G_j| dy = 2.
-    """
-    n = spec.n
-    m = 96
-    width = 8.0 * np.sqrt(2 * spec.nu_eff * t)
-    axis_full = (np.arange(m) + 0.5) / m * 2 * width - width
-    axis_half = axis_full[axis_full > 0]
-    axes = [axis_full] * n
-    axes[j] = axis_half
-    mesh = np.meshgrid(*axes, indexing="ij")
-    y = np.stack([c.reshape(-1) for c in mesh], axis=-1)
-    y_ref = y.copy()
-    y_ref[:, j] = -y_ref[:, j]
-    cell = (2 * width / m) ** n
-    g_j = gaussian_derivative(t, y, j, spec)
-    vals = (np.asarray(l_fn(-y)) - np.asarray(l_fn(-y_ref))) * g_j
-    value = float(np.sum(vals) * cell)
-    return value, 2.0 * float(l0)
-
-
-def lipschitz_convolution_bound(l0, delta, diffusion_scale, elapsed):
-    """Time-integrated increment bound l0 C diffusion_scale^delta elapsed^(1-delta).
-
-    ``diffusion_scale`` plays the role of (floor of the drift coefficient)
-    x viscosity x squared spatial scale; C is the n = 3 audit constant
-    sup_z z^(n/2+1-delta) e^(-z^2).
-    """
-    c = _sup_1d(lambda z: z ** (3 / 2 + 1 - delta) * np.exp(-(z**2)))
-    return float(l0) * float(c) * float(diffusion_scale) ** delta * float(elapsed) ** (1 - delta)

@@ -22,7 +22,6 @@ __all__ = [
     "r_policy",
     "growth_exponent",
     "increment_bound_check",
-    "comparison_pair",
     "hm_cm_proxy_norm",
 ]
 
@@ -131,33 +130,6 @@ def growth_exponent(delta, eps0) -> float:
     if not 0 <= eps0 < 0.5:
         raise ValueError("eps0 must lie in [0, 0.5)")
     return 2.0 * (1.0 - eps0) * delta + 1.0 - delta
-
-
-def comparison_pair(p: RescaleParams):
-    """Forward/backward maps between v(t, x) and the damped comparison field
-    u(s, y) with (1 + t) u(s, y) = v(t, y / r), y = r x.
-
-    Returns (to_comparison, from_comparison); both take callables of
-    (time, points) and return callables in the other variables.
-    """
-
-    def to_comparison(v_fn):
-        def u_fn(s, y):
-            t = float(t_of_s(s, p))
-            x = np.asarray(y, dtype=float) / p.r
-            return np.asarray(v_fn(t, x)) / (1.0 + t)
-
-        return u_fn
-
-    def from_comparison(u_fn):
-        def v_fn(t, x):
-            s = float(s_of_t(t, p))
-            y = p.r * np.asarray(x, dtype=float)
-            return (1.0 + t) * np.asarray(u_fn(s, y))
-
-        return v_fn
-
-    return to_comparison, from_comparison
 
 
 def hm_cm_proxy_norm(v: SpectralField) -> float:

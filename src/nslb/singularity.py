@@ -1,7 +1,6 @@
-"""Singularity-order machinery: synthetic power-law fields on backward
-cones, log-log exponent regression, partial-regularity exponent gates,
-weighted (damped) fields, uniform-bound scans up the cylinder, and the
-Sobolev embedding bookkeeping ladder.
+"""Singularity-order machinery: synthetic power-law fields and smooth-field
+samples on backward cones, log-log exponent regression, and the
+partial-regularity exponent gates.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, t_of_tau
+from .cone import ConeSpec
 
 __all__ = [
     "ConeSamples",
@@ -20,10 +19,6 @@ __all__ = [
     "sample_smooth_field",
     "fit_singularity_orders",
     "ckn_gate",
-    "damped_field",
-    "uniform_bound_scan",
-    "embedding_gain",
-    "bootstrap_ledger",
 ]
 
 TIP_EXCLUSION = 1e-3  # samples keep (t_s - t) and |x - x_s| above this
@@ -179,110 +174,3 @@ def ckn_gate(fit: SingularityFit, kind="velocity") -> CknVerdict:
     velocity_ok = fit.mu < VELOCITY_MU_LIMIT and fit.lam < VELOCITY_LAMBDA_LIMIT
     gradient_ok = fit.mu < GRADIENT_MU_LIMIT and fit.lam < GRADIENT_LAMBDA_LIMIT + 0.01
     return CknVerdict(velocity_ok, gradient_ok)
-
-
-@dataclass(frozen=True)
-class DampedFieldReport:
-    values: np.ndarray
-    max_abs: float
-    finite: bool
-
-
-def damped_field(samples: ConeSamples, lam, mu) -> DampedFieldReport:
-    """(t_s - t)^mu r^lam |v| on the sample set; bounded for matching orders."""
-    weighted = samples.dt_vals**mu * samples.r_vals**lam * samples.values
-    return DampedFieldReport(weighted, float(np.max(np.abs(weighted))), bool(np.all(np.isfinite(weighted))))
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    taus: np.ndarray
-    values: np.ndarray
-    running_sup: np.ndarray
-    converged: bool
-    cauchy_increment: float
-    slope: float
-    classification: str
-
-
-def uniform_bound_scan(evaluate, taus, z_probe) -> ScanReport:
-    """Track sup_tau |w(tau, z_probe)| on an increasing tau ladder.
-
-    ``evaluate(tau, z)`` returns the comparison-field magnitude at the probe
-    (a fixed offset from the tip axis).  A converging running sup (relative
-    Cauchy increment below 1e-3 over the last decade) is the bounded,
-    left-continuous outcome; a log-log slope above 0.1 classifies the scan
-    as diverging like (1 + tau)^(mu + lam).
-    """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(np.diff(taus) <= 0):
-        raise ValueError("tau ladder must be increasing")
-    decades = np.log10(taus[-1] / taus[0])
-    if decades < 2.0:
-        raise ValueError(f"tau ladder covers {decades:.2f} decades; need >= 2")
-    vals = np.array([float(np.max(np.abs(evaluate(t, z_probe)))) for t in taus])
-    running = np.maximum.accumulate(vals)
-    last_decade = taus >= taus[-1] / 10.0
-    tail = running[last_decade]
-    cauchy = float(tail[-1] - tail[0]) / max(tail[-1], 1e-300)
-    positive = vals > 0
-    if np.sum(positive) >= 3:
-        slope = float(np.polyfit(np.log1p(taus[positive]), np.log(vals[positive]), 1)[0])
-    else:
-        slope = 0.0
-    converged = cauchy < 1e-3
-    classification = "bounded" if (converged and slope <= 0.1) else "diverging"
-    return ScanReport(taus, vals, running, converged, cauchy, slope, classification)
-
-
-def tip_ray_values(field_fn, cone: ConeSpec, taus, z_probe):
-    """Evaluate |v| along the cylinder ray z = z_probe: the points
-    x = x_s + (t_s - t(tau)) z_probe approaching the tip."""
-    z_probe = np.asarray(z_probe, dtype=float)
-    out = []
-    for tau in taus:
-        t = float(t_of_tau(tau, cone))
-        x = np.asarray(cone.x_s) + (cone.t_s - t) * z_probe
-        v = np.asarray(field_fn(t, x[None, :]))
-        out.append(float(np.sqrt(np.sum(v**2))))
-    return np.asarray(out)
-
-
-def embedding_gain(r, q, s, p, n) -> bool:
-    """Sobolev-scale identity for H^{r,q} c H^{s,p}: 1/q - 1/p = (r - s)/n."""
-    if p < 1 or q < 1:
-        raise ValueError("integrability exponents must be >= 1")
-    return bool(abs(1.0 / q - 1.0 / p - (r - s) / n) <= 1e-12)
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    s: float
-    p: float
-    justification: str
-
-
-def bootstrap_ledger(start=(0.0, 3.0), steps=2):
-    """Regularity bookkeeping ladder from an L^p entry point in dimension n = 3.
-
-    Step 0 embeds the start space into its L^2-scale Sobolev image (the
-    embedding identity is checked); each further step records a gain of one
-    derivative order, landing at H^{k - eps} with eps = 0.01.  The ledger is
-    bookkeeping only; no equation is solved.
-    """
-    n, eps = 3, 0.01
-    s0, p0 = start
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    ledger = [LedgerEntry(float(s0), float(p0), "start")]
-    if steps == 0:
-        return ledger
-    # embedding into the L^2 scale: H^{s0, p0} c H^{s_emb, 2} needs
-    # 1/p0 - 1/2 = (s0 - s_emb)/n
-    s_emb = s0 - n * (1.0 / p0 - 0.5)
-    if not embedding_gain(s0, p0, s_emb, 2.0, n):
-        raise ValueError("embedding identity failed for the start space")
-    ledger = [LedgerEntry(float(s_emb), 2.0, "embedding")]
-    for k in range(1, steps + 1):
-        ledger.append(LedgerEntry(float(k - eps), 2.0, "derivative-gain"))
-    return ledger

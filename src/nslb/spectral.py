@@ -29,7 +29,7 @@ __all__ = [
     "sobolev_norm",
     "dealias",
     "hermitian_symmetrize",
-    "interpolate_periodic",
+    "dealias_mask",
 ]
 
 
@@ -254,28 +254,3 @@ def dealias_mask(grid: TorusGrid):
     for axis in range(grid.n):
         keep &= np.abs(grid.alpha(axis)) <= cutoff
     return keep
-
-
-def interpolate_periodic(values, grid: TorusGrid, points):
-    """Multilinear periodic interpolation of (ncomp, N^n) grid values.
-
-    ``points`` has shape (m, n) in torus coordinates; returns (ncomp, m).
-    """
-    values = np.asarray(values)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != grid.n:
-        raise ValueError(f"points must have {grid.n} columns")
-    u = (pts + 0.5) * grid.N  # fractional lattice coordinates
-    base = np.floor(u).astype(int)
-    frac = u - base
-    ncomp = values.shape[0]
-    out = np.zeros((ncomp, pts.shape[0]))
-    for corner in range(2**grid.n):
-        idx = []
-        w = np.ones(pts.shape[0])
-        for axis in range(grid.n):
-            bit = (corner >> axis) & 1
-            idx.append((base[:, axis] + bit) % grid.N)
-            w = w * (frac[:, axis] if bit else 1.0 - frac[:, axis])
-        out += values[(slice(None), *idx)] * w
-    return out

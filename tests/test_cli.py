@@ -243,6 +243,30 @@ def test_non_integer_resolution_exits_2(tmp_path, capsys):
     assert "config error" in err and "resolutions" in err
 
 
+@pytest.mark.parametrize(
+    "experiment, text, field",
+    [
+        ("verify-kernels", "[kernels]\ndeltas =\n", "[kernels] deltas"),
+        ("verify-kernels", "[kernels]\nnus =\n", "[kernels] nus"),
+        ("fit-singularity", "[fitting]\nlambdas =\n", "[fitting] lambdas"),
+        ("rescale-audit", "[rescale]\nhorizons =\n", "[rescale] horizons"),
+        ("duhamel-residual", "[kernels]\nresolutions = 17\n", "[kernels] resolutions"),
+        ("duhamel-residual", "[kernels]\nresolutions = 17 33 33\n", "[kernels] resolutions"),
+    ],
+    ids=["deltas", "nus", "lambdas", "horizons", "one-resolution", "repeated-resolution"],
+)
+def test_bad_list_field_exits_2(tmp_path, capsys, experiment, text, field):
+    # an empty list would pass its checks vacuously (or crash); a resolution
+    # ladder that does not strictly increase cannot show convergence, and a
+    # single resolution makes the order 0/0
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not list(out.glob("*"))
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -14,21 +14,16 @@ from nslb.cone import (
     BallGrid,
     ConeSpec,
     CylinderSpec,
-    TrajectorySampler,
-    derivative_rescale,
     dtau_dt,
     mu_coeffs,
     _poisson_system,
     poisson_dirichlet,
-    sample_w,
     sample_w_function,
     t_of_tau,
     tau_of_t,
     transformed_residual,
 )
-from nslb.dynamics import SolverConfig, simulate
-from nslb.flows import StreamFlow, TaylorGreenFlow, taylor_green
-from nslb.spectral import TorusGrid
+from nslb.flows import StreamFlow, TaylorGreenFlow
 from oracles import loop_poisson_system, roll_interior, shifted_stencils
 
 
@@ -100,15 +95,6 @@ def test_mu_coefficients():
         assert mu1 <= mu_coeffs(0.0, cone).mu1 + 1e-15
 
 
-def test_derivative_rescale():
-    cone = ConeSpec(t_s=1.0, x_s=(0.0, 0.0), t_1=0.4)
-    assert derivative_rescale(0, 5.0, cone) == 1.0
-    # |alpha| = 1 at t_s - t = 0.5  ->  factor 2
-    tau_half = tau_of_t(0.5, cone)
-    assert derivative_rescale(1, tau_half, cone) == pytest.approx(2.0)
-    assert derivative_rescale((1, 1), 1.0, cone) == pytest.approx(4.0)
-
-
 def test_sample_constant_field():
     ball = BallGrid(2, 0.3, 17)
     w = sample_w_function(lambda t, pts: np.full((2, len(pts)), 3.25), CONE, 2.0, ball)
@@ -127,22 +113,6 @@ def test_sample_rejects_oversized_ball():
     ball = BallGrid(2, 0.9, 17)  # cylinder base is 0.5
     with pytest.raises(ValueError):
         sample_w_function(lambda t, pts: np.zeros((2, len(pts))), CONE, 2.0, ball)
-
-
-def test_sample_from_trajectory_and_range_check():
-    grid = TorusGrid(2, 32)
-    cfg = SolverConfig(nu=0.05, dt=1e-3, t_end=0.3, snapshot_stride=10)
-    traj = simulate(taylor_green(grid, 1.0), cfg)
-    cone = ConeSpec(t_s=0.4, x_s=(0.1, 0.0), t_1=0.1)
-    ball = BallGrid(2, 0.2, 13)
-    tau = tau_of_t(0.2, cone)
-    w = sample_w(traj, cone, tau, ball)
-    flow = TaylorGreenFlow(nu=0.05, amplitude=1.0)
-    exact = sample_w_function(flow.velocity, cone, tau, ball)
-    err = np.max(np.abs(w.values - exact.values))
-    assert err < 5e-3  # torus-grid interpolation error, O(h^2)
-    with pytest.raises(ValueError):
-        sample_w(traj, cone, tau_of_t(0.39, cone), ball)  # t beyond the run
 
 
 def test_incompressibility_transfer_order():
@@ -400,16 +370,3 @@ def test_transformed_residual_refinement():
         ball = BallGrid(2, 0.8 * cyl.r_0, m)
         res[m] = transformed_residual(Sampler, CONE, tau0, ball, dtau=ball.h).residual_l2
     assert res[17] / res[33] >= 3.5
-
-
-def test_trajectory_sampler_pressure():
-    grid = TorusGrid(2, 32)
-    cfg = SolverConfig(nu=0.05, dt=1e-3, t_end=0.1, snapshot_stride=10)
-    traj = simulate(taylor_green(grid, 1.0), cfg)
-    sampler = TrajectorySampler(traj)
-    flow = TaylorGreenFlow(nu=0.05, amplitude=1.0)
-    pts = np.array([[0.05, 0.1], [-0.2, 0.3]])
-    got = sampler.pressure(0.05, pts)
-    want = flow.pressure(0.05, pts)
-    # bilinear error for a wavenumber-2 pressure at N=32 is (4 pi h)^2/8 ~ 2%
-    assert np.max(np.abs(got - want)) < 2e-2 * np.max(np.abs(want))

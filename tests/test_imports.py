@@ -1,6 +1,8 @@
 """What importing ``nslb`` costs: which scipy subpackages it loads."""
 
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -45,3 +47,19 @@ def test_no_source_file_names_scipy_integrate():
     pattern = re.compile(r"scipy\.integrate|from\s+scipy\s+import\s+[^\n]*\bintegrate\b")
     offenders = [str(path.relative_to(ROOT)) for path in sorted(SRC.rglob("*.py")) if pattern.search(path.read_text())]
     assert offenders == []
+
+
+def test_every_public_library_function_is_in_all():
+    # the benchmark tracer wraps only the names in __all__, so a public
+    # function missing from it would run untimed
+    missing = []
+    libraries = [path.stem for path in sorted(SRC.glob("*.py")) if path.stem not in ("__init__", "cli")]
+    assert len(libraries) >= 9
+    for stem in libraries:
+        module = importlib.import_module(f"nslb.{stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+                continue
+            if name not in module.__all__:
+                missing.append(f"{stem}.{name}")
+    assert missing == []

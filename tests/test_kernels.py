@@ -4,7 +4,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslb.cone import BallGrid, ConeSpec, CylinderSpec
+from nslb.cone import BallGrid, CylinderSpec
 from nslb.kernels import (
     BoundReport,
     KernelSpec,
@@ -17,8 +17,6 @@ from nslb.kernels import (
     gaussian_derivative,
     gaussian_derivative_bound_form,
     kernel_bound_check,
-    lipschitz_convolution_bound,
-    symmetric_convolution,
 )
 
 from oracles import dense_propagator, midpoint_grid
@@ -29,8 +27,6 @@ def test_kernel_spec_validation():
         KernelSpec(nu_eff=0.0, n=2)
     with pytest.raises(ValueError):
         KernelSpec(nu_eff=1.0, n=4)
-    cone = ConeSpec(t_s=2.0, x_s=(0.0, 0.0), t_1=1.0)
-    assert KernelSpec.from_cone(0.3, cone).nu_eff == pytest.approx(0.15)
 
 
 def test_gaussian_point_value_and_rejection():
@@ -509,35 +505,3 @@ def test_boundary_density_variants_and_duhamel_arbiter():
     assert np.max(np.abs(with_nl_plus - with_nl_minus)) == pytest.approx(4 * 0.005, rel=1e-9)
     with pytest.raises(ValueError):
         boundary_density(trace, init_conv, nl, cyl, spec, tau, z_pts, n_term_sign=0)
-
-
-def test_symmetric_convolution_cases():
-    spec = KernelSpec(nu_eff=0.5, n=2)
-    # constants cancel exactly
-    val, bound = symmetric_convolution(lambda u: np.full(u.shape[0], 3.7), 0.0, 0, 0.4, spec)
-    assert val == 0.0
-    # l(y) = y_j has Lipschitz constant 1; the convolution equals the kernel's
-    # first-moment integral, magnitude one
-    val, bound = symmetric_convolution(lambda u: u[:, 0], 1.0, 0, 0.4, spec)
-    assert bound == 2.0
-    pts, cell = midpoint_grid(-8 * np.sqrt(2 * 0.5 * 0.4), 8 * np.sqrt(2 * 0.5 * 0.4), 192, 2)
-    direct = np.sum((0 - pts[:, 0]) * gaussian_derivative(0.4, pts, 0, spec)) * cell
-    assert abs(val - direct) <= 1e-6
-
-
-def test_symmetric_convolution_bound_over_time_sweep():
-    spec = KernelSpec(nu_eff=0.5, n=2)
-
-    def lipschitz_fn(u):  # |grad| <= 1 everywhere
-        return np.sin(u[:, 0]) * 0.6 + 0.4 * np.cos(u[:, 1])
-
-    for t in (0.05, 0.2, 0.8, 2.0):
-        val, bound = symmetric_convolution(lipschitz_fn, 1.0, 0, t, spec)
-        assert abs(val) <= bound
-
-
-def test_lipschitz_convolution_bound_shape():
-    b1 = lipschitz_convolution_bound(2.0, 0.5, 0.01, 0.1)
-    b2 = lipschitz_convolution_bound(2.0, 0.5, 0.01, 0.2)
-    assert b2 / b1 == pytest.approx(2 ** 0.5, rel=1e-12)  # elapsed^{1-delta}
-    assert lipschitz_convolution_bound(4.0, 0.5, 0.01, 0.1) == pytest.approx(2 * b1)

@@ -5,7 +5,6 @@ from nslb.flows import perturbed_taylor_green, taylor_green
 from nslb.rescale import (
     RescaleParams,
     S_MAX,
-    comparison_pair,
     growth_exponent,
     hm_cm_proxy_norm,
     increment_bound_check,
@@ -92,16 +91,6 @@ def test_growth_exponent_exceeds_one_on_grid():
     for delta in np.linspace(0.05, 0.95, 19):
         for eps0 in np.linspace(0.0, 0.4, 9):
             assert growth_exponent(delta, eps0) > 1.0
-
-
-def test_comparison_pair_round_trip():
-    p = params(r=0.2, t0=0.1)
-    v_fn = lambda t, x: np.cos(np.asarray(x)[..., 0]) * (1 + t) ** 2 + np.asarray(x)[..., 1]
-    to_u, from_u = comparison_pair(p)
-    v_back = from_u(to_u(v_fn))
-    pts = np.random.default_rng(0).uniform(-1, 1, (40, 2))
-    for t in (0.1, 0.3, 0.55):
-        assert np.max(np.abs(v_back(t, pts) - v_fn(t, pts))) < 1e-12
 
 
 def test_hm_cm_proxy_norm_single_mode():

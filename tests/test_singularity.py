@@ -9,15 +9,10 @@ from nslb.singularity import (
     GRADIENT_MU_LIMIT,
     VELOCITY_LAMBDA_LIMIT,
     VELOCITY_MU_LIMIT,
-    bootstrap_ledger,
     ckn_gate,
-    damped_field,
-    embedding_gain,
     fit_singularity_orders,
     sample_smooth_field,
     synthesize_singular_field,
-    tip_ray_values,
-    uniform_bound_scan,
 )
 
 CONE = ConeSpec(t_s=0.6, x_s=(0.15, 0.05), t_1=0.3)
@@ -121,99 +116,3 @@ def test_gate_limits_are_the_documented_windows():
     assert VELOCITY_LAMBDA_LIMIT == 3.0 / 4.0
     assert GRADIENT_MU_LIMIT == 1.0 / 2.0
     assert GRADIENT_LAMBDA_LIMIT == 3.0 / 2.0
-
-
-def test_damped_field_exact_orders_constant():
-    s = synthesize_singular_field(3.0, 0.6, 0.25, CONE, n_samples=150, rng=np.random.default_rng(10))
-    rep = damped_field(s, 0.6, 0.25)
-    assert rep.finite
-    assert np.max(np.abs(rep.values - 3.0)) < 1e-10 * 3.0
-
-
-def test_damped_field_smooth_input_vanishes_toward_tip():
-    flow = TaylorGreenFlow(nu=0.01, amplitude=1.0)
-    s = sample_smooth_field(flow.velocity, CONE, n_samples=300, rng=np.random.default_rng(11))
-    rep = damped_field(s, 0.1, 0.1)
-    near_tip = (s.dt_vals < 3e-3) & (s.r_vals < 3e-3)
-    far = (s.dt_vals > 2e-2) | (s.r_vals > 2e-2)
-    if np.any(near_tip) and np.any(far):
-        assert np.max(rep.values[near_tip]) < np.max(rep.values[far])
-    assert rep.max_abs < np.max(s.values)  # weights < 1 on this cone
-
-
-def test_uniform_bound_scan_smooth_converges():
-    flow = TaylorGreenFlow(nu=0.01, amplitude=1.0)
-    taus = np.logspace(0, 2.5, 40)
-    rep = uniform_bound_scan(
-        lambda tau, z: tip_ray_values(flow.velocity, CONE, [tau], z)[0], taus, np.array([0.1, 0.0])
-    )
-    assert rep.classification == "bounded"
-    assert rep.cauchy_increment < 1e-3
-
-
-def _power_law_field(lam, mu):
-    def field(t, pts):
-        r = np.linalg.norm(np.asarray(pts) - np.asarray(CONE.x_s), axis=-1)
-        return (3.0 / ((CONE.t_s - t) ** mu * np.maximum(r, 1e-300) ** lam))[None]
-
-    return field
-
-
-@pytest.mark.parametrize("lam,mu", [(0.2, 0.0), (0.7, 0.3), (1.4, 0.45)])
-def test_uniform_bound_scan_singular_slope(lam, mu):
-    taus = np.logspace(0, 2.5, 40)
-    rep = uniform_bound_scan(
-        lambda tau, z: tip_ray_values(_power_law_field(lam, mu), CONE, [tau], z)[0],
-        taus,
-        np.array([0.1, 0.0]),
-    )
-    assert rep.classification == "diverging"
-    assert rep.slope == pytest.approx(lam + mu, abs=0.02)
-
-
-def test_uniform_bound_scan_validation():
-    with pytest.raises(ValueError):
-        uniform_bound_scan(lambda tau, z: 1.0, np.logspace(0, 1, 10), np.array([0.1, 0.0]))  # < 2 decades
-    with pytest.raises(ValueError):
-        uniform_bound_scan(lambda tau, z: 1.0, np.array([1.0, 1.0, 10.0, 100.0]), np.array([0.1, 0.0]))
-
-
-def test_uniform_bound_scan_zero_field():
-    rep = uniform_bound_scan(lambda tau, z: 0.0, np.logspace(0, 2.5, 20), np.array([0.1, 0.0]))
-    assert np.all(rep.running_sup == 0.0)
-    assert rep.classification == "bounded"
-
-
-def test_scan_classifier_separates_grid():
-    # zero misclassifications over the synthetic exponent grid + smooth control
-    taus = np.logspace(0, 2.5, 30)
-    probe = np.array([0.1, 0.0])
-    for lam in (0.2, 0.7, 1.4):
-        for mu in (0.1, 0.3, 0.45, 0.0):
-            rep = uniform_bound_scan(
-                lambda tau, z: tip_ray_values(_power_law_field(lam, mu), CONE, [tau], z)[0], taus, probe
-            )
-            assert rep.classification == "diverging", (lam, mu)
-    flow = TaylorGreenFlow(nu=0.01, amplitude=1.0)
-    rep = uniform_bound_scan(lambda tau, z: tip_ray_values(flow.velocity, CONE, [tau], z)[0], taus, probe)
-    assert rep.classification == "bounded"
-
-
-def test_embedding_gain_identity():
-    assert embedding_gain(0.0, 3.0, 0.5, 2.0, 3)  # L^3 into H^{1/2}
-    assert embedding_gain(0.7, 2.0, 0.7, 2.0, 3)  # identity embedding
-    assert not embedding_gain(0.0, 3.0, 1.0, 2.0, 3)
-    with pytest.raises(ValueError):
-        embedding_gain(0.0, 0.5, 0.0, 2.0, 3)
-
-
-def test_bootstrap_ledger():
-    ladder = bootstrap_ledger((0.0, 3.0), steps=2)
-    assert [(e.s, e.p) for e in ladder] == [(0.5, 2.0), (0.99, 2.0), (1.99, 2.0)]
-    assert ladder[0].justification == "embedding"
-    assert all(e.justification == "derivative-gain" for e in ladder[1:])
-    # consecutive derivative steps gain at most one order
-    for prev, nxt in zip(ladder, ladder[1:]):
-        assert nxt.s <= prev.s + 1.0 + 1e-12
-    only_start = bootstrap_ledger((0.0, 3.0), steps=0)
-    assert [(e.s, e.p, e.justification) for e in only_start] == [(0.0, 3.0, "start")]

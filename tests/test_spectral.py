@@ -14,7 +14,6 @@ from nslb.spectral import (
     sobolev_norm,
     to_grid,
     to_modes,
-    interpolate_periodic,
 )
 
 from oracles import centered_difference, grid_l2
@@ -170,16 +169,6 @@ def test_dealias_rule():
     assert np.max(np.abs(dealias(v).modes - v.modes)) == 0.0
     zero = SpectralField(grid, np.zeros_like(modes))
     assert np.max(np.abs(dealias(zero).modes)) == 0.0
-
-
-def test_interpolation_affine_exact():
-    grid = TorusGrid(2, 32)
-    x, y = grid.meshes()
-    values = (2.0 * x + 0.5 * y - 0.1)[None]
-    pts = np.random.default_rng(0).uniform(-0.3, 0.3, (50, 2))  # away from the seam
-    out = interpolate_periodic(values, grid, pts)
-    exact = 2.0 * pts[:, 0] + 0.5 * pts[:, 1] - 0.1
-    assert np.max(np.abs(out[0] - exact)) < 1e-13
 
 
 @pytest.mark.parametrize("n, N", [(2, 10), (3, 8)])
