@@ -26,11 +26,12 @@ import scipy
 
 from . import __version__
 from .cone import ConeSpec, BallGrid, CylinderSpec, dtau_dt, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
-from .dynamics import SolverConfig, energy, gradient_energy, hopf_energy_check, simulate
+from .dynamics import SolverConfig, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
 from .kernels import KernelSpec, duhamel_residual, elliptic_integral_check, gaussian, kernel_bound_check
 from .rescale import RescaleParams, growth_exponent, increment_bound_check, mu_of_s, r_policy, s_of_t
 from .singularity import (
+    MIN_SAMPLES,
     ckn_gate,
     fit_singularity_orders,
     sample_smooth_field,
@@ -130,28 +131,26 @@ def run_simulate(cfg: Config, out: Path, rng):
     grid = TorusGrid(n=n, N=big_n)
     v0 = _initial_field(cfg, grid, rng)
     solver = SolverConfig(nu=nu, dt=dt, t_end=t_end, snapshot_stride=stride)
-    traj = simulate(v0, solver)
-
     rows = []
-    for t, f, e in zip(traj.times, traj.snapshots, traj.energies):
-        div_max = float(np.max(np.abs(divergence(f).modes)))
+
+    def observe(t, f):
+        # simulate records exactly conjugate-symmetric fields
+        if write_snapshots:
+            write_snapshot(out / f"state_{len(rows):05d}.nslb", _hermitian_to_grid(f), t)
         rows.append(
             {
                 "time": float(t),
-                "energy": float(e),
-                "enstrophy": 0.5 * gradient_energy(f),
-                "divergence_max": div_max,
+                "divergence_max": float(np.max(np.abs(divergence(f).modes))),
                 "sobolev_h1": sobolev_norm(f, 1.0),
                 "sobolev_h2": sobolev_norm(f, 2.0),
             }
         )
+
+    traj = simulate(v0, solver, observe)
+    for row, e, g in zip(rows, traj.energies, traj.gradient_energies):
+        row.update(energy=float(e), enstrophy=0.5 * g)
     csv_path = out / "timeseries.csv"
     _write_csv(csv_path, rows, ["time", "energy", "enstrophy", "divergence_max", "sobolev_h1", "sobolev_h2"])
-
-    if write_snapshots:
-        # simulate records exactly conjugate-symmetric snapshots
-        for k, (t, f) in enumerate(zip(traj.times, traj.snapshots)):
-            write_snapshot(out / f"state_{k:05d}.nslb", _hermitian_to_grid(f), t)
 
     # The inequality holds up to the trapezoid error of the dissipation
     # integral; estimate that budget from the recorded series itself:
@@ -252,6 +251,8 @@ def run_transform_check(cfg: Config, out: Path, rng):
 def run_fit_singularity(cfg: Config, out: Path, rng):
     noise = cfg.get("fitting", "noise", float, default=0.0)
     n_samples = cfg.get("fitting", "samples", int, default=240)
+    if n_samples < MIN_SAMPLES:
+        raise ConfigError(f"field [fitting] samples = {n_samples}: need at least {MIN_SAMPLES}")
     tol = cfg.get("fitting", "tolerance", float, default=0.02 if noise == 0 else 0.10)
     lams = cfg.floats("fitting", "lambdas", default=[0.2, 0.7, 1.4])
     mus = cfg.floats("fitting", "mus", default=[0.1, 0.3, 0.45, 0.0])
@@ -315,6 +316,9 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
     n = cfg.get("grid", "n", int, default=3)
     deltas = cfg.floats("kernels", "deltas", default=[0.25, 0.5, 0.75, 0.9])
     nus = cfg.floats("kernels", "nus", default=[0.01, 0.1, 1.0])
+    if len(set(nus)) < 2:
+        # the spread over one diffusivity is 0: the invariance check would pass vacuously
+        raise ConfigError(f"field [kernels] nus = {nus}: need at least two distinct diffusivities")
     results = []
     ok = True
     for delta in deltas:
@@ -373,6 +377,8 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
 def run_rescale_audit(cfg: Config, out: Path, rng):
     horizons = cfg.floats("rescale", "horizons", default=[0.5, 1.0, 2.0])
     sweeps = cfg.get("rescale", "sweep_points", int, default=1000)
+    if sweeps < 2:
+        raise ConfigError(f"field [rescale] sweep_points = {sweeps}: need at least 2, the two ends of the sweep")
     mu_audits = []
     for big_t in horizons:
         params = RescaleParams(r=1.0 / 16, t0=big_t - 0.5, T=big_t)

@@ -17,8 +17,8 @@ Zang, Spectral Methods, 2007).  Divergence, projection, mask and
 coefficient are linear in the product transforms, so they are folded
 into one real tensor K[i, p] per mode, built once per run; the RK4 stages
 are combined in place in two preallocated buffers.  Full-lattice
-``SpectralField`` snapshots are rebuilt from the half spectrum only at
-record points.
+``SpectralField`` fields are rebuilt from the half spectrum only at record
+points, and either kept or handed to an observer.
 """
 
 from __future__ import annotations
@@ -91,25 +91,38 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded run: strictly increasing times, one snapshot per time."""
+    """Recorded run: strictly increasing times, with the kinetic energy and
+    |grad v|^2 of the field at each time.
+
+    ``snapshots`` holds one field per time, or none when the run streamed
+    its fields to an observer instead (see ``simulate``).  ``grid`` and
+    ``gradient_energies``, when not given, are taken from the snapshots.
+    """
 
     times: np.ndarray
     snapshots: list
     energies: np.ndarray
+    gradient_energies: np.ndarray = None
+    grid: TorusGrid = None
     blew_up: bool = False
     note: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.energies = np.asarray(self.energies, dtype=float)
-        if len(self.snapshots) != self.times.size:
+        if self.snapshots and len(self.snapshots) != self.times.size:
             raise ValueError("snapshot count must match time count")
+        if not self.snapshots and (self.grid is None or self.gradient_energies is None):
+            raise ValueError("a trajectory without snapshots must give its grid and gradient energies")
+        if self.grid is None:
+            self.grid = self.snapshots[0].grid
+        if self.gradient_energies is None:
+            self.gradient_energies = [gradient_energy(f) for f in self.snapshots]
+        self.gradient_energies = np.asarray(self.gradient_energies, dtype=float)
+        if not self.energies.size == self.gradient_energies.size == self.times.size:
+            raise ValueError("energy counts must match time count")
         if self.times.size and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.snapshots[0].grid
 
 
 def energy(v: SpectralField) -> float:
@@ -230,7 +243,7 @@ def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
     return SpectralField(v.grid, lin * v.modes + op.full(op.nonlinear(op.half(v.modes))))
 
 
-def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
+def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     """Integrate from v0 with integrating-factor RK4.
 
     The field is projected and dealiased on entry (``SpectralField`` has
@@ -240,6 +253,13 @@ def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
     on the grid maximum exceeds ``cfg.blowup_threshold`` or is not finite,
     the run stops and the partial trajectory is returned with ``blew_up``
     set.
+
+    The full-lattice field is built at each record point: t = 0, every
+    ``cfg.snapshot_stride`` steps and the last step.  Its ``energy`` and
+    ``gradient_energy`` are recorded in the trajectory.  With ``observe``
+    None the field is kept in ``snapshots``; otherwise ``observe(t, field)``
+    is called once per record, in time order, and nothing is kept, so
+    memory does not grow with the step count.
     """
     grid = v0.grid
     state = dealias(leray_project(v0)).modes
@@ -257,9 +277,19 @@ def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
     a, b = np.empty_like(m), np.empty_like(m)  # stage buffers
 
     steps = int(round(cfg.t_end / dt))
-    times = [0.0]
-    snaps = [SpectralField(grid, op.full(m))]
-    energies = [energy(snaps[0])]
+    times, energies, grads, snaps = [], [], [], []
+
+    def record(t):
+        f = SpectralField(grid, op.full(m))
+        times.append(t)
+        energies.append(energy(f))
+        grads.append(gradient_energy(f))
+        if observe is None:
+            snaps.append(f)
+        else:
+            observe(t, f)
+
+    record(0.0)
     blew_up = False
     note = ""
 
@@ -304,12 +334,9 @@ def simulate(v0: SpectralField, cfg: SolverConfig) -> Trajectory:
             note = f"{what} at step {step + 1} (t={t:.6g}); run terminated"
             break
         if (step + 1) % cfg.snapshot_stride == 0 or step == steps - 1:
-            f = SpectralField(grid, op.full(m))
-            times.append(t)
-            snaps.append(f)
-            energies.append(energy(f))
+            record(t)
 
-    return Trajectory(np.asarray(times), snaps, np.asarray(energies), blew_up=blew_up, note=note)
+    return Trajectory(times, snaps, energies, grads, grid, blew_up=blew_up, note=note)
 
 
 def _cumulative_trapezoid(y, x):
@@ -329,14 +356,15 @@ class HopfReport:
 def hopf_energy_check(traj: Trajectory, cfg: SolverConfig, tol=1e-8) -> HopfReport:
     """Check (1/2)|v(t)|^2 + nu int_0^t |grad v|^2 ds <= (1/2)|v(0)|^2 + tol.
 
-    The dissipation integral uses trapezoidal quadrature on the recorded
-    times; returns the largest violation over the trajectory.
+    The dissipation integral uses trapezoidal quadrature of the recorded
+    gradient energies on the recorded times, so a streamed run (no
+    snapshots) is checked as well; returns the largest violation over the
+    trajectory.
     """
     if traj.times.size == 0:
         raise ValueError("empty trajectory")
-    grads = np.array([gradient_energy(f) for f in traj.snapshots])
     kinetic = traj.energies
-    dissip = np.concatenate(([0.0], _cumulative_trapezoid(grads, traj.times)))
+    dissip = np.concatenate(([0.0], _cumulative_trapezoid(traj.gradient_energies, traj.times)))
     max_violation = float(np.max(kinetic + cfg.nu * dissip - kinetic[0]))
     return HopfReport(max_violation, tol, max_violation <= tol, float(kinetic[0]))
 
@@ -358,6 +386,8 @@ def weak_strong_bound(traj_a: Trajectory, traj_b: Trajectory) -> WeakStrongRepor
     """
     if traj_a.grid != traj_b.grid:
         raise ValueError("trajectories live on different grids")
+    if not (traj_a.snapshots and traj_b.snapshots):
+        raise ValueError("weak_strong_bound needs the snapshots of both trajectories; run simulate without observe")
     if traj_a.times.size != traj_b.times.size or not np.allclose(traj_a.times, traj_b.times):
         raise ValueError("trajectories sample different times")
     n = traj_a.grid.n

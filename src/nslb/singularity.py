@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 TIP_EXCLUSION = 1e-3  # samples keep (t_s - t) and |x - x_s| above this
+MIN_SAMPLES = 30  # fewest samples fit_singularity_orders accepts
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,12 @@ GRADIENT_LAMBDA_LIMIT = 3.0 / 2.0
 def fit_singularity_orders(samples: ConeSamples) -> SingularityFit:
     """Least squares on log|f| = log c - mu log(t_s - t) - lam log r.
 
-    Rejects degenerate layouts (fewer than 30 samples or less than one
-    decade of spread in either regressor).  Negative exponent estimates are
-    clamped to zero and flagged.
+    Rejects degenerate layouts (fewer than ``MIN_SAMPLES`` samples or less
+    than one decade of spread in either regressor).  Negative exponent
+    estimates are clamped to zero and flagged.
     """
-    if samples.count < 30:
-        raise ValueError(f"need at least 30 samples, got {samples.count}")
+    if samples.count < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples.count}")
     log_dt = np.log(samples.dt_vals)
     log_r = np.log(samples.r_vals)
     for name, reg in (("t_s - t", log_dt), ("|x - x_s|", log_r)):

@@ -252,13 +252,32 @@ def test_non_integer_resolution_exits_2(tmp_path, capsys):
         ("rescale-audit", "[rescale]\nhorizons =\n", "[rescale] horizons"),
         ("duhamel-residual", "[kernels]\nresolutions = 17\n", "[kernels] resolutions"),
         ("duhamel-residual", "[kernels]\nresolutions = 17 33 33\n", "[kernels] resolutions"),
+        ("verify-kernels", "[kernels]\nnus = 0.1\n", "[kernels] nus"),
+        ("verify-kernels", "[kernels]\nnus = 0.1 0.1\n", "[kernels] nus"),
+        ("rescale-audit", "[rescale]\nsweep_points = 0\n", "[rescale] sweep_points"),
+        ("rescale-audit", "[rescale]\nsweep_points = 1\n", "[rescale] sweep_points"),
+        ("fit-singularity", "[fitting]\nsamples = 10\n", "[fitting] samples"),
     ],
-    ids=["deltas", "nus", "lambdas", "horizons", "one-resolution", "repeated-resolution"],
+    ids=[
+        "deltas",
+        "nus",
+        "lambdas",
+        "horizons",
+        "one-resolution",
+        "repeated-resolution",
+        "one-nu",
+        "repeated-nu",
+        "no-sweep-points",
+        "one-sweep-point",
+        "few-samples",
+    ],
 )
 def test_bad_list_field_exits_2(tmp_path, capsys, experiment, text, field):
     # an empty list would pass its checks vacuously (or crash); a resolution
     # ladder that does not strictly increase cannot show convergence, and a
-    # single resolution makes the order 0/0
+    # single resolution makes the order 0/0; one diffusivity makes the
+    # invariance spread 0 by construction; an empty sweep or a sample count
+    # the fit rejects must be named as the field, not as a bare error
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
@@ -359,3 +378,55 @@ def test_nslb_threads_applied_before_numpy_loads():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "1", "1"]
+
+
+def test_traced_simulate_keeps_no_snapshots_and_computes_gradient_energy_once_per_record(tmp_path):
+    # the benchmark tracer wraps nslb from outside; it runs in a child so
+    # the rebinding does not leak into this process
+    root = Path(__file__).resolve().parent.parent
+    cfg = write_config(
+        tmp_path,
+        """
+[grid]
+n = 3
+N = 12
+
+[physics]
+initial = random
+nu = 0.05
+dt = 0.002
+t_end = 0.01
+snapshot_stride = 1
+
+[output]
+snapshots = true
+""",
+    )
+    out = tmp_path / "out"
+    code = (
+        "import importlib, json, sys\n"
+        "from child import NSLB_MODULES\n"
+        "from tracing import Tracer, instrument\n"
+        "modules = [importlib.import_module('nslb.' + name) for name in NSLB_MODULES]\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer, modules)\n"
+        "status = importlib.import_module('nslb.cli').main(sys.argv[1:])\n"
+        "calls = sum(span[0] == 'dynamics.gradient_energy' for span in tracer.finish())\n"
+        "print(json.dumps({'exit': status, 'counters': tracer.counters, 'gradient_energy_calls': calls}))\n"
+    )
+    env = dict(os.environ)
+    paths = [str(root / "src"), str(root / "perfbench")]
+    env["PYTHONPATH"] = os.pathsep.join(paths + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    with open(out / "timeseries.csv", newline="") as fh:
+        records = len(list(csv.DictReader(fh)))
+    assert records == 6 and len(list(out.glob("state_*.nslb"))) == records
+    counters = result["counters"]
+    assert counters["dynamics.rk4_steps"] == 5
+    assert counters["dynamics.snapshots_kept"] == 0
+    assert counters["dynamics.retained_mb"] == 0
+    assert result["gradient_energy_calls"] == records

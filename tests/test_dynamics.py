@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -162,6 +164,67 @@ def test_recorded_snapshots_do_not_alias_the_loop_state():
         assert np.array_equal(traj.snapshots[k].modes, short.snapshots[-1].modes)
     for j, fj in enumerate(traj.snapshots):
         assert not any(np.shares_memory(fj.modes, fk.modes) for fk in traj.snapshots[j + 1 :])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 12]),
+    stride=st.sampled_from([1, 3, 10**9]),
+    blow_up=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_run_records_what_the_retained_run_keeps(n, N, stride, blow_up, seed):
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(seed)
+    if blow_up:
+        # a CFL number of about rms * dt * N = 4: the explicit advection
+        # step diverges within a few steps
+        v0 = random_divergence_free(grid, rng, kmax=N // 3, rms=40.0)
+        threshold = 1e6 * float(np.sum(np.abs(v0.modes)))
+        dt = 0.1 / N
+        cfg = SolverConfig(nu=1e-8, dt=dt, t_end=100 * dt, snapshot_stride=stride, blowup_threshold=threshold)
+    else:
+        v0 = random_divergence_free(grid, rng, kmax=N // 3)
+        cfg = SolverConfig(nu=0.05, dt=2e-3, t_end=2.2e-2, snapshot_stride=stride)
+    kept = simulate(v0, cfg)
+    seen = []
+    streamed = simulate(v0, cfg, lambda t, f: seen.append((t, f)))
+    assert kept.blew_up == streamed.blew_up == blow_up
+    assert streamed.note == kept.note
+    assert streamed.snapshots == [] and streamed.grid == kept.grid == grid
+    for name in ("times", "energies", "gradient_energies"):
+        assert getattr(streamed, name).tobytes() == getattr(kept, name).tobytes(), name
+    # observe is called once per recorded time, in order, with the kept field
+    assert [t for t, _ in seen] == kept.times.tolist()
+    for (_, f), g in zip(seen, kept.snapshots):
+        assert f.modes.tobytes() == g.modes.tobytes()
+    assert hopf_energy_check(streamed, cfg) == hopf_energy_check(kept, cfg)
+
+
+def test_streamed_run_memory_does_not_grow_with_step_count():
+    # numpy reports its buffers to tracemalloc; the per-grid caches and the
+    # FFT plans are warmed by a first run so that neither measured run pays them
+    grid = TorusGrid(3, 16)
+    v0 = random_divergence_free(grid, np.random.default_rng(9), kmax=5)
+    snapshot = v0.modes.nbytes
+
+    def peak(steps, observe):
+        cfg = SolverConfig(nu=0.05, dt=2e-3, t_end=steps * 2e-3)
+        tracemalloc.start()
+        try:
+            simulate(v0, cfg, observe)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def ignore(t, f):
+        pass
+
+    simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=2e-3))
+    assert abs(peak(40, ignore) - peak(5, ignore)) < snapshot
+    # retained, the 35 more records are all still held at the end
+    assert peak(40, None) - peak(5, None) >= 30 * snapshot
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 12), (3, 16)])
@@ -489,6 +552,9 @@ def test_weak_strong_rejects_mismatched_grids():
     t_b = simulate(taylor_green(TorusGrid(2, 32), 1.0), cfg)
     with pytest.raises(ValueError):
         weak_strong_bound(t_a, t_b)
+    streamed = simulate(taylor_green(TorusGrid(2, 16), 1.0), cfg, lambda t, f: None)
+    with pytest.raises(ValueError, match="snapshots"):
+        weak_strong_bound(streamed, t_a)
 
 
 def test_l4_norm_constant_field():
