@@ -1,12 +1,13 @@
 """Batch front door: `nslb <experiment> --config <path> [--out <dir>] [--seed <u64>]`.
 
-Configs are flat INI files (section headers + key=value).  Every run writes
-a deterministic report.json (sorted keys, no timestamps) plus experiment
-CSV/snapshot artifacts; clock and environment metadata go to a separate
-sidecar so identical config+seed reproduce byte-identical reports.
+Configs are flat INI files (section headers + key=value), checked whole
+against the experiment's key table before anything is written.  Every run
+writes a deterministic report.json (sorted keys, no timestamps) plus
+experiment CSV/snapshot artifacts; clock and environment metadata go to a
+separate sidecar so identical config+seed reproduce byte-identical reports.
 
-Exit codes: 0 all enabled assertions pass, 1 a named assertion failed,
-2 configuration error.
+Exit codes: 0 all enabled assertions pass, 1 a named assertion failed or
+the run raised, 2 configuration error (nothing written).
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import os
 import platform
 import sys
 import time as _time
+import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -30,29 +33,85 @@ from .dynamics import SolverConfig, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
 from .kernels import KernelSpec, duhamel_residual, elliptic_integral_check, gaussian, kernel_bound_check
 from .rescale import RescaleParams, growth_exponent, increment_bound_check, mu_of_s, r_policy, s_of_t
-from .singularity import (
-    MIN_SAMPLES,
-    ckn_gate,
-    fit_singularity_orders,
-    sample_smooth_field,
-    synthesize_singular_field,
-)
+from .singularity import MIN_SAMPLES, ckn_gate, fit_singularity_orders, sample_smooth_field, synthesize_singular_field
 from .snapshots import write_snapshot
 from .spectral import TorusGrid, _hermitian_to_grid, divergence, sobolev_norm
 
-EXPERIMENTS = {}
+EXPERIMENTS = {}  # name -> run(p, out), p the checked parameters
+SCHEMAS = {}  # name -> (key table, builds), checked by _load
+DUHAMEL_CYLINDER = CylinderSpec(t_in=1.0, r_0=0.5)
 
 
 class ConfigError(Exception):
     pass
 
 
-def _register(name):
+def _boolean(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean: use 1/yes/true/on or 0/no/false/off") from None
+
+
+def _list(raw, cast=float):
+    """A whitespace- or comma-separated list of at least one value."""
+    values = [cast(tok) for tok in raw.replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty: give at least one value")
+    return values
+
+
+def _register(name, keys, **builds):
+    """Declare an experiment by its key table ((section, key) -> (parse, default or ... if required
+    [, bound, reason])) and the library objects built from the checked values (attribute ->
+    (make(p), names of the keys make reads)); every table shares the [experiment] name row."""
+    named = (str, name, lambda v: v == name, f"does not match the experiment {name!r}")
+
     def deco(fn):
         EXPERIMENTS[name] = fn
+        SCHEMAS[name] = ({("experiment", "name"): named, **keys}, builds)
         return fn
 
     return deco
+
+
+def _load(path, experiment, rng):
+    """Check the whole config against the experiment's table, then build its library objects;
+    return values, objects and ``rng`` as attributes.  ConfigError names every field at fault."""
+    keys, builds = SCHEMAS[experiment]
+    # no header matches "", so a [DEFAULT] section is an ordinary, unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.optionxform = str  # keys are case-sensitive (N vs n)
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except (configparser.Error, ValueError) as exc:  # ValueError: undecodable bytes
+        raise ConfigError(str(exc)) from None
+    p, faults = SimpleNamespace(rng=rng), []
+    for (section, key), (parse, default, *bound) in keys.items():
+        raw = parser.get(section, key, fallback=None)
+        if raw is None and default is ...:
+            faults.append(f"missing required field [{section}] {key}")
+            continue
+        try:
+            value = default if raw is None else parse(raw)
+            if bound and not bound[0](value):
+                raise ValueError(bound[1])
+            setattr(p, key, value)
+        except ValueError as exc:
+            faults.append(f"[{section}] {key} = {raw!r}: {exc}")
+    for section in parser.sections():
+        if not parser.options(section) and all(section != s for s, _ in keys):
+            faults.append(f"unknown section [{section}]")
+        faults += [f"unknown key [{section}] {key}" for key in parser.options(section) if (section, key) not in keys]
+    if faults:
+        raise ConfigError(f"{experiment}: " + "; ".join(faults))
+    for attr, (make, *reads) in builds.items():
+        try:
+            setattr(p, attr, make(p))
+        except ValueError as exc:
+            raise ConfigError(f"{experiment}: {', '.join(f'[{s}] {k}' for s, k in keys if k in reads)}: {exc}") from None
+    return p
 
 
 def tagged(value, provenance):
@@ -62,80 +121,35 @@ def tagged(value, provenance):
     return {"value": value, "provenance": provenance}
 
 
-class Config:
-    """Typed access over a flat INI config with named-field diagnostics."""
-
-    def __init__(self, path):
-        parser = configparser.ConfigParser()
-        parser.optionxform = str  # keys are case-sensitive (N vs n)
-        try:
-            read = parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(str(exc))
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        self.parser = parser
-        self.path = path
-
-    def get(self, section, key, cast=str, default=None, required=False):
-        try:
-            raw = self.parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            if required:
-                raise ConfigError(f"missing required field [{section}] {key}")
-            return default
-        try:
-            if cast is bool:
-                return self.parser.getboolean(section, key)
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"field [{section}] {key} = {raw!r}: {exc}")
-
-    def floats(self, section, key, default=None):
-        """A whitespace- or comma-separated list; a present but empty field is an error."""
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            values = [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"field [{section}] {key}: {exc}")
-        if not values:
-            raise ConfigError(f"field [{section}] {key} is empty: give at least one value")
-        return values
+def _initial_field(p):
+    if p.initial == "random":
+        return random_divergence_free(p.grid, p.rng, rms=p.amplitude)
+    return taylor_green(p.grid, amplitude=p.amplitude)
 
 
-def _initial_field(cfg, grid, rng):
-    kind = cfg.get("physics", "initial", default="taylor-green")
-    amp = cfg.get("physics", "amplitude", float, default=1.0)
-    if kind == "taylor-green":
-        return taylor_green(grid, amplitude=amp)
-    if kind == "perturbed-taylor-green":
-        eps = cfg.get("physics", "perturbation", float, default=0.1)
-        return perturbed_taylor_green(grid, amplitude=amp, eps=eps)
-    if kind == "random":
-        kmax = cfg.get("physics", "kmax", int, default=max(2, grid.N // 4))
-        return random_divergence_free(grid, rng, kmax=kmax, rms=amp)
-    raise ConfigError(f"field [physics] initial = {kind!r}: unknown initial condition")
-
-
-@_register("simulate")
-def run_simulate(cfg: Config, out: Path, rng):
-    n = cfg.get("grid", "n", int, default=2)
-    big_n = cfg.get("grid", "N", int, required=True)
-    nu = cfg.get("physics", "nu", float, required=True)
-    dt = cfg.get("physics", "dt", float, required=True)
-    t_end = cfg.get("physics", "t_end", float, required=True)
-    stride = cfg.get("physics", "snapshot_stride", int, default=1)
-    write_snapshots = cfg.get("output", "snapshots", bool, default=False)
-    grid = TorusGrid(n=n, N=big_n)
-    v0 = _initial_field(cfg, grid, rng)
-    solver = SolverConfig(nu=nu, dt=dt, t_end=t_end, snapshot_stride=stride)
+@_register(
+    "simulate",
+    {
+        ("grid", "n"): (int, 2),
+        ("grid", "N"): (int, ...),
+        ("physics", "initial"): (str, "taylor-green", lambda v: v in ("taylor-green", "random"), "must be taylor-green or random"),
+        ("physics", "amplitude"): (float, 1.0),
+        ("physics", "nu"): (float, ...),
+        ("physics", "dt"): (float, ...),
+        ("physics", "t_end"): (float, ...),
+        ("physics", "snapshot_stride"): (int, 1),
+        ("output", "snapshots"): (_boolean, False),
+    },
+    grid=(lambda p: TorusGrid(n=p.n, N=p.N), "n", "N"),
+    solver=(lambda p: SolverConfig(p.nu, p.dt, p.t_end, p.snapshot_stride), "nu", "dt", "t_end", "snapshot_stride"),
+    v0=(_initial_field, "initial", "n"),
+)
+def run_simulate(p, out: Path):
     rows = []
 
     def observe(t, f):
         # simulate records exactly conjugate-symmetric fields
-        if write_snapshots:
+        if p.snapshots:
             write_snapshot(out / f"state_{len(rows):05d}.nslb", _hermitian_to_grid(f), t)
         rows.append(
             {
@@ -146,54 +160,55 @@ def run_simulate(cfg: Config, out: Path, rng):
             }
         )
 
-    traj = simulate(v0, solver, observe)
+    traj = simulate(p.v0, p.solver, observe)
     for row, e, g in zip(rows, traj.energies, traj.gradient_energies):
         row.update(energy=float(e), enstrophy=0.5 * g)
-    csv_path = out / "timeseries.csv"
-    _write_csv(csv_path, rows, ["time", "energy", "enstrophy", "divergence_max", "sobolev_h1", "sobolev_h2"])
+    _write_csv(out / "timeseries.csv", rows, ["time", "energy", "enstrophy", "divergence_max", "sobolev_h1", "sobolev_h2"])
 
     # The inequality holds up to the trapezoid error of the dissipation
     # integral; estimate that budget from the recorded series itself:
     # err <= (dt_rec^2 / 12) int |f''| with f = nu |grad v|^2.
-    diss = np.array([2.0 * nu * r["enstrophy"] for r in rows])
-    dt_rec = float(np.mean(np.diff(traj.times))) if traj.times.size > 1 else dt
+    diss = np.array([2.0 * p.nu * r["enstrophy"] for r in rows])
+    dt_rec = float(np.mean(np.diff(traj.times))) if traj.times.size > 1 else p.dt
     curvature = float(np.sum(np.abs(np.diff(diss, 2)))) / dt_rec if diss.size > 2 else 0.0
     hopf_tol = 4.0 * curvature * dt_rec**2 / 12.0 + 1e-10 * max(traj.energies[0], 1e-300)
-    hopf = hopf_energy_check(traj, solver, tol=hopf_tol)
-    energies = traj.energies
-    monotone = bool(np.all(np.diff(energies) <= 1e-10 * max(energies[0], 1e-300)))
+    hopf = hopf_energy_check(traj, p.solver, tol=hopf_tol)
+    monotone = bool(np.all(np.diff(traj.energies) <= 1e-10 * max(traj.energies[0], 1e-300)))
     div_ok = bool(max(r["divergence_max"] for r in rows) <= 1e-10)
-    checks = {
-        "energy_monotone": monotone,
-        "divergence_below_1e-10": div_ok,
-        "hopf_inequality": bool(hopf.passed),
-        "completed": not traj.blew_up,
-    }
-    report = {
+    return {
         "experiment": "simulate",
-        "grid": {"n": n, "N": big_n},
+        "grid": {"n": p.n, "N": p.N},
         "solver": {
-            "nu": nu,
-            "dt": dt,
-            "t_end": t_end,
+            "nu": p.nu,
+            "dt": p.dt,
+            "t_end": p.t_end,
             "integrator": "if_rk4",
-            "stability_ratio": tagged(solver.stability_ratio(grid), "measured"),
+            "stability_ratio": tagged(p.solver.stability_ratio(p.grid), "measured"),
         },
-        "final_energy": tagged(float(energies[-1]), "measured"),
+        "final_energy": tagged(float(traj.energies[-1]), "measured"),
         "hopf_max_violation": tagged(hopf.max_violation, "measured"),
         "blow_up": traj.blew_up,
         "note": traj.note,
-        "checks": checks,
+        "checks": {
+            "energy_monotone": monotone,
+            "divergence_below_1e-10": div_ok,
+            "hopf_inequality": bool(hopf.passed),
+            "completed": not traj.blew_up,
+        },
     }
-    return report
 
 
-@_register("transform-check")
-def run_transform_check(cfg: Config, out: Path, rng):
-    t_s = cfg.get("cone", "t_s", float, default=1.0)
-    t_1 = cfg.get("cone", "t_1", float, default=0.5)
-    nu = cfg.get("physics", "nu", float, default=0.02)
-    cone = ConeSpec(t_s=t_s, x_s=(0.1, -0.2), t_1=t_1)
+@_register(
+    "transform-check",
+    {
+        ("cone", "t_s"): (float, 1.0),
+        ("cone", "t_1"): (float, 0.5),
+        ("physics", "nu"): (float, 0.02, lambda x: x > 0, "must be positive"),
+    },
+    cone=(lambda p: ConeSpec(t_s=p.t_s, x_s=(0.1, -0.2), t_1=p.t_1), "t_s", "t_1"),
+)
+def run_transform_check(p, out: Path):
+    cone = p.cone
     cyl = CylinderSpec.from_cone(cone)
 
     taus = np.logspace(-3, 3, 601)
@@ -201,40 +216,27 @@ def run_transform_check(cfg: Config, out: Path, rng):
     ts = t_of_tau(taus, cone)
     round_trip = float(np.max(np.abs(tau_of_t(ts, cone) - taus) / np.maximum(taus, 1e-300)))
     h_fd = 1e-6
-    t_probe = np.linspace(0.0, t_s - 0.05, 101)
+    t_probe = np.linspace(0.0, p.t_s - 0.05, 101)
     fd = (tau_of_t(t_probe + h_fd, cone) - tau_of_t(t_probe - h_fd, cone)) / (2 * h_fd)
     analytic = dtau_dt(t_probe, cone)
     fd_err = float(np.max(np.abs(fd - analytic) / analytic))
     mu1_const = float(np.max(np.abs([mu_coeffs(t, cone).mu1 * (1 + t) - 1.0 for t in taus[::50]])))
 
-    flow = TaylorGreenFlow(nu=nu, amplitude=1.0)
+    flow = TaylorGreenFlow(nu=p.nu, amplitude=1.0)
     shear = StreamFlow(k1=1, k2=2)
-    tau0 = tau_of_t(0.5 * (t_1 + t_s), cone)
-    div_norms = {}
+    tau0 = tau_of_t(0.5 * (p.t_1 + p.t_s), cone)
+    div_norms, res = {}, {}
     for m in (17, 33):
         ball = BallGrid(cone.n, 0.8 * cyl.r_0, m)
-        w = sample_w_function(shear.velocity, cone, tau0, ball)
-        div = w.divergence_fd()
+        div = sample_w_function(shear.velocity, cone, tau0, ball).divergence_fd()
         div_norms[m] = float(np.sqrt(np.mean(div[ball.interior] ** 2)))
-    div_order = float(np.log2(div_norms[17] / div_norms[33]))
-
-    res = {}
-    for m in (17, 33):
-        ball = BallGrid(cone.n, 0.8 * cyl.r_0, m)
         res[m] = transformed_residual(flow, cone, tau0, ball, dtau=ball.h).residual_l2
+    div_order = float(np.log2(div_norms[17] / div_norms[33]))
     res_ratio = float(res[17] / res[33])
 
-    checks = {
-        "cylinder_identity_1e-14": ident1 <= 1e-14,
-        "bijection_1e-14": round_trip <= 1e-13,
-        "dtau_dt_fd_1e-6": fd_err <= 1e-6,
-        "mu1_times_1plustau_constant": mu1_const <= 1e-12,
-        "incompressibility_order_ge_1.8": div_order >= 1.8,
-        "residual_refinement_ge_3.5": res_ratio >= 3.5,
-    }
-    report = {
+    return {
         "experiment": "transform-check",
-        "cone": {"t_s": t_s, "t_1": t_1, "t_in": cyl.t_in, "r_0": cyl.r_0},
+        "cone": {"t_s": p.t_s, "t_1": p.t_1, "t_in": cyl.t_in, "r_0": cyl.r_0},
         "identity_max_error": tagged(ident1, "measured"),
         "round_trip_max_relative": tagged(round_trip, "measured"),
         "dtau_dt_fd_relative": tagged(fd_err, "measured"),
@@ -242,27 +244,36 @@ def run_transform_check(cfg: Config, out: Path, rng):
         "divergence_order": tagged(div_order, "measured"),
         "residual_l2_by_resolution": {str(k): tagged(v, "measured") for k, v in res.items()},
         "residual_refinement_ratio": tagged(res_ratio, "measured"),
-        "checks": checks,
+        "checks": {
+            "cylinder_identity_1e-14": ident1 <= 1e-14,
+            "bijection_1e-14": round_trip <= 1e-13,
+            "dtau_dt_fd_1e-6": fd_err <= 1e-6,
+            "mu1_times_1plustau_constant": mu1_const <= 1e-12,
+            "incompressibility_order_ge_1.8": div_order >= 1.8,
+            "residual_refinement_ge_3.5": res_ratio >= 3.5,
+        },
     }
-    return report
 
 
-@_register("fit-singularity")
-def run_fit_singularity(cfg: Config, out: Path, rng):
-    noise = cfg.get("fitting", "noise", float, default=0.0)
-    n_samples = cfg.get("fitting", "samples", int, default=240)
-    if n_samples < MIN_SAMPLES:
-        raise ConfigError(f"field [fitting] samples = {n_samples}: need at least {MIN_SAMPLES}")
-    tol = cfg.get("fitting", "tolerance", float, default=0.02 if noise == 0 else 0.10)
-    lams = cfg.floats("fitting", "lambdas", default=[0.2, 0.7, 1.4])
-    mus = cfg.floats("fitting", "mus", default=[0.1, 0.3, 0.45, 0.0])
+@_register(
+    "fit-singularity",
+    {
+        ("fitting", "noise"): (float, 0.0, lambda x: x >= 0, "must be >= 0"),
+        ("fitting", "samples"): (int, 240, lambda k: k >= MIN_SAMPLES, f"need at least {MIN_SAMPLES}"),
+        ("fitting", "tolerance"): (float, None),  # None: 0.02 without noise, 0.10 with
+        ("fitting", "lambdas"): (_list, (0.2, 0.7, 1.4), lambda xs: all(x >= 0 for x in xs), "must be >= 0"),
+        ("fitting", "mus"): (_list, (0.1, 0.3, 0.45, 0.0), lambda xs: all(x >= 0 for x in xs), "must be >= 0"),
+    },
+)
+def run_fit_singularity(p, out: Path):
+    tol = p.tolerance if p.tolerance is not None else 0.02 if p.noise == 0 else 0.10
     cone = ConeSpec(t_s=0.6, x_s=(0.15, 0.05), t_1=0.3)
 
     cases = []
     ok = True
-    for lam in lams:
-        for mu in mus:
-            samples = synthesize_singular_field(3.0, lam, mu, cone, n_samples=n_samples, noise=noise, rng=rng)
+    for lam in p.lambdas:
+        for mu in p.mus:
+            samples = synthesize_singular_field(3.0, lam, mu, cone, n_samples=p.samples, noise=p.noise, rng=p.rng)
             fit = fit_singularity_orders(samples)
             lam_err = abs(fit.lam - lam) / max(lam, 0.05)
             mu_err = abs(fit.mu - mu) / max(mu, 0.05)
@@ -285,14 +296,14 @@ def run_fit_singularity(cfg: Config, out: Path, rng):
             )
 
     flow = TaylorGreenFlow(nu=0.01, amplitude=1.0)
-    smooth = sample_smooth_field(flow.velocity, cone, n_samples=n_samples, rng=rng)
+    smooth = sample_smooth_field(flow.velocity, cone, n_samples=p.samples, rng=p.rng)
     smooth_fit = fit_singularity_orders(smooth)
     smooth_ok = smooth_fit.lam <= 0.05 and smooth_fit.mu <= 0.05
     ok = ok and smooth_ok
 
-    report = {
+    return {
         "experiment": "fit-singularity",
-        "noise": noise,
+        "noise": p.noise,
         "tolerance": tol,
         "gates": {
             "velocity_mu_limit": tagged(3.0 / 8.0, "paper-window"),
@@ -308,24 +319,25 @@ def run_fit_singularity(cfg: Config, out: Path, rng):
         },
         "checks": {"all_cases": ok},
     }
-    return report
 
 
-@_register("verify-kernels")
-def run_verify_kernels(cfg: Config, out: Path, rng):
-    n = cfg.get("grid", "n", int, default=3)
-    deltas = cfg.floats("kernels", "deltas", default=[0.25, 0.5, 0.75, 0.9])
-    nus = cfg.floats("kernels", "nus", default=[0.01, 0.1, 1.0])
-    if len(set(nus)) < 2:
-        # the spread over one diffusivity is 0: the invariance check would pass vacuously
-        raise ConfigError(f"field [kernels] nus = {nus}: need at least two distinct diffusivities")
+@_register(
+    "verify-kernels",
+    {
+        ("grid", "n"): (int, 3),
+        ("kernels", "deltas"): (_list, (0.25, 0.5, 0.75, 0.9), lambda ds: all(0 < d < 1 for d in ds), "must lie in (0, 1)"),
+        ("kernels", "nus"): (_list, (0.01, 0.1, 1.0), lambda nus: len(set(nus)) > 1, "need two distinct: one has spread 0"),
+    },
+    specs=(lambda p: [KernelSpec(nu_eff=nu, n=p.n) for nu in p.nus], "n", "nus"),
+)
+def run_verify_kernels(p, out: Path):
     results = []
     ok = True
-    for delta in deltas:
+    for delta in p.deltas:
         per_nu = {}
-        for nu in nus:
+        for spec in p.specs:
             for kind in ("kernel", "derivative"):
-                rep = kernel_bound_check(delta, KernelSpec(nu_eff=nu, n=n), kind=kind)
+                rep = kernel_bound_check(delta, spec, kind=kind)
                 per_nu.setdefault(kind, []).append(rep)
                 ok = ok and rep.passed
         for kind, reps in per_nu.items():
@@ -343,7 +355,7 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
                 }
             )
     # kernel mass sanity at one diffusivity
-    spec = KernelSpec(nu_eff=nus[0], n=2)
+    spec = KernelSpec(nu_eff=p.nus[0], n=2)
     width = 8 * np.sqrt(2 * spec.nu_eff * 0.3)
     ax = (np.arange(256) + 0.5) / 256 * 2 * width - width
     xg, yg = np.meshgrid(ax, ax, indexing="ij")
@@ -356,9 +368,9 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
         and abs(elliptic.small_x_slope - elliptic.predicted_slope) <= 0.15 * abs(elliptic.predicted_slope)
     )
     ok = ok and mass_ok and elliptic_ok
-    report = {
+    return {
         "experiment": "verify-kernels",
-        "dimension": n,
+        "dimension": p.n,
         "bounds": results,
         "kernel_mass": tagged(mass, "measured"),
         "elliptic_integral": {
@@ -370,23 +382,28 @@ def run_verify_kernels(cfg: Config, out: Path, rng):
         },
         "checks": {"all_bounds": ok, "mass_1e-8": mass_ok, "elliptic_slope_15pct": elliptic_ok},
     }
-    return report
 
 
-@_register("rescale-audit")
-def run_rescale_audit(cfg: Config, out: Path, rng):
-    horizons = cfg.floats("rescale", "horizons", default=[0.5, 1.0, 2.0])
-    sweeps = cfg.get("rescale", "sweep_points", int, default=1000)
-    if sweeps < 2:
-        raise ConfigError(f"field [rescale] sweep_points = {sweeps}: need at least 2, the two ends of the sweep")
+@_register(
+    "rescale-audit",
+    {
+        # the audited window [T - 0.5, T] must not start before t = 0
+        ("rescale", "horizons"): (_list, (0.5, 1.0, 2.0), lambda ts: all(t >= 0.5 for t in ts), "must be >= 0.5"),
+        ("rescale", "sweep_points"): (int, 1000, lambda k: k >= 2, "need at least 2, the two ends of the sweep"),
+        ("grid", "N"): (int, 32),
+        ("physics", "nu"): (float, 0.05, lambda x: x > 0, "must be positive"),
+    },
+    grid=(lambda p: TorusGrid(n=2, N=p.N), "N"),
+)
+def run_rescale_audit(p, out: Path):
     mu_audits = []
-    for big_t in horizons:
+    for big_t in p.horizons:
         params = RescaleParams(r=1.0 / 16, t0=big_t - 0.5, T=big_t)
-        svals = np.linspace(0.0, 1.0 / np.sqrt(3.0), sweeps)
+        svals = np.linspace(0.0, 1.0 / np.sqrt(3.0), p.sweep_points)
         audits = [mu_of_s(s, params) for s in svals]
         worst = min(a.mu - a.lower_bound for a in audits)
         bound_ok = worst >= -1e-12
-        upper_ok = all(a.bounds_hold for a in audits[:: max(1, sweeps // 100)])
+        upper_ok = all(a.bounds_hold for a in audits[:: max(1, p.sweep_points // 100)])
         mu_audits.append(
             {
                 "T": big_t,
@@ -404,13 +421,10 @@ def run_rescale_audit(cfg: Config, out: Path, rng):
         for eps0 in np.linspace(0.0, 0.4, 9):
             alpha_grid_ok = alpha_grid_ok and growth_exponent(delta, eps0) > 1.0
 
-    big_n = cfg.get("grid", "N", int, default=32)
-    nu = cfg.get("physics", "nu", float, default=0.05)
-    grid = TorusGrid(n=2, N=big_n)
-    v0 = perturbed_taylor_green(grid, amplitude=1.0, eps=0.2)
-    inc = increment_bound_check(v0, nu, params)
+    v0 = perturbed_taylor_green(p.grid, amplitude=1.0, eps=0.2)
+    inc = increment_bound_check(v0, p.nu, params)
 
-    report = {
+    return {
         "experiment": "rescale-audit",
         "mu_audits": mu_audits,
         "s_of_half_window": tagged(s_half, "measured"),
@@ -430,31 +444,32 @@ def run_rescale_audit(cfg: Config, out: Path, rng):
             "increment_slope_ge_1.2": inc.passed,
         },
     }
-    return report
 
 
-@_register("duhamel-residual")
-def run_duhamel(cfg: Config, out: Path, rng):
-    nu_eff = cfg.get("kernels", "nu_eff", float, default=0.5)
-    resolutions = cfg.floats("kernels", "resolutions", default=[17, 25, 33])
-    if not all(float(x).is_integer() for x in resolutions):
-        raise ConfigError(f"field [kernels] resolutions = {resolutions}: resolutions must be whole numbers")
-    resolutions = [int(x) for x in resolutions]
-    if len(resolutions) < 2 or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-        # the checks read the residuals as a refinement ladder, and the forced
-        # order is a slope between the first and last resolution
-        raise ConfigError(f"field [kernels] resolutions = {resolutions}: need at least two, in increasing order")
-    spec = KernelSpec(nu_eff=nu_eff, n=2)
-    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+@_register(
+    "duhamel-residual",
+    {
+        ("kernels", "nu_eff"): (float, 0.5),
+        ("kernels", "resolutions"): (
+            lambda raw: _list(raw, int),
+            (17, 25, 33),
+            lambda ms: len(ms) > 1 and sorted(set(ms)) == list(ms),
+            "need two or more, increasing: a refinement ladder, with the forced order a slope from the first to the last",
+        ),
+    },
+    spec=(lambda p: KernelSpec(nu_eff=p.nu_eff, n=2), "nu_eff"),
+    balls=(lambda p: [BallGrid(2, DUHAMEL_CYLINDER.r_0, m) for m in p.resolutions], "resolutions"),
+)
+def run_duhamel(p, out: Path):
+    nu_eff, resolutions, cyl = p.nu_eff, p.resolutions, DUHAMEL_CYLINDER
     horizon = 0.05
     probes = [[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]]  # grid nodes at every resolution used
 
     heat = heat_bump_solution(cyl, nu_eff, sigma0=cyl.r_0 / 6.0)
     forced, forced_source = forced_bump_solution(cyl, nu_eff, sigma0=cyl.r_0 / 4.5)
 
-    def ladder(m, state, source=None):
-        ball = BallGrid(2, cyl.r_0, m)
-        m_t = max(4, m // 4)
+    def ladder(ball, state, source=None):
+        m_t = max(4, ball.m // 4)
         ds = horizon / m_t
         snaps = [(cyl.t_in, (ball, state(cyl.t_in, ball)))]
         sources = [] if source else None
@@ -464,16 +479,16 @@ def run_duhamel(cfg: Config, out: Path, rng):
             if source:
                 sources.append(source(s, ball))
         snaps.append((cyl.t_in + horizon, (ball, state(cyl.t_in + horizon, ball))))
-        return duhamel_residual(snaps, sources, cyl, spec, probes=probes)
+        return duhamel_residual(snaps, sources, cyl, p.spec, probes=probes)
 
-    heat_res = [ladder(m, heat).residual_max for m in resolutions]
-    forced_res = [ladder(m, forced, forced_source).residual_max for m in resolutions]
+    heat_res = [ladder(ball, heat).residual_max for ball in p.balls]
+    forced_res = [ladder(ball, forced, forced_source).residual_max for ball in p.balls]
     heat_ok = heat_res[-1] <= 1e-4 and all(
         heat_res[i + 1] <= heat_res[i] or heat_res[i + 1] <= 1e-6 for i in range(len(heat_res) - 1)
     )
     forced_dec = all(f2 < f1 for f1, f2 in zip(forced_res, forced_res[1:]))
     order = float(np.log(forced_res[0] / forced_res[-1]) / np.log(resolutions[-1] / resolutions[0]))
-    report = {
+    return {
         "experiment": "duhamel-residual",
         "nu_eff": nu_eff,
         "resolutions": resolutions,
@@ -486,7 +501,6 @@ def run_duhamel(cfg: Config, out: Path, rng):
             "forced_order_ge_1.5": forced_dec and order >= 1.5,
         },
     }
-    return report
 
 
 def heat_bump_solution(cyl: CylinderSpec, nu_eff, sigma0):
@@ -540,12 +554,8 @@ def _write_csv(path, rows, columns):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # the Python scalar or nested list
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -573,40 +583,30 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     args = parser.parse_args(argv)
 
+    started = _time.time()
     try:
-        cfg = Config(args.config)
-        named = cfg.get("experiment", "name")
-        if named is not None and named != args.experiment:
-            raise ConfigError(f"field [experiment] name = {named!r} does not match the experiment {args.experiment!r}")
-        out = Path(args.out) if args.out else Path(args.config).resolve().parent / "out"
-        out.mkdir(parents=True, exist_ok=True)
-        rng = np.random.default_rng(args.seed)
-        started = _time.time()
-        report = EXPERIMENTS[args.experiment](cfg, out, rng)
+        p = _load(args.config, args.experiment, np.random.default_rng(args.seed))
     except ConfigError as exc:
         print(f"nslb: config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"nslb: config error: {exc}", file=sys.stderr)
-        return 2
-
-    report["seed"] = args.seed
-    report["version"] = __version__
+    out = Path(args.out) if args.out else Path(args.config).resolve().parent / "out"
     report_path = out / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
-    with open(out / "report.meta.json", "w") as fh:
-        json.dump(
-            {
-                "wall_seconds": _time.time() - started,
-                "timestamp": _time.time(),
-                "nslb_threads": os.environ.get("NSLB_THREADS"),
-                "environment": _environment(),
-            },
-            fh,
-            indent=2,
-        )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        report = EXPERIMENTS[args.experiment](p, out)
+        report.update(seed=args.seed, version=__version__)
+        report_path.write_text(json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n")
+        meta = {
+            "wall_seconds": _time.time() - started,
+            "timestamp": _time.time(),
+            "nslb_threads": os.environ.get("NSLB_THREADS"),
+            "environment": _environment(),
+        }
+        (out / "report.meta.json").write_text(json.dumps(meta, indent=2))
+    except Exception as exc:  # after the check, any failure is the run's, not the config's
+        traceback.print_exc()
+        print(f"nslb: {args.experiment} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     failing = [k for k, v in report["checks"].items() if not v]
     if failing:

@@ -468,8 +468,9 @@ def boundary_density(
     with bracket(s, xi) = -2 trace + 2 init_conv - 2 nonlin_conv evaluated
     on a midpoint lattice over [t_in, tau] x ball.  The sign of the
     nonlinear part outside the series is printed both ways in the source
-    formulas; ``n_term_sign`` selects the variant and the Duhamel residual
-    arbitrates which one is used downstream.  All three ingredients are
+    formulas; ``n_term_sign`` selects the variant.  Nothing arbitrates
+    between the two yet: ``duhamel_residual`` has no lateral-boundary term,
+    and no experiment calls this function.  All three ingredients are
     callables (s, points) -> values.
     """
     if n_term_sign not in (-1, 1):

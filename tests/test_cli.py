@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import struct
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslb.cli import main
+from nslb.cli import EXPERIMENTS, SCHEMAS, ConfigError, _load, main
 from nslb.snapshots import MAGIC, VERSION, SnapshotError, read_snapshot, write_snapshot
 from nslb.spectral import PhysicalField, TorusGrid
 
@@ -233,7 +234,7 @@ def test_misspelt_boolean_exits_2(tmp_path, capsys, spelling):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "snapshots" in err
-    assert not list((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_integer_resolution_exits_2(tmp_path, capsys):
@@ -257,6 +258,9 @@ def test_non_integer_resolution_exits_2(tmp_path, capsys):
         ("rescale-audit", "[rescale]\nsweep_points = 0\n", "[rescale] sweep_points"),
         ("rescale-audit", "[rescale]\nsweep_points = 1\n", "[rescale] sweep_points"),
         ("fit-singularity", "[fitting]\nsamples = 10\n", "[fitting] samples"),
+        ("transform-check", "[physics]\nnu = 0\n", "[physics] nu"),
+        ("transform-check", "[physics]\nnu = -1\n", "[physics] nu"),
+        ("fit-singularity", "[fitting]\nnoise = -0.5\n", "[fitting] noise"),
     ],
     ids=[
         "deltas",
@@ -270,6 +274,9 @@ def test_non_integer_resolution_exits_2(tmp_path, capsys):
         "no-sweep-points",
         "one-sweep-point",
         "few-samples",
+        "zero-nu",
+        "negative-nu",
+        "negative-noise",
     ],
 )
 def test_bad_list_field_exits_2(tmp_path, capsys, experiment, text, field):
@@ -277,13 +284,112 @@ def test_bad_list_field_exits_2(tmp_path, capsys, experiment, text, field):
     # ladder that does not strictly increase cannot show convergence, and a
     # single resolution makes the order 0/0; one diffusivity makes the
     # invariance spread 0 by construction; an empty sweep or a sample count
-    # the fit rejects must be named as the field, not as a bare error
+    # the fit rejects must be named as the field, not as a bare error; a
+    # viscosity of 0 or a negative noise level would run and pass
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err
-    assert not list(out.glob("*"))
+    assert not out.exists()
+
+
+def simulate_cfg(changes):
+    """SIMULATE_CFG with whole lines replaced (old line -> new text; "" drops it)."""
+    lines = [changes.get(line, line) for line in SIMULATE_CFG.splitlines()]
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, text, field",
+    [
+        ("simulate", simulate_cfg({"n = 2": "n = 4"}), "[grid] n"),
+        ("simulate", simulate_cfg({"N = 32": "N = 6"}), "[grid] N"),
+        ("simulate", simulate_cfg({"nu = 0.1": "nu = 0"}), "[physics] nu"),
+        ("simulate", simulate_cfg({"dt = 0.001": "dt = 0.003", "t_end = 0.1": "t_end = 0.002"}), "[physics] t_end"),
+        ("simulate", simulate_cfg({"initial = taylor-green": "initial = vortex"}), "[physics] initial"),
+        ("simulate", simulate_cfg({"n = 2": "n = 3", "initial = taylor-green": ""}), "[physics] initial"),
+        ("simulate", simulate_cfg({"snapshot_stride = 10": "snapshot_strid = 10"}), "[physics] snapshot_strid"),
+        ("simulate", simulate_cfg({"snapshots = true": "snapshot = true"}), "[output] snapshot"),
+        ("simulate", SIMULATE_CFG + "[phyiscs]\nnu = 0.1\n", "[phyiscs] nu"),
+        ("simulate", "[DEFAULT]\nnu = 0.1\n" + simulate_cfg({"nu = 0.1": ""}), "[DEFAULT] nu"),
+        ("transform-check", "[cone]\nt_1 = 1.5\n", "[cone] t_1"),
+        ("fit-singularity", "[fitting]\nlambdas = -0.2\n", "[fitting] lambdas"),
+        ("verify-kernels", "[kernels]\ndeltas = 1.5\n", "[kernels] deltas"),
+        ("verify-kernels", "[kernels]\nnus = -0.1 1.0\n", "[kernels] nus"),
+        ("verify-kernels", "[grid]\nn = 4\n", "[grid] n"),
+        ("rescale-audit", "[physics]\nnu = 0\n", "[physics] nu"),
+        ("duhamel-residual", "[kernels]\nresolutions = 5 9\n", "[kernels] resolutions"),
+        ("duhamel-residual", "[kernels]\nnu_eff = 0\n", "[kernels] nu_eff"),
+    ],
+    ids=[
+        "dimension-4",
+        "odd-small-N",
+        "zero-nu",
+        "t_end-not-whole-steps",
+        "unknown-initial",
+        "taylor-green-in-3d",
+        "misspelt-key",
+        "misspelt-output-key",
+        "unknown-section",
+        "default-section",
+        "entry-after-singular-time",
+        "negative-lambda",
+        "delta-above-1",
+        "negative-diffusivity",
+        "kernel-dimension-4",
+        "rescale-zero-nu",
+        "coarse-balls",
+        "zero-nu-eff",
+    ],
+)
+def test_config_fault_exits_2_before_out_exists(tmp_path, capsys, experiment, text, field):
+    # each input fails a key's bound or a library type's own check; both are
+    # found before the run, so nothing is written and the field is named
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not out.exists()
+
+
+def test_run_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
+    # a failure after the config check is the run's, not the config's
+    def broken(*args, **kwargs):
+        raise ValueError("right-hand side is not finite")
+
+    monkeypatch.setattr("nslb.cone.poisson_dirichlet", broken)
+    out = tmp_path / "out"
+    assert main(["transform-check", "--config", str(write_config(tmp_path, "")), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" not in err
+    assert "transform-check failed" in err and "right-hand side is not finite" in err
+    assert out.is_dir() and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_key_table_is_well_formed(experiment):
+    # values land on one namespace by key name, and a build's error names the
+    # keys it reads, so names must be unique and reads must name table keys
+    keys, builds = SCHEMAS[experiment]
+    names = [key for _, key in keys]
+    assert len(set(names)) == len(names)
+    assert not set(names) & set(builds) and "rng" not in names
+    for make, *reads in builds.values():
+        assert reads and set(reads) <= set(names)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_empty_config_runs_on_defaults_or_names_every_required_key(tmp_path, experiment):
+    # simulate has the only required keys; the other tables load on defaults
+    path = write_config(tmp_path, "")
+    if experiment != "simulate":
+        _load(path, experiment, np.random.default_rng(0))
+        return
+    with pytest.raises(ConfigError) as info:
+        _load(path, experiment, np.random.default_rng(0))
+    for field in ("[grid] N", "[physics] nu", "[physics] dt", "[physics] t_end"):
+        assert f"missing required field {field}" in str(info.value)
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -344,12 +450,24 @@ def test_committed_config_passes_and_is_deterministic(tmp_path, config):
     assert reports[0] == reports[1]
 
 
+def test_benchmark_and_committed_configs_pass_the_config_check(tmp_path):
+    # a wrong table row would otherwise first show up as a failed benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_child", CONFIGS.parent / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    configs = [(write_config(tmp_path, child.SOLVER_CONFIG), "simulate")]
+    configs += [(CONFIGS / name, experiment) for name, experiment in CONFIG_EXPERIMENTS.items()]
+    assert sorted(CONFIG_EXPERIMENTS) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
+    for path, experiment in configs:
+        _load(path, experiment, np.random.default_rng(0))
+
+
 def test_config_named_for_another_experiment_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify-kernels", "--config", str(CONFIGS / "taylor_green.cfg"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "[experiment] name" in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_config_named_for_its_experiment_runs_and_sidecar_records_environment(tmp_path):
