@@ -25,9 +25,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import numpy.random  # numpy 2 imports it on first attribute use, which would fall inside a run
 import scipy
 
 from . import __version__
+from ._compiled import KERNEL_FILES
 from .cone import ConeSpec, BallGrid, CylinderSpec, dtau_dt, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
 from .dynamics import SolverConfig, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
@@ -133,7 +135,7 @@ def _initial_field(p):
         ("grid", "n"): (int, 2),
         ("grid", "N"): (int, ...),
         ("physics", "initial"): (str, "taylor-green", lambda v: v in ("taylor-green", "random"), "must be taylor-green or random"),
-        ("physics", "amplitude"): (float, 1.0),
+        ("physics", "amplitude"): (float, 1.0, lambda x: x != 0, "must be nonzero: a zero field passes every check vacuously"),
         ("physics", "nu"): (float, ...),
         ("physics", "dt"): (float, ...),
         ("physics", "t_end"): (float, ...),
@@ -324,7 +326,7 @@ def run_fit_singularity(p, out: Path):
 @_register(
     "verify-kernels",
     {
-        ("grid", "n"): (int, 3),
+        ("grid", "n"): (int, 3, lambda n: n in (2, 3), "must be 2 or 3: the kernel bound needs every delta < n/2"),
         ("kernels", "deltas"): (_list, (0.25, 0.5, 0.75, 0.9), lambda ds: all(0 < d < 1 for d in ds), "must lie in (0, 1)"),
         ("kernels", "nus"): (_list, (0.01, 0.1, 1.0), lambda nus: len(set(nus)) > 1, "need two distinct: one has spread 0"),
     },
@@ -560,18 +562,13 @@ def _json_default(obj):
 
 
 def _environment():
-    """Interpreter and library versions, and the public scipy subpackages
-    loaded so far: an import regression shows up here without a profiler."""
-    subpackages = [
-        name
-        for name, mod in list(sys.modules.items())
-        if name.startswith("scipy.") and name.count(".") == 1 and not name.startswith("scipy._") and hasattr(mod, "__path__")
-    ]
+    """Interpreter and library versions, and the compiled scipy files nslb
+    loaded in place of scipy's Python packages."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "scipy_subpackages": sorted(subpackages),
+        "scipy_kernels": sorted(path.name for path in KERNEL_FILES),
     }
 
 

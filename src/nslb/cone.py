@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
+
+from ._compiled import CSRMatrix
 
 __all__ = [
     "ConeSpec",
@@ -258,7 +259,7 @@ def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid) -> Compa
 
 
 def _poisson_system(ball: BallGrid, rhs, bvals):
-    """Sparse matrix (CSR) and right-hand side of the interior Dirichlet problem.
+    """Sparse matrix (canonical CSR) and right-hand side of the interior Dirichlet problem.
 
     One row per interior node in ``np.argwhere`` order: the 2n-point
     Laplacian, with each neighbour on the boundary ring moved into the
@@ -286,9 +287,7 @@ def _poisson_system(ball: BallGrid, rhs, bvals):
             cols.append(idx[nb][inner])
             data.append(np.full(int(inner.sum()), 1.0 / h2))
             b[~inner] -= bvals[nb][~inner] / h2
-    mat = scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m_int, m_int)
-    )
+    mat = CSRMatrix.from_entries(np.concatenate(rows), np.concatenate(cols), np.concatenate(data), m_int)
     return mat, b
 
 

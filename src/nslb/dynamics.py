@@ -6,7 +6,8 @@ the viscous semigroup exp(-4 pi^2 nu |alpha|^2 dt) is applied exactly and
 RK4 handles only the projected advection term.
 
 The loop runs on the real-to-complex half spectrum (last-axis wavenumbers
-0..N/2, the rest follow from conjugate symmetry) through ``scipy.fft``.
+0..N/2, the rest follow from conjugate symmetry) through scipy's compiled
+pocketfft transforms (``_compiled``).
 The advection term is evaluated in divergence form, P[div(v (x) v)]:
 n inverse transforms for the velocity and one batched forward transform
 of the n(n+1)/2 products v_i v_j.  For a solenoidal state kept inside
@@ -26,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
+from ._compiled import irfftn_forward, rfftn_forward
 from .spectral import (
     SpectralField,
     TorusGrid,
@@ -146,8 +147,8 @@ class _HalfSpectrum:
     """Per-run operators of the IF-RK4 loop on the ``rfftn`` half lattice.
 
     The loop state is the raw half spectrum c = (phase * modes)[..., :N/2+1]:
-    unphased coefficients, so that ``scipy.fft`` maps them straight to grid
-    values.  The (-1)^(alpha_1+...+alpha_n) phase commutes with every
+    unphased coefficients, so that the real transforms map them straight to
+    grid values.  The (-1)^(alpha_1+...+alpha_n) phase commutes with every
     diagonal operator here and is applied only when a full-lattice field is
     rebuilt.  The last half-lattice plane holds the Nyquist wavenumber,
     stored as -N/2 as on the full lattice; every operator is even in alpha
@@ -215,11 +216,11 @@ class _HalfSpectrum:
     def nonlinear(self, c):
         """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c,
         as a new array."""
-        vel = scipy.fft.irfftn(c, s=self.grid.shape, axes=self.axes, norm="forward")
+        vel = irfftn_forward(c, self.axes, self.grid.N)
         prods = self._prods
         for p, (i, j) in enumerate(self.pairs):
             np.multiply(vel[i], vel[j], out=prods[p])
-        w = scipy.fft.rfftn(prods, axes=self.axes, norm="forward")
+        w = rfftn_forward(prods, self.axes)
         out = np.empty(c.shape, dtype=complex)
         term = self._term
         for i, k_i in enumerate(self.K):

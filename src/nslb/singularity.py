@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2 imports it on first attribute use, which would fall inside a run
 
 from .cone import ConeSpec
 

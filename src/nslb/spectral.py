@@ -16,7 +16,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+import numpy.fft  # numpy 2 imports it on first attribute use, which would fall inside a run
+
+from ._compiled import irfftn_forward
 
 __all__ = [
     "TorusGrid",
@@ -212,7 +214,7 @@ def _hermitian_to_grid(v: SpectralField) -> PhysicalField:
     grid = v.grid
     half = (Ellipsis, slice(0, grid.N // 2 + 1))
     c = v.modes[half] * _mode_phase(grid)[half]
-    vals = scipy.fft.irfftn(c, s=grid.shape, axes=tuple(range(1, 1 + grid.n)), norm="forward")
+    vals = irfftn_forward(c, tuple(range(1, 1 + grid.n)), grid.N)
     return PhysicalField(grid, vals)
 
 

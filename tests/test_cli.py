@@ -306,6 +306,7 @@ def simulate_cfg(changes):
         ("simulate", simulate_cfg({"n = 2": "n = 4"}), "[grid] n"),
         ("simulate", simulate_cfg({"N = 32": "N = 6"}), "[grid] N"),
         ("simulate", simulate_cfg({"nu = 0.1": "nu = 0"}), "[physics] nu"),
+        ("simulate", simulate_cfg({"amplitude = 1.0": "amplitude = 0"}), "[physics] amplitude"),
         ("simulate", simulate_cfg({"dt = 0.001": "dt = 0.003", "t_end = 0.1": "t_end = 0.002"}), "[physics] t_end"),
         ("simulate", simulate_cfg({"initial = taylor-green": "initial = vortex"}), "[physics] initial"),
         ("simulate", simulate_cfg({"n = 2": "n = 3", "initial = taylor-green": ""}), "[physics] initial"),
@@ -318,6 +319,7 @@ def simulate_cfg(changes):
         ("verify-kernels", "[kernels]\ndeltas = 1.5\n", "[kernels] deltas"),
         ("verify-kernels", "[kernels]\nnus = -0.1 1.0\n", "[kernels] nus"),
         ("verify-kernels", "[grid]\nn = 4\n", "[grid] n"),
+        ("verify-kernels", "[grid]\nn = 1\n", "[grid] n"),
         ("rescale-audit", "[physics]\nnu = 0\n", "[physics] nu"),
         ("duhamel-residual", "[kernels]\nresolutions = 5 9\n", "[kernels] resolutions"),
         ("duhamel-residual", "[kernels]\nnu_eff = 0\n", "[kernels] nu_eff"),
@@ -326,6 +328,7 @@ def simulate_cfg(changes):
         "dimension-4",
         "odd-small-N",
         "zero-nu",
+        "zero-amplitude",
         "t_end-not-whole-steps",
         "unknown-initial",
         "taylor-green-in-3d",
@@ -338,6 +341,7 @@ def simulate_cfg(changes):
         "delta-above-1",
         "negative-diffusivity",
         "kernel-dimension-4",
+        "kernel-dimension-1",
         "rescale-zero-nu",
         "coarse-balls",
         "zero-nu-eff",
@@ -475,11 +479,11 @@ def test_config_named_for_its_experiment_runs_and_sidecar_records_environment(tm
     assert main(["simulate", "--config", str(CONFIGS / "taylor_green.cfg"), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["experiment"] == "simulate"
     env = json.loads((out / "report.meta.json").read_text())["environment"]
-    assert set(env) == {"python", "numpy", "scipy", "scipy_subpackages"}
+    assert set(env) == {"python", "numpy", "scipy", "scipy_kernels"}
     assert env["numpy"] == np.__version__
-    subpackages = env["scipy_subpackages"]
-    assert subpackages == sorted(subpackages)
-    assert {"scipy.fft", "scipy.sparse"} <= set(subpackages)
+    kernels = env["scipy_kernels"]
+    assert kernels == sorted(kernels) and len(kernels) == 2
+    assert kernels[0].startswith("_sparsetools") and kernels[1].startswith("pypocketfft")
 
 
 def test_nslb_threads_applied_before_numpy_loads():

@@ -1,0 +1,125 @@
+"""The compiled scipy kernels nslb loads by path agree bit for bit with
+scipy's public fft and sparse packages, imported here in the same process."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+import scipy.fft
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nslb import _compiled
+from nslb._compiled import CSRMatrix, irfftn_forward, rfftn_forward
+from nslb.cone import BallGrid, _poisson_system
+from oracles import loop_poisson_system
+
+transforms = dict(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 16, 32]),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**transforms)
+def test_rfftn_forward_matches_scipy_fft(n, N, batch, seed):
+    x = np.random.default_rng(seed).normal(size=tuple(batch) + (N,) * n)
+    axes = tuple(range(len(batch), x.ndim))
+    assert np.array_equal(rfftn_forward(x, axes), scipy.fft.rfftn(x, axes=axes, norm="forward"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**transforms)
+def test_irfftn_forward_matches_scipy_fft(n, N, batch, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch) + (N,) * (n - 1) + (N // 2 + 1,)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    axes = tuple(range(len(batch), c.ndim))
+    want = scipy.fft.irfftn(c, s=(N,) * n, axes=axes, norm="forward")
+    assert np.array_equal(irfftn_forward(c, axes, N), want)
+
+
+@pytest.mark.parametrize("n, m", [(2, 17), (2, 129), (3, 33)])
+def test_poisson_matvec_matches_csr_matrix(n, m):
+    ball = BallGrid(n, 0.5, m)
+    rng = np.random.default_rng(100 * n + m)
+    rhs = rng.normal(size=ball.mask.shape)
+    bvals = rng.normal(size=ball.mask.shape)
+    mat, _ = _poisson_system(ball, rhs, bvals)
+    want, _ = loop_poisson_system(ball, rhs, bvals)
+    for _ in range(3):
+        p = rng.normal(size=mat.size)
+        assert np.array_equal(mat @ p, want @ p)
+        assert np.array_equal(-mat @ p, -want @ p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 60), density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_random_symmetric_matvec_matches_csr_matrix(size, density, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((size, size)) < density)
+    rows, cols = np.nonzero(upper | upper.T)
+    values = rng.normal(size=(size, size))
+    data = (values + values.T)[rows, cols]
+    order = rng.permutation(rows.size)  # entries in no particular order
+    rows, cols, data = rows[order], cols[order], data[order]
+    mat = CSRMatrix.from_entries(rows, cols, data, size)
+    want = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mat, name), getattr(want, name))
+    x = rng.normal(size=size)
+    assert np.array_equal(mat @ x, want @ x)
+
+
+def test_csr_matrix_rejects_indices_the_kernel_would_read_out_of_bounds():
+    rows, cols, data = np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="column index"):
+        CSRMatrix.from_entries(rows, cols + 1, data, 2)
+    mat = CSRMatrix.from_entries(rows, cols, data, 2)
+    with pytest.raises(ValueError, match="length 2"):
+        mat @ np.ones(3)
+
+
+def test_loader_names_scipy_version_and_missing_file(tmp_path):
+    with pytest.raises(ImportError) as err:
+        _compiled._load_kernels(tmp_path)
+    message = str(err.value)
+    assert f"scipy {scipy.__version__}" in message
+    assert "fft/_pocketfft/pypocketfft" in message and str(tmp_path) in message
+
+
+def test_loader_rejects_changed_kernels():
+    pocketfft = types.ModuleType("scipy.fft._pocketfft.pypocketfft")
+    sparsetools = types.ModuleType("scipy.sparse._sparsetools")
+    pocketfft.r2c, pocketfft.c2r = _compiled._r2c, _compiled._c2r
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}: .*has no function csr_matvec"):
+        _compiled._checked(pocketfft, sparsetools)
+    sparsetools.csr_matvec = _compiled._csr_matvec
+    pocketfft.r2c = lambda x, axes, forward, norm, out, workers: scipy.fft.rfftn(x, axes=axes)
+    with pytest.raises(ImportError, match="no longer give the forward-normalised"):
+        _compiled._checked(pocketfft, sparsetools)
+    pocketfft.r2c = lambda x, axes, forward: None
+    with pytest.raises(ImportError, match="rejected nslb's call"):
+        _compiled._checked(pocketfft, sparsetools)
+
+
+def test_scipy_packages_imported_after_nslb_bind_the_same_kernels():
+    # nslb loads the kernels before their packages exist; importing the
+    # packages afterwards must still bind them as package attributes
+    code = (
+        "import nslb.cli, scipy.fft, scipy.sparse\n"
+        "from nslb import _compiled\n"
+        "assert scipy.sparse._sparsetools.csr_matvec is _compiled._csr_matvec\n"
+        "assert scipy.fft._pocketfft.pypocketfft.r2c is _compiled._r2c\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

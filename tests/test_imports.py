@@ -13,8 +13,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nslb"
 
-# heavy scipy subpackages no nslb module needs at import time
-UNLOADED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+# scipy's Python packages, and what their init imports: nslb loads only the
+# compiled kernels it calls (nslb._compiled)
+UNLOADED = (
+    "scipy.fft",
+    "scipy.sparse",
+    "scipy.special",
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "numpy.f2py",
+)
 
 
 def _perfbench_modules():
@@ -31,22 +41,30 @@ def test_nslb_modules_leave_heavy_scipy_unloaded():
         "import importlib, json, sys\n"
         f"for name in {list(modules)!r}:\n"
         "    importlib.import_module('nslb.' + name)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py')))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = set(json.loads(done.stdout))
-    assert {"scipy.fft", "scipy.sparse"} <= loaded
     assert [name for name in UNLOADED if name in loaded] == []
+
+
+def _sources_naming(*subpackages):
+    alternatives = "|".join(subpackages)
+    pattern = re.compile(rf"scipy\.({alternatives})\b|from\s+scipy\s+import\s+[^\n]*\b({alternatives})\b")
+    return [str(path.relative_to(ROOT)) for path in sorted(SRC.rglob("*.py")) if pattern.search(path.read_text())]
 
 
 def test_no_source_file_names_scipy_integrate():
     # a call-site import would pass the subprocess test above while moving
     # the import cost from set-up into the run itself
-    pattern = re.compile(r"scipy\.integrate|from\s+scipy\s+import\s+[^\n]*\bintegrate\b")
-    offenders = [str(path.relative_to(ROOT)) for path in sorted(SRC.rglob("*.py")) if pattern.search(path.read_text())]
-    assert offenders == []
+    assert _sources_naming("integrate") == []
+
+
+def test_no_source_file_names_scipy_fft_or_sparse():
+    # the same for the two packages whose compiled kernels nslb loads itself
+    assert _sources_naming("fft", "sparse") == []
 
 
 def test_every_public_library_function_is_in_all():
