@@ -37,7 +37,7 @@ from .kernels import KernelSpec, duhamel_residual, elliptic_integral_check, gaus
 from .rescale import RescaleParams, growth_exponent, increment_bound_check, mu_of_s, r_policy, s_of_t
 from .singularity import MIN_SAMPLES, ckn_gate, fit_singularity_orders, sample_smooth_field, synthesize_singular_field
 from .snapshots import write_snapshot
-from .spectral import TorusGrid, _hermitian_to_grid, divergence, sobolev_norm
+from .spectral import TorusGrid, divergence, sobolev_norm, to_grid
 
 EXPERIMENTS = {}  # name -> run(p, out), p the checked parameters
 SCHEMAS = {}  # name -> (key table, builds), checked by _load
@@ -150,9 +150,8 @@ def run_simulate(p, out: Path):
     rows = []
 
     def observe(t, f):
-        # simulate records exactly conjugate-symmetric fields
         if p.snapshots:
-            write_snapshot(out / f"state_{len(rows):05d}.nslb", _hermitian_to_grid(f), t)
+            write_snapshot(out / f"state_{len(rows):05d}.nslb", to_grid(f), t)
         rows.append(
             {
                 "time": float(t),
@@ -572,12 +571,23 @@ def _environment():
     }
 
 
+def _u64(raw):
+    """An integer seed in [0, 2^64); argparse turns the error into exit 2."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"{seed} is outside the u64 range [0, 2^64)")
+    return seed
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="nslb", description="Navier-Stokes laboratory batch runner")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--config", required=True, help="flat INI config file")
     parser.add_argument("--out", default=None, help="output directory (default: alongside the config)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
+    parser.add_argument("--seed", type=_u64, default=0, help="RNG seed (u64)")
     args = parser.parse_args(argv)
 
     started = _time.time()

@@ -1,13 +1,14 @@
 """Time integration of the projected Navier-Stokes system on the torus,
-with energy and weak-strong uniqueness diagnostics.
+with the energy-inequality diagnostic.
 
 The integrator is classical RK4 applied in integrating-factor variables:
 the viscous semigroup exp(-4 pi^2 nu |alpha|^2 dt) is applied exactly and
 RK4 handles only the projected advection term.
 
 The loop runs on the real-to-complex half spectrum (last-axis wavenumbers
-0..N/2, the rest follow from conjugate symmetry) through scipy's compiled
-pocketfft transforms (``_compiled``).
+0..N/2, the rest follow from conjugate symmetry; ``spectral._half`` and
+``spectral._full`` convert) through scipy's compiled pocketfft transforms
+(``_compiled``).
 The advection term is evaluated in divergence form, P[div(v (x) v)]:
 n inverse transforms for the velocity and one batched forward transform
 of the n(n+1)/2 products v_i v_j.  For a solenoidal state kept inside
@@ -29,16 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import (
-    SpectralField,
-    TorusGrid,
-    _mode_phase,
-    _reflect,
-    dealias,
-    dealias_mask,
-    hermitian_symmetrize,
-    to_grid,
-)
+from .spectral import SpectralField, TorusGrid, _full, _half, dealias, dealias_mask, hermitian_symmetrize
 from .leray import _project_modes, leray_project
 
 __all__ = [
@@ -47,10 +39,8 @@ __all__ = [
     "rhs",
     "simulate",
     "hopf_energy_check",
-    "weak_strong_bound",
     "energy",
     "gradient_energy",
-    "l4_norm",
 ]
 
 
@@ -136,23 +126,16 @@ def gradient_energy(v: SpectralField) -> float:
     return float(np.sum(4 * np.pi**2 * v.grid.alpha_sq() * np.abs(v.modes) ** 2))
 
 
-def l4_norm(v: SpectralField) -> float:
-    """L4 norm of the pointwise Euclidean magnitude of v."""
-    vals = to_grid(v).values
-    mag_sq = np.sum(vals**2, axis=0)
-    return float(np.mean(mag_sq**2) ** 0.25)
-
-
 class _HalfSpectrum:
     """Per-run operators of the IF-RK4 loop on the ``rfftn`` half lattice.
 
     The loop state is the raw half spectrum c = (phase * modes)[..., :N/2+1]:
     unphased coefficients, so that the real transforms map them straight to
-    grid values.  The (-1)^(alpha_1+...+alpha_n) phase commutes with every
-    diagonal operator here and is applied only when a full-lattice field is
-    rebuilt.  The last half-lattice plane holds the Nyquist wavenumber,
-    stored as -N/2 as on the full lattice; every operator is even in alpha
-    or zero there.
+    grid values (``spectral._half``).  The (-1)^(alpha_1+...+alpha_n) phase
+    commutes with every diagonal operator here and is applied only when a
+    full-lattice field is rebuilt (``spectral._full``).  The last
+    half-lattice plane holds the Nyquist wavenumber, stored as -N/2 as on
+    the full lattice; every operator is even in alpha or zero there.
 
     The advection term -c * mask * P[div(v (x) v)] is linear in the product
     transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is applied as
@@ -172,7 +155,6 @@ class _HalfSpectrum:
         lin = -cfg.nu * 4 * np.pi**2 * asq
         self.e_full = np.exp(lin * cfg.dt)
         self.e_half = np.exp(lin * cfg.dt / 2)
-        self.phase = _mode_phase(grid)[half]
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         half_shape = asq.shape
         scale = 2 * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
@@ -185,28 +167,6 @@ class _HalfSpectrum:
             self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
         self._prods = np.empty((len(self.pairs),) + grid.shape)
         self._term = np.empty(half_shape, dtype=complex)
-
-    def half(self, modes):
-        """Raw half spectrum of full-lattice (phased) modes."""
-        return modes[..., : self.grid.N // 2 + 1] * self.phase
-
-    def full(self, c):
-        """Full-lattice phased modes rebuilt by v_{-alpha} = conj(v_alpha).
-
-        The last-axis planes 0 and N/2 are their own mirror images; they are
-        made exactly conjugate-symmetric, which is the part the inverse real
-        transform reads.
-        """
-        N = self.grid.N
-        plane_axes = tuple(range(c.ndim - self.grid.n, c.ndim - 1))
-        c = c * self.phase
-        out = np.empty(c.shape[:-1] + (N,), dtype=complex)
-        out[..., : N // 2 + 1] = c
-        out[..., N // 2 + 1 :] = _reflect(np.conj(c[..., N // 2 - 1 : 0 : -1]), plane_axes)
-        for k in (0, N // 2):
-            plane = out[..., k]
-            out[..., k] = 0.5 * (plane + _reflect(np.conj(plane), plane_axes))
-        return out
 
     def abs_sum(self, c):
         """sum |v_alpha| over the full lattice: last-axis wavenumbers 1..N/2-1 count twice."""
@@ -241,7 +201,7 @@ def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
     """
     op = _HalfSpectrum(v.grid, cfg)
     lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
-    return SpectralField(v.grid, lin * v.modes + op.full(op.nonlinear(op.half(v.modes))))
+    return SpectralField(v.grid, lin * v.modes + _full(op.nonlinear(_half(v.modes, v.grid)), v.grid))
 
 
 def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
@@ -269,7 +229,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
         raise ValueError(f"initial field is not conjugate-symmetric (anti-Hermitian part {asym:.3e})")
 
     op = _HalfSpectrum(grid, cfg)
-    m = op.half(state)
+    m = _half(state, grid)
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt
@@ -281,7 +241,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     times, energies, grads, snaps = [], [], [], []
 
     def record(t):
-        f = SpectralField(grid, op.full(m))
+        f = SpectralField(grid, _full(m, grid))
         times.append(t)
         energies.append(energy(f))
         grads.append(gradient_energy(f))
@@ -368,42 +328,3 @@ def hopf_energy_check(traj: Trajectory, cfg: SolverConfig, tol=1e-8) -> HopfRepo
     dissip = np.concatenate(([0.0], _cumulative_trapezoid(traj.gradient_energies, traj.times)))
     max_violation = float(np.max(kinetic + cfg.nu * dissip - kinetic[0]))
     return HopfReport(max_violation, tol, max_violation <= tol, float(kinetic[0]))
-
-
-@dataclass(frozen=True)
-class WeakStrongReport:
-    c_min: float
-    p: int
-    initial_gap: float
-    max_gap: float
-    finite: bool
-
-
-def weak_strong_bound(traj_a: Trajectory, traj_b: Trajectory) -> WeakStrongReport:
-    """Smallest C for which |a-b|^2(t) <= |a-b|^2(0) exp(C int (|a|_L4^p + |a|_L4^2)).
-
-    traj_a plays the role of the regular solution in the exponent; p is 8 in
-    three dimensions and 4 in two.  Trajectories must share grid and times.
-    """
-    if traj_a.grid != traj_b.grid:
-        raise ValueError("trajectories live on different grids")
-    if not (traj_a.snapshots and traj_b.snapshots):
-        raise ValueError("weak_strong_bound needs the snapshots of both trajectories; run simulate without observe")
-    if traj_a.times.size != traj_b.times.size or not np.allclose(traj_a.times, traj_b.times):
-        raise ValueError("trajectories sample different times")
-    n = traj_a.grid.n
-    p = 8 if n == 3 else 4
-    times = traj_a.times
-    gaps = np.array(
-        [2.0 * energy(fa - fb) for fa, fb in zip(traj_a.snapshots, traj_b.snapshots)]
-    )  # |a-b|_L2^2
-    l4 = np.array([l4_norm(f) for f in traj_a.snapshots])
-    integrand = l4**p + l4**2
-    d0 = gaps[0]
-    if d0 == 0.0:
-        finite = bool(np.max(gaps) <= 1e-14 * max(1.0, float(np.max(traj_a.energies))))
-        return WeakStrongReport(0.0, p, 0.0, float(np.max(gaps)), finite)
-    integral = _cumulative_trapezoid(integrand, times)
-    grows = integral > 0
-    c_needed = np.max(np.log(gaps[1:][grows] / d0) / integral[grows], initial=0.0)
-    return WeakStrongReport(float(c_needed), p, float(d0), float(np.max(gaps)), True)

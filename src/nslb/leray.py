@@ -27,12 +27,9 @@ def velocity_gradient_contraction(v: SpectralField) -> SpectralField:
     """Mode array of sum_{i,j} v_{i,j} v_{j,i}, dealiased (scalar field)."""
     grid = v.grid
     n = grid.n
-    # grid values of all partials d v_i / d x_j
-    dgrids = np.empty((n, n) + grid.shape)
-    for i in range(n):
-        for j in range(n):
-            dmodes = 2j * np.pi * grid.alpha(j) * v.modes[i]
-            dgrids[i, j] = to_grid(SpectralField(grid, dmodes[None])).values[0]
+    # grid values of all partials d v_i / d x_j, in one transform
+    dmodes = np.stack([2j * np.pi * grid.alpha(j) * v.modes[i] for i in range(n) for j in range(n)])
+    dgrids = to_grid(SpectralField(grid, dmodes)).values.reshape((n, n) + grid.shape)
     contraction = np.zeros(grid.shape)
     for i in range(n):
         for j in range(n):

@@ -8,6 +8,12 @@ so all 2*pi factors live in the mode formulas and the physical grid is
 the uniform lattice x_j = -0.5 + j/N.  Real-valued fields carry the
 conjugate symmetry f_{-alpha} = conj(f_alpha); it is enforced on entry,
 never assumed.
+
+Both transforms are scipy's compiled real pocketfft kernels (``_compiled``)
+on the half spectrum, last-axis wavenumbers 0..N/2: ``to_modes`` rebuilds
+the full lattice from it by the symmetry, and ``to_grid`` transforms the
+half spectrum of the field's conjugate-symmetric part.  ``_half`` and
+``_full`` convert between the two lattices; the solver runs on the half.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.fft  # numpy 2 imports it on first attribute use, which would fall inside a run
 
-from ._compiled import irfftn_forward
+from ._compiled import irfftn_forward, rfftn_forward
 
 __all__ = [
     "TorusGrid",
@@ -66,7 +71,7 @@ class TorusGrid:
 
     def wavenumbers(self):
         """Integer wavenumbers of one axis in FFT order (Nyquist stored as -N/2)."""
-        return np.fft.fftfreq(self.N, 1.0 / self.N)
+        return ((np.arange(self.N) + self.N // 2) % self.N - self.N // 2).astype(float)
 
     def alpha(self, axis):
         """Wavenumbers of one axis, broadcastable against an N^n array."""
@@ -183,39 +188,66 @@ def hermitian_symmetrize(modes, grid):
     return 0.5 * (modes + _reflect(np.conj(modes), axes))
 
 
+def _half_phase(grid):
+    return _mode_phase(grid)[..., : grid.N // 2 + 1]
+
+
+def _half(modes, grid):
+    """Raw half spectrum of full-lattice (phased) modes: the coefficients
+    the real transforms map straight to grid values."""
+    return modes[..., : grid.N // 2 + 1] * _half_phase(grid)
+
+
+def _full(c, grid):
+    """Full-lattice phased modes rebuilt from the raw half spectrum c by
+    v_{-alpha} = conj(v_alpha).
+
+    The last-axis planes 0 and N/2 are their own mirror images; they are
+    made exactly conjugate-symmetric, which is the part the inverse real
+    transform reads.
+    """
+    N = grid.N
+    plane_axes = tuple(range(c.ndim - grid.n, c.ndim - 1))
+    c = c * _half_phase(grid)
+    out = np.empty(c.shape[:-1] + (N,), dtype=complex)
+    out[..., : N // 2 + 1] = c
+    out[..., N // 2 + 1 :] = _reflect(np.conj(c[..., N // 2 - 1 : 0 : -1]), plane_axes)
+    for k in (0, N // 2):
+        plane = out[..., k]
+        out[..., k] = 0.5 * (plane + _reflect(np.conj(plane), plane_axes))
+    return out
+
+
+@functools.cache
+def _half_mirror(grid):
+    """(flat full-lattice index of -alpha, 0.5 * phase) for each alpha of
+    the half lattice (built once per grid, read-only)."""
+    N = grid.N
+    neg = (N - np.arange(N)) % N
+    index = np.ravel_multi_index(np.ix_(*(neg,) * (grid.n - 1), neg[: N // 2 + 1]), grid.shape)
+    return _read_only(index), _read_only(0.5 * _half_phase(grid))
+
+
 def to_modes(f: PhysicalField) -> SpectralField:
-    """Forward transform; rejects non-finite input, enforces conjugate symmetry."""
+    """Forward transform; rejects non-finite input.  The modes are exactly
+    conjugate-symmetric."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("physical field contains non-finite values")
     grid = f.grid
-    axes = tuple(range(1, 1 + grid.n))
-    raw = np.fft.fftn(f.values, axes=axes) / grid.N**grid.n
-    modes = raw * _mode_phase(grid)
-    modes = hermitian_symmetrize(modes, grid)
-    return SpectralField(grid, modes)
+    return SpectralField(grid, _full(rfftn_forward(f.values, tuple(range(1, 1 + grid.n))), grid))
 
 
 def to_grid(v: SpectralField) -> PhysicalField:
-    """Inverse transform onto the lattice; imaginary residue is discarded."""
+    """Inverse transform onto the lattice: the real part of the full inverse
+    transform, which is the inverse transform of v's conjugate-symmetric
+    part 0.5 (v_alpha + conj v_{-alpha}); only its half spectrum is built."""
     grid = v.grid
-    axes = tuple(range(1, 1 + grid.n))
-    vals = np.fft.ifftn(v.modes * _mode_phase(grid), axes=axes) * grid.N**grid.n
-    return PhysicalField(grid, vals.real)
-
-
-def _hermitian_to_grid(v: SpectralField) -> PhysicalField:
-    """``to_grid`` of an exactly conjugate-symmetric field, by the inverse
-    real transform of its half spectrum (last-axis wavenumbers 0..N/2).
-
-    The inverse real transform reads only the half spectrum and takes the
-    rest from conjugate symmetry, so for any other field it returns the
-    grid values of a different, symmetrized field.
-    """
-    grid = v.grid
-    half = (Ellipsis, slice(0, grid.N // 2 + 1))
-    c = v.modes[half] * _mode_phase(grid)[half]
-    vals = irfftn_forward(c, tuple(range(1, 1 + grid.n)), grid.N)
-    return PhysicalField(grid, vals)
+    index, half_phase = _half_mirror(grid)
+    c = np.take(v.modes.reshape(v.ncomp, -1), index, axis=1)  # v_{-alpha}
+    np.conjugate(c, out=c)
+    c += v.modes[..., : grid.N // 2 + 1]
+    c *= half_phase
+    return PhysicalField(grid, irfftn_forward(c, tuple(range(1, 1 + grid.n)), grid.N))
 
 
 def derivative(v: SpectralField, i: int, k: int) -> SpectralField:

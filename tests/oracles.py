@@ -2,12 +2,19 @@
 
 Everything here is deliberately dumb and direct: explicit mode loops,
 finite differences, and dense quadrature, sharing no code with the FFT or
-solver paths under test.
+solver paths under test.  The exception is the weak-strong uniqueness
+bound at the end, a diagnostic over ``simulate`` trajectories that only
+the tests compute.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 import scipy.sparse
+
+from nslb.dynamics import _cumulative_trapezoid, energy
+from nslb.spectral import to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -330,3 +337,49 @@ def perturbed_taylor_green_values(x, y, amplitude, eps):
         ]
     ) / (4 * np.pi)
     return taylor_green_values(x, y, amplitude) + eps * amplitude * pert
+
+
+def l4_norm(v):
+    """L4 norm of the pointwise Euclidean magnitude of v."""
+    vals = to_grid(v).values
+    mag_sq = np.sum(vals**2, axis=0)
+    return float(np.mean(mag_sq**2) ** 0.25)
+
+
+@dataclass(frozen=True)
+class WeakStrongReport:
+    c_min: float
+    p: int
+    initial_gap: float
+    max_gap: float
+    finite: bool
+
+
+def weak_strong_bound(traj_a, traj_b):
+    """Smallest C for which |a-b|^2(t) <= |a-b|^2(0) exp(C int (|a|_L4^p + |a|_L4^2)).
+
+    traj_a plays the role of the regular solution in the exponent; p is 8 in
+    three dimensions and 4 in two.  Trajectories must share grid and times.
+    """
+    if traj_a.grid != traj_b.grid:
+        raise ValueError("trajectories live on different grids")
+    if not (traj_a.snapshots and traj_b.snapshots):
+        raise ValueError("weak_strong_bound needs the snapshots of both trajectories; run simulate without observe")
+    if traj_a.times.size != traj_b.times.size or not np.allclose(traj_a.times, traj_b.times):
+        raise ValueError("trajectories sample different times")
+    n = traj_a.grid.n
+    p = 8 if n == 3 else 4
+    times = traj_a.times
+    gaps = np.array(
+        [2.0 * energy(fa - fb) for fa, fb in zip(traj_a.snapshots, traj_b.snapshots)]
+    )  # |a-b|_L2^2
+    l4 = np.array([l4_norm(f) for f in traj_a.snapshots])
+    integrand = l4**p + l4**2
+    d0 = gaps[0]
+    if d0 == 0.0:
+        finite = bool(np.max(gaps) <= 1e-14 * max(1.0, float(np.max(traj_a.energies))))
+        return WeakStrongReport(0.0, p, 0.0, float(np.max(gaps)), finite)
+    integral = _cumulative_trapezoid(integrand, times)
+    grows = integral > 0
+    c_needed = np.max(np.log(gaps[1:][grows] / d0) / integral[grows], initial=0.0)
+    return WeakStrongReport(float(c_needed), p, float(d0), float(np.max(gaps)), True)

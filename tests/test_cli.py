@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslb.cli import EXPERIMENTS, SCHEMAS, ConfigError, _load, main
+from nslb.cli import EXPERIMENTS, SCHEMAS, ConfigError, _load, _u64, main
 from nslb.snapshots import MAGIC, VERSION, SnapshotError, read_snapshot, write_snapshot
 from nslb.spectral import PhysicalField, TorusGrid
 
@@ -398,6 +398,22 @@ def test_empty_config_runs_on_defaults_or_names_every_required_key(tmp_path, exp
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5", "seven"])
+def test_seed_outside_u64_exits_2_before_out_exists(tmp_path, capsys, seed):
+    # the usage promises a u64; argparse rejects anything else before the config is read
+    out = tmp_path / "out"
+    config = Path(__file__).resolve().parent.parent / "configs" / "fit_singularity.cfg"
+    with pytest.raises(SystemExit) as info:
+        main(["fit-singularity", "--config", str(config), "--out", str(out), "--seed", seed])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_accepts_both_ends_of_the_u64_range():
+    assert _u64("0") == 0 and _u64(str(2**64 - 1)) == 2**64 - 1
 
 
 def test_assertion_failure_exits_1(tmp_path, capsys):

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nslb"
 
 # scipy's Python packages, and what their init imports: nslb loads only the
-# compiled kernels it calls (nslb._compiled)
+# compiled kernels it calls (nslb._compiled), which are also its only FFT
 UNLOADED = (
     "scipy.fft",
     "scipy.sparse",
@@ -24,6 +24,7 @@ UNLOADED = (
     "scipy.linalg",
     "scipy.sparse.linalg",
     "numpy.f2py",
+    "numpy.fft",
 )
 
 
@@ -41,7 +42,7 @@ def test_nslb_modules_leave_heavy_scipy_unloaded():
         "import importlib, json, sys\n"
         f"for name in {list(modules)!r}:\n"
         "    importlib.import_module('nslb.' + name)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py')))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py', 'numpy.fft')))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -65,6 +66,12 @@ def test_no_source_file_names_scipy_integrate():
 def test_no_source_file_names_scipy_fft_or_sparse():
     # the same for the two packages whose compiled kernels nslb loads itself
     assert _sources_naming("fft", "sparse") == []
+
+
+def test_no_source_file_names_numpy_fft():
+    # pocketfft's real kernels are the one transform backend
+    pattern = re.compile(r"\b(np|numpy)\.fft\b")
+    assert [str(path.relative_to(ROOT)) for path in sorted(SRC.rglob("*.py")) if pattern.search(path.read_text())] == []
 
 
 def test_every_public_library_function_is_in_all():

@@ -5,7 +5,6 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    _hermitian_to_grid,
     _mode_phase,
     hermitian_symmetrize,
     dealias,
@@ -16,6 +15,8 @@ from nslb.spectral import (
     to_modes,
 )
 
+from nslb.dynamics import SolverConfig, simulate
+from nslb.flows import random_divergence_free
 from oracles import centered_difference, grid_l2
 
 
@@ -171,6 +172,11 @@ def test_dealias_rule():
     assert np.max(np.abs(dealias(zero).modes)) == 0.0
 
 
+@pytest.mark.parametrize("N", [8, 10, 12, 16, 32, 48, 64, 96, 100, 128])
+def test_wavenumbers_are_fft_order_integers(N):
+    assert np.array_equal(TorusGrid(2, N).wavenumbers(), np.fft.fftfreq(N, 1.0 / N))
+
+
 @pytest.mark.parametrize("n, N", [(2, 10), (3, 8)])
 def test_per_grid_constants_built_once_and_read_only(n, N):
     grid = TorusGrid(n, N)
@@ -188,16 +194,20 @@ def test_per_grid_constants_built_once_and_read_only(n, N):
     assert asq[(0,) * n] == 0.0 and phase[(0,) * n] == 1.0
 
 
-@pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("n, N", [(2, 16), (2, 32), (3, 8), (3, 12), (3, 16)])
 def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
     # a derivative across the Nyquist plane is not conjugate-symmetric;
-    # to_grid keeps the real part of the full complex inverse transform
+    # to_grid keeps the real part of the full complex inverse transform of
+    # it, and of the exactly conjugate-symmetric fields simulate records
     grid = TorusGrid(n, N)
     d = derivative(to_modes(random_field(grid, 3)), 0, 0)
     assert not np.array_equal(hermitian_symmetrize(d.modes, grid), d.modes)
+    v0 = random_divergence_free(grid, np.random.default_rng(6), kmax=N // 3)
+    records = simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=6e-3)).snapshots
     mesh = np.meshgrid(*(grid.wavenumbers(),) * n, indexing="ij")
     phase = (-1.0) ** sum(k.astype(int) for k in mesh)
-    want = (np.fft.ifftn(d.modes * phase, axes=tuple(range(1, n + 1))) * N**n).real
-    assert np.array_equal(to_grid(d).values, want)
-    # the half-spectrum transform reads another (symmetrized) field
-    assert not np.allclose(_hermitian_to_grid(d).values, want, rtol=0, atol=1e-8)
+    for v in [d] + records:
+        want = (np.fft.ifftn(v.modes * phase, axes=tuple(range(1, n + 1))) * N**n).real
+        got = to_grid(v).values
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
