@@ -4,9 +4,9 @@ residuals.
 
 Quadratures are midpoint rules on tensor grids; scalar sup-constants come
 from dense 1-D maximization.  The lattice propagator of the boundary-kernel
-series is strictly lower block-Toeplitz in the time index, so it is stored
-as its m_t - 1 distinct node-to-node blocks and applied as a causal block
-convolution, one matrix product per time gap.
+series depends only on the time gap and the node offset, so it is stored as
+the real-FFT spectra of its m_t - 1 gap kernels on a zero-padded box and
+applied as one batched FFT convolution, summed over gaps in Fourier space.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._compiled import irfftn_forward, rfftn_forward
 from .cone import BallGrid, CylinderSpec
 
 __all__ = [
@@ -261,13 +262,20 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
 class _CylinderLattice:
     """Midpoint lattice on [s, tau] x (base ball) with the one-step propagator.
 
-    The propagator from time index j1 to j2 > j1 depends only on the gap
-    j2 - j1 (it is strictly lower block-Toeplitz), so only the m_t - 1
-    distinct n_nodes x n_nodes blocks are stored: ``blocks[d - 1]`` carries
-    the gap d.
+    The propagator from time index j1 to j2 > j1 is the heat kernel at gap
+    d = j2 - j1 between two ball nodes, so it depends only on d and on the
+    nodes' offset on the grid: it is a causal convolution in time and a
+    linear convolution on the ball's box in space.  For each gap the kernel
+    is sampled on the periodic offset lattice of L = 2 m_x - 1 points per
+    axis (offsets 0, ..., m_x - 1, then -(m_x - 1), ..., -1, times the grid
+    step), which is long enough that the circular convolution of data in
+    the [0, m_x)^n corner never wraps around.  Only the m_t - 1 real-FFT
+    spectra of those kernels are stored, as ``spectra[d - 1]``.
     """
 
     def __init__(self, cyl: CylinderSpec, spec: KernelSpec, s, tau, m_x, m_t):
+        if m_t < 1:
+            raise ValueError(f"m_t must be at least 1, got {m_t}")
         self.ball = BallGrid(spec.n, cyl.r_0, m_x)
         self.pts = self.ball.points("mask")
         self.cell = self.ball.h**spec.n
@@ -277,17 +285,35 @@ class _CylinderLattice:
         self.tau = tau
         self.m_t = m_t
         self.n_nodes = self.pts.shape[0]
-        # squared node distances, summed axis by axis: no (nodes, nodes, n) array
-        r_sq = sum((self.pts[:, None, k] - self.pts[None, :, k]) ** 2 for k in range(spec.n))
-        self.blocks = [_gaussian_sq(d * self.dt, r_sq, spec) * self.cell * self.dt for d in range(1, m_t)]
+        size = 2 * m_x - 1
+        self.box = (size,) * spec.n
+        self.axes = tuple(range(1, spec.n + 1))
+        # flat index of each masked node in the [0, m_x)^n corner of the box
+        self.nodes = np.ravel_multi_index(np.nonzero(self.ball.mask), self.box)
+        offsets = np.concatenate([np.arange(m_x), np.arange(1 - m_x, 0)]) * self.ball.h
+        r_sq = sum(np.meshgrid(*(offsets**2,) * spec.n, indexing="ij", sparse=True))
+        gaps = np.arange(1, m_t).reshape((-1,) + (1,) * spec.n)
+        kernels = _gaussian_sq(gaps * self.dt, r_sq, spec) * self.cell * self.dt
+        # times L^n undoes the forward norm: spectra * rfftn_forward(x) is
+        # then the forward transform of the convolution with x
+        self.spectra = rfftn_forward(kernels, self.axes) * size**spec.n
 
     def apply(self, state):
         """Propagator times a lattice vector (time-major, m_t * n_nodes):
-        the causal block convolution out[j2] = sum_{j1 < j2} B_{j2-j1} state[j1]."""
-        st = np.asarray(state).reshape(self.m_t, self.n_nodes)
+        the causal convolution out[j2] = sum_{j1 < j2} G_{j2-j1} * state[j1]."""
+        st = np.asarray(state, dtype=float).reshape(self.m_t, self.n_nodes)
         out = np.zeros_like(st)
-        for d, block in enumerate(self.blocks, start=1):
-            out[d:] += st[:-d] @ block.T
+        if self.m_t == 1:
+            return out.reshape(-1)
+        box = np.zeros((self.m_t - 1,) + self.box)
+        box.reshape(self.m_t - 1, -1)[:, self.nodes] = st[:-1]
+        modes = rfftn_forward(box, self.axes)
+        # out[j + 1] gathers the gaps d = 1, ..., j + 1 from state[j + 1 - d]
+        acc = np.zeros_like(modes)
+        for d, spectrum in enumerate(self.spectra, start=1):
+            acc[d - 1 :] += spectrum * modes[: self.m_t - d]
+        conv = irfftn_forward(acc, self.axes, self.box[-1])
+        out[1:] = conv.reshape(self.m_t - 1, -1)[:, self.nodes]
         return out.reshape(-1)
 
     def target_weights(self, z):
@@ -318,6 +344,8 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
     """
     if K < 1:
         raise ValueError("need at least one term")
+    if m_t < 1:
+        raise ValueError(f"m_t must be at least 1, got {m_t}")
     tau, z = target
     s, v = source
     if not tau > s >= cyl.t_in - 1e-12:
@@ -475,6 +503,10 @@ def boundary_density(
     """
     if n_term_sign not in (-1, 1):
         raise ValueError("n_term_sign must be +1 or -1")
+    if series_order < 0:
+        raise ValueError(f"series_order must be at least 0, got {series_order}")
+    if not tau > cyl.t_in:
+        raise ValueError(f"tau must exceed the cylinder entry time {cyl.t_in}, got {tau}")
     z_points = np.atleast_2d(np.asarray(z_points, dtype=float))
     lat = _CylinderLattice(cyl, spec, cyl.t_in, tau, m_x, m_t)
 

@@ -235,12 +235,15 @@ def test_boundary_series_composition_bounded_by_free_kernel():
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.sampled_from([2, 3]),
-    m_t=st.sampled_from([2, 3, 6]),
-    m_x=st.integers(8, 11),
+    m_t=st.sampled_from([1, 2, 3, 6]),
+    m_x=st.integers(8, 12),
+    nu_eff=st.sampled_from([0.05, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lattice_apply_matches_dense_propagator(n, m_t, m_x, seed):
-    spec = KernelSpec(nu_eff=0.5, n=n)
+def test_lattice_apply_matches_dense_propagator(n, m_t, m_x, nu_eff, seed):
+    # odd m_x puts a node at the ball's centre, even m_x does not; nu_eff =
+    # 0.05 makes the kernel sharp on the grid; m_t = 1 has no gap at all
+    spec = KernelSpec(nu_eff=nu_eff, n=n)
     lat = _CylinderLattice(CylinderSpec(t_in=1.0, r_0=0.5), spec, 1.0, 1.3, m_x, m_t)
     dense = dense_propagator(lat.pts, lat.mids, lat.cell, lat.dt, spec.nu_eff)
     x = np.random.default_rng(seed).normal(size=m_t * lat.n_nodes)
@@ -284,7 +287,8 @@ def test_series_and_density_match_dense_propagator_powers():
 
 def test_boundary_series_3d_at_default_size():
     # the documented defaults m_x=16, m_t=8 in 3D: the lattice keeps the
-    # m_t - 1 distinct propagator blocks, not the dense (m_t n_nodes)^2 matrix
+    # m_t - 1 kernel spectra on the (2 m_x - 1)^3 box, and no array with
+    # an entry per pair of nodes
     spec = KernelSpec(nu_eff=0.5, n=3)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     target = (1.3, np.array([0.1, 0.0, 0.05]))
@@ -293,9 +297,77 @@ def test_boundary_series_3d_at_default_size():
     assert res.terms[0] == gaussian(target[0] - source[0], target[1] - source[1], spec)
     assert np.all(np.isfinite(res.terms)) and abs(res.terms[2]) < abs(res.terms[1]) < res.terms[0]
     lat = _CylinderLattice(cyl, spec, source[0], target[0], 16, 8)
-    assert len(lat.blocks) == 7
-    assert all(b.shape == (lat.n_nodes, lat.n_nodes) for b in lat.blocks)
-    assert sum(b.nbytes for b in lat.blocks) == 7 * lat.n_nodes**2 * 8
+    arrays = [a for a in vars(lat).values() if isinstance(a, np.ndarray)]
+    assert arrays and all(a.size < lat.n_nodes**2 for a in arrays)
+    size = 2 * 16 - 1
+    assert lat.spectra.shape == (7, size, size, size // 2 + 1)
+    assert lat.spectra.nbytes == 7 * size**2 * (size // 2 + 1) * 16
+
+
+def test_series_and_density_match_dense_propagator_in_3d():
+    spec = KernelSpec(nu_eff=0.5, n=3)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    (tau, z), (s, v) = (1.3, np.array([0.1, 0.0, 0.05])), (1.0, np.array([-0.1, 0.05, 0.0]))
+    lat = _CylinderLattice(cyl, spec, s, tau, 10, 4)
+    dense = dense_propagator(lat.pts, lat.mids, lat.cell, lat.dt, spec.nu_eff)
+    state = np.concatenate([gaussian(m - s, lat.pts - v, spec) for m in lat.mids])
+    tw = lat.target_weights(z)
+    want = [gaussian(tau - s, z - v, spec)]
+    for _ in range(3):
+        want.append(tw @ state)
+        state = dense @ state
+    got = boundary_kernel_series(4, cyl, spec, (tau, z), (s, v), m_x=10, m_t=4).terms
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def field(s, xi):
+        return np.cos(3 * xi[:, 0] + s) + xi[:, 1] * xi[:, 2]
+
+    def zero(s, xi):
+        return np.zeros(len(xi))
+
+    z_pts = cyl.r_0 * np.eye(3)
+    got = boundary_density(zero, field, zero, cyl, spec, 1.05, z_pts, series_order=3, m_x=10, m_t=4)
+    lat = _CylinderLattice(cyl, spec, cyl.t_in, 1.05, 10, 4)
+    dense = dense_propagator(lat.pts, lat.mids, lat.cell, lat.dt, spec.nu_eff)
+    vals = np.concatenate([2.0 * field(m, lat.pts) for m in lat.mids])
+    powers = [vals, dense @ vals, dense @ (dense @ vals)]
+    want = 2.0 * field(1.05, z_pts) + [sum(lat.target_weights(zp) @ p for p in powers) for zp in z_pts]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _zero(s, xi):
+    return np.zeros(len(xi))
+
+
+def _one(s, xi):
+    return np.ones(len(xi))
+
+
+@pytest.mark.parametrize("m_t", [0, -2])
+def test_lattice_and_its_callers_reject_m_t_below_one(m_t):
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    z = np.array([0.1, 0.0])
+    with pytest.raises(ValueError, match="m_t"):
+        _CylinderLattice(cyl, spec, 1.0, 1.3, 10, m_t)
+    for K in (1, 3):
+        with pytest.raises(ValueError, match="m_t"):
+            boundary_kernel_series(K, cyl, spec, (1.3, z), (1.0, -z), m_x=10, m_t=m_t)
+    with pytest.raises(ValueError, match="m_t"):
+        boundary_density(_zero, _zero, _zero, cyl, spec, 1.05, [z], m_x=10, m_t=m_t)
+
+
+def test_boundary_density_rejects_negative_series_order_and_early_tau():
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    z_pts = [[0.5, 0.0]]
+    with pytest.raises(ValueError, match="series_order"):
+        boundary_density(_zero, _zero, _zero, cyl, spec, 1.05, z_pts, series_order=-1, m_x=10, m_t=4)
+    for tau in (1.0, 0.9):
+        with pytest.raises(ValueError, match="tau"):
+            boundary_density(_zero, _zero, _zero, cyl, spec, tau, z_pts, m_x=10, m_t=4)
+    # series_order = 0 is the density without the series
+    np.testing.assert_array_equal(boundary_density(_zero, _one, _zero, cyl, spec, 1.05, z_pts, series_order=0), [2.0])
 
 
 def _heat_ladder(cyl, spec, sigma0, horizon, m, m_t):
