@@ -278,7 +278,7 @@ def run_fit_singularity(p, out: Path):
             fit = fit_singularity_orders(samples)
             lam_err = abs(fit.lam - lam) / max(lam, 0.05)
             mu_err = abs(fit.mu - mu) / max(mu, 0.05)
-            verdict = ckn_gate(fit, "velocity")
+            verdict = ckn_gate(fit)
             truth_velocity = mu < 3.0 / 8.0 and lam < 3.0 / 4.0
             case_ok = lam_err <= tol and mu_err <= tol and verdict.velocity_ok == truth_velocity
             ok = ok and case_ok
@@ -464,26 +464,17 @@ def run_rescale_audit(p, out: Path):
 def run_duhamel(p, out: Path):
     nu_eff, resolutions, cyl = p.nu_eff, p.resolutions, DUHAMEL_CYLINDER
     horizon = 0.05
-    probes = [[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]]  # grid nodes at every resolution used
+    probes = [[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]]
 
     heat = heat_bump_solution(cyl, nu_eff, sigma0=cyl.r_0 / 6.0)
     forced, forced_source = forced_bump_solution(cyl, nu_eff, sigma0=cyl.r_0 / 4.5)
 
-    def ladder(ball, state, source=None):
+    def residual_max(state, source, ball):
         m_t = max(4, ball.m // 4)
-        ds = horizon / m_t
-        snaps = [(cyl.t_in, (ball, state(cyl.t_in, ball)))]
-        sources = [] if source else None
-        for k in range(m_t):
-            s = cyl.t_in + (k + 0.5) * ds
-            snaps.append((s, (ball, state(s, ball))))
-            if source:
-                sources.append(source(s, ball))
-        snaps.append((cyl.t_in + horizon, (ball, state(cyl.t_in + horizon, ball))))
-        return duhamel_residual(snaps, sources, cyl, p.spec, probes=probes)
+        return duhamel_residual(state, source, cyl, p.spec, cyl.t_in + horizon, ball.m, m_t, probes).residual_max
 
-    heat_res = [ladder(ball, heat).residual_max for ball in p.balls]
-    forced_res = [ladder(ball, forced, forced_source).residual_max for ball in p.balls]
+    heat_res = [residual_max(heat, None, ball) for ball in p.balls]
+    forced_res = [residual_max(forced, forced_source, ball) for ball in p.balls]
     heat_ok = heat_res[-1] <= 1e-4 and all(
         heat_res[i + 1] <= heat_res[i] or heat_res[i + 1] <= 1e-6 for i in range(len(heat_res) - 1)
     )
@@ -505,21 +496,19 @@ def run_duhamel(p, out: Path):
 
 
 def heat_bump_solution(cyl: CylinderSpec, nu_eff, sigma0):
-    """Free heat evolution of a Gaussian bump supported well inside the base."""
+    """Free heat evolution (s, points) -> values of a Gaussian bump well inside the base."""
 
-    def state(s, ball):
-        pts = ball.points("mask")
+    def state(s, points):
         var = sigma0**2 + 2 * nu_eff * (s - cyl.t_in)
-        vals = np.zeros(ball.mask.shape)
-        vals[ball.mask] = (sigma0**2 / var) * np.exp(-np.sum(pts**2, axis=-1) / (2 * var))
-        return vals
+        return (sigma0**2 / var) * np.exp(-np.sum(points**2, axis=-1) / (2 * var))
 
     return state
 
 
 def forced_bump_solution(cyl: CylinderSpec, nu_eff, sigma0):
     """Separable manufactured solution w = g(s) phi(z) with its forcing
-    g' phi - nu_eff g Lap phi; phi is a Gaussian bump."""
+    g' phi - nu_eff g Lap phi, as callables (s, points) -> values; phi is a
+    Gaussian bump."""
     rate = 3.0
 
     def phi(pts):
@@ -532,16 +521,11 @@ def forced_bump_solution(cyl: CylinderSpec, nu_eff, sigma0):
     def g(s):
         return np.exp(-rate * (s - cyl.t_in))
 
-    def state(s, ball):
-        vals = np.zeros(ball.mask.shape)
-        vals[ball.mask] = g(s) * phi(ball.points("mask"))
-        return vals
+    def state(s, points):
+        return g(s) * phi(points)
 
-    def source(s, ball):
-        vals = np.zeros(ball.mask.shape)
-        pts = ball.points("mask")
-        vals[ball.mask] = -rate * g(s) * phi(pts) - nu_eff * g(s) * lap_phi(pts)
-        return vals
+    def source(s, points):
+        return -rate * g(s) * phi(points) - nu_eff * g(s) * lap_phi(points)
 
     return state, source
 

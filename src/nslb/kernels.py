@@ -3,10 +3,11 @@ boundary-kernel series on the cylinder and Duhamel-representation
 residuals.
 
 Quadratures are midpoint rules on tensor grids; scalar sup-constants come
-from dense 1-D maximization.  The lattice propagator of the boundary-kernel
-series depends only on the time gap and the node offset, so it is stored as
-the real-FFT spectra of its m_t - 1 gap kernels on a zero-padded box and
-applied as one batched FFT convolution, summed over gaps in Fourier space.
+from dense 1-D maximization.  The series, the boundary density and the
+Duhamel residual take fields as callables (s, points) -> values on one
+lattice, whose propagator depends only on the time gap and the node offset:
+it is stored as the real-FFT spectra of its m_t - 1 gap kernels on a
+zero-padded box and applied as one batched FFT convolution.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ class KernelSpec:
 
 
 def _split(y, n):
+    """|y|^2 over the last axis of y, which must have length n, and y as an array."""
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1 and y.size == n:
+    if y.shape[-1:] != (n,):
+        raise ValueError(f"points of shape {y.shape} need a last axis of length n = {n}")
+    if y.ndim == 1:
         return float(np.dot(y, y)), y
     return np.sum(y**2, axis=-1), y
 
@@ -318,12 +322,8 @@ class _CylinderLattice:
 
     def target_weights(self, z):
         """Quadrature weights mapping lattice values to the event (tau, z)."""
-        out = np.zeros(self.m_t * self.n_nodes)
-        for j, m in enumerate(self.mids):
-            out[j * self.n_nodes : (j + 1) * self.n_nodes] = (
-                gaussian(self.tau - m, z - self.pts, self.spec) * self.cell * self.dt
-            )
-        return out
+        weights = gaussian(self.tau - self.mids[:, None], z - self.pts, self.spec) * self.cell * self.dt
+        return weights.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -366,113 +366,45 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
     return BoundarySeriesResult(float(np.sum(terms)), terms, float(abs(terms[-1])), converged)
 
 
-def _ball_interp(ball: BallGrid, values, points):
-    """Multilinear interpolation of masked-grid values at points of the ball.
-
-    Raises ValueError when a point has a corner of non-zero weight off
-    ``ball.mask``: the values there are not data.
-    """
-    pts = np.atleast_2d(points)
-    u = (pts + ball.radius) / ball.h
-    base = np.floor(u).astype(int)
-    frac = u - base
-    out = np.zeros(pts.shape[0])
-    for corner in range(2**ball.n):
-        idx = []
-        w = np.ones(pts.shape[0])
-        for axis in range(ball.n):
-            bit = (corner >> axis) & 1
-            idx.append(base[:, axis] + bit)
-            w = w * (frac[:, axis] if bit else 1.0 - frac[:, axis])
-        in_box = np.all([(i >= 0) & (i < ball.m) for i in idx], axis=0)
-        idx = tuple(np.clip(i, 0, ball.m - 1) for i in idx)
-        off = (w != 0.0) & ~(in_box & ball.mask[idx])
-        if np.any(off):
-            k = int(np.argmax(off))
-            raise ValueError(f"probe {k} at {pts[k].tolist()} interpolates from a node off the ball")
-        out += values[idx] * w
-    return out
-
-
 @dataclass(frozen=True)
 class DuhamelReport:
-    tau: float
     residual_max: float
     residual_l2: float
-    probes: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
 
 
-def duhamel_residual(snapshots, sources, cyl: CylinderSpec, spec: KernelSpec, probes) -> DuhamelReport:
-    """Mismatch between a scalar field and its heat representation on the cylinder.
+def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_x, m_t, probes) -> DuhamelReport:
+    """Mismatch at the probes z between state(tau, z) and the heat representation
 
-    ``snapshots`` is a list of (s, (ball, values)):
+      sum_y state(t_in, y) G(tau - t_in, z - y) cell + sum_{(s, y)} source(s, y) G(tau - s, z - y) cell dt
 
-      * entry 0 at the cylinder entry time (initial data),
-      * entries 1..M at the midpoints of a uniform partition of
-        [t_in, tau] (source ladder),
-      * the last entry at tau itself (the state being tested).
-
-    Every entry must sit on the entry ball (same n, radius and m) with
-    values of the shape of its mask.  ``sources`` aligns with the midpoint
-    entries and carries the forcing of d_tau w - nu_eff Lap w = S, as arrays
-    of the mask shape (None for source-free fields).  The representation has
-    no lateral-boundary layer term: the initial-data and source integrals
-    over the base ball are the whole right-hand side.  Each probe must
-    interpolate the final state from masked nodes only; a probe off the
-    ball raises ValueError.
+    of d_tau w - nu_eff Lap w = source, for callables (s, points) -> values
+    (``source`` None: no forcing).  y runs over the base-ball nodes and
+    (s, y) over the lattice of ``boundary_kernel_series``, with ``m_x``
+    nodes per axis and ``m_t`` midpoint times on [t_in, tau].  There is no
+    lateral-boundary layer term.  ValueError unless tau > t_in and every
+    probe is finite, has n coordinates and lies in the closed base ball.
     """
-    if len(snapshots) < 3:
-        raise ValueError("need entry data, at least one midpoint snapshot, and the final state")
-    s0, (ball, w0) = snapshots[0]
-    if abs(s0 - cyl.t_in) > 1e-9:
-        raise ValueError("first snapshot must sit at the cylinder entry time")
-    tau, (_, w_tau) = snapshots[-1]
-    mid = snapshots[1:-1]
-    m_t = len(mid)
-    ds = (tau - s0) / m_t
-    expected = s0 + (np.arange(m_t) + 0.5) * ds
-    mid_times = np.array([s for s, _ in mid])
-    if not np.allclose(mid_times, expected, rtol=0, atol=1e-9 * max(1.0, tau)):
-        raise ValueError("middle snapshots must sit on the uniform midpoint ladder")
-    if sources is not None and len(sources) != m_t:
-        raise ValueError("sources must align with the midpoint snapshots")
-    for k, (_, (b, _)) in enumerate(snapshots):
-        if (b.n, b.radius, b.m) != (ball.n, ball.radius, ball.m):
-            raise ValueError(f"snapshot {k} is on a different ball grid from the entry snapshot")
-    arrays = [(f"snapshot {k}", values) for k, (_, (_, values)) in enumerate(snapshots)]
-    arrays += [(f"source {k}", src) for k, src in enumerate(sources or ())]
-    for name, arr in arrays:
-        if np.shape(arr) != ball.mask.shape:
-            raise ValueError(f"{name} has shape {np.shape(arr)}, expected the ball shape {ball.mask.shape}")
-
+    if not tau > cyl.t_in:
+        raise ValueError(f"tau must exceed the cylinder entry time {cyl.t_in}, got {tau}")
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if not np.all(np.isfinite(probes)):
-        raise ValueError("probes must be finite")
-    lhs_vals = _ball_interp(ball, w_tau, probes)
-    pts = ball.points("mask")
-    cell = ball.h**ball.n
-    w0_in = w0[ball.mask]
-    src_in = None if sources is None else [src[ball.mask] for src in sources]
-
-    rhs_vals = np.zeros(probes.shape[0])
+    if probes.ndim != 2 or probes.shape[-1] != spec.n:
+        raise ValueError(f"probes of shape {probes.shape} need {spec.n} coordinates each")
     for k, z in enumerate(probes):
-        acc = float(np.sum(w0_in * gaussian(tau - s0, z - pts, spec)) * cell)
-        if src_in is not None:
-            for s_j, src in zip(expected, src_in):
-                acc += float(np.sum(src * gaussian(tau - s_j, z - pts, spec)) * cell * ds)
-        rhs_vals[k] = acc
-
-    diff = lhs_vals - rhs_vals
-    return DuhamelReport(
-        float(tau),
-        float(np.max(np.abs(diff))),
-        float(np.sqrt(np.mean(diff**2))),
-        probes,
-        lhs_vals,
-        rhs_vals,
-    )
+        if not np.all(np.isfinite(z)):
+            raise ValueError(f"probe {k} at {z.tolist()} is not finite")
+        if np.sum(z**2) > cyl.r_0**2 + 1e-12:  # the closed ball of BallGrid's mask
+            raise ValueError(f"probe {k} at {z.tolist()} lies off the base ball of radius {cyl.r_0}")
+    lat = _CylinderLattice(cyl, spec, cyl.t_in, tau, m_x, m_t)
+    w0 = np.asarray(state(cyl.t_in, lat.pts), dtype=float)
+    rhs = np.array([np.sum(w0 * gaussian(tau - cyl.t_in, z - lat.pts, spec)) * lat.cell for z in probes])
+    if source is not None:
+        src = np.concatenate([source(s, lat.pts) for s in lat.mids])
+        rhs += [lat.target_weights(z) @ src for z in probes]
+    lhs = np.asarray(state(tau, probes), dtype=float)
+    diff = lhs - rhs
+    return DuhamelReport(float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff**2))), lhs, rhs)
 
 
 def boundary_density(

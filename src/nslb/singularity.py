@@ -167,10 +167,8 @@ def fit_singularity_orders(samples: ConeSamples) -> SingularityFit:
     return SingularityFit(float(lam), float(mu), float(np.exp(log_c)), rms, samples.count, clamped)
 
 
-def ckn_gate(fit: SingularityFit, kind="velocity") -> CknVerdict:
-    """Exponent-window verdict for a fitted singularity order."""
-    if kind not in ("velocity", "gradient"):
-        raise ValueError("kind must be 'velocity' or 'gradient'")
+def ckn_gate(fit: SingularityFit) -> CknVerdict:
+    """Velocity- and gradient-window verdicts for a fitted singularity order."""
     if not np.isfinite(fit.residual):
         raise ValueError("fit residual must be finite")
     velocity_ok = fit.mu < VELOCITY_MU_LIMIT and fit.lam < VELOCITY_LAMBDA_LIMIT

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nslb.cli import main
+from nslb.cli import heat_bump_solution, main
 from nslb.cone import BallGrid, ConeSpec, CylinderSpec, sample_w_function, t_of_tau, tau_of_t
 from nslb.dynamics import SolverConfig, simulate
 from nslb.flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, taylor_green
@@ -124,26 +124,11 @@ def test_criterion_4_kernel_bounds():
 def test_criterion_5_duhamel_residual():
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    sigma0 = cyl.r_0 / 6.0
-    horizon = 0.05
+    heat = heat_bump_solution(cyl, spec.nu_eff, sigma0=cyl.r_0 / 6.0)
     probes = [[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]]
 
     def run(m, m_t):
-        ball = BallGrid(2, cyl.r_0, m)
-
-        def state(s):
-            pts = ball.points("mask")
-            var = sigma0**2 + 2 * spec.nu_eff * (s - cyl.t_in)
-            vals = np.zeros(ball.mask.shape)
-            vals[ball.mask] = (sigma0**2 / var) * np.exp(-np.sum(pts**2, axis=-1) / (2 * var))
-            return ball, vals
-
-        ds = horizon / m_t
-        snaps = [(cyl.t_in, state(cyl.t_in))]
-        for k in range(m_t):
-            snaps.append((cyl.t_in + (k + 0.5) * ds, state(cyl.t_in + (k + 0.5) * ds)))
-        snaps.append((cyl.t_in + horizon, state(cyl.t_in + horizon)))
-        return duhamel_residual(snaps, None, cyl, spec, probes=probes).residual_max
+        return duhamel_residual(heat, None, cyl, spec, cyl.t_in + 0.05, m, m_t, probes).residual_max
 
     default = run(33, 8)
     assert default <= 1e-4
@@ -172,7 +157,7 @@ def test_criterion_6_exponent_recovery():
             )
             err_noisy = max(abs(noisy.lam - lam) / max(lam, 0.05), abs(noisy.mu - mu) / max(mu, 0.05))
             worst_noisy = max(worst_noisy, err_noisy)
-            verdict = ckn_gate(clean, "velocity")
+            verdict = ckn_gate(clean)
             truth_v = mu < 3.0 / 8.0 and lam < 3.0 / 4.0
             truth_g = mu < 1.0 / 2.0 and lam < 3.0 / 2.0 + 0.01
             if verdict.velocity_ok != truth_v or verdict.gradient_ok != truth_g:

@@ -4,7 +4,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslb.cone import BallGrid, CylinderSpec
+from nslb.cli import forced_bump_solution, heat_bump_solution
+from nslb.cone import CylinderSpec
 from nslb.kernels import (
     BoundReport,
     KernelSpec,
@@ -36,6 +37,20 @@ def test_gaussian_point_value_and_rejection():
         gaussian(0.0, np.zeros(3), spec)
     with pytest.raises(ValueError):
         gaussian_derivative(-1.0, np.zeros(3), 0, spec)
+    # three 1-D points have shape (3, 1): one value each
+    want = np.exp(-np.array([0.1, 0.2, 0.3]) ** 2 / 0.2) / np.sqrt(0.2 * np.pi)
+    np.testing.assert_allclose(gaussian(0.1, [[0.1], [0.2], [0.3]], KernelSpec(nu_eff=0.5, n=1)), want, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n, y", [(2, [0.1, 0.2, 0.3]), (1, [0.1, 0.2, 0.3]), (3, [[0.1, 0.2]]), (2, 0.1)])
+def test_gaussian_rejects_points_of_the_wrong_dimension(n, y):
+    # the last axis holds the coordinates; a flat (3,) once came back as a
+    # single value for every n
+    spec = KernelSpec(nu_eff=0.5, n=n)
+    with pytest.raises(ValueError, match=f"shape .* n = {n}"):
+        gaussian(0.1, y, spec)
+    with pytest.raises(ValueError, match=f"shape .* n = {n}"):
+        gaussian_derivative(0.1, y, 0, spec)
 
 
 def test_gaussian_symmetry_and_mass():
@@ -355,6 +370,8 @@ def test_lattice_and_its_callers_reject_m_t_below_one(m_t):
             boundary_kernel_series(K, cyl, spec, (1.3, z), (1.0, -z), m_x=10, m_t=m_t)
     with pytest.raises(ValueError, match="m_t"):
         boundary_density(_zero, _zero, _zero, cyl, spec, 1.05, [z], m_x=10, m_t=m_t)
+    with pytest.raises(ValueError, match="m_t"):
+        duhamel_residual(_zero, None, cyl, spec, 1.05, 10, m_t, [z])
 
 
 def test_boundary_density_rejects_negative_series_order_and_early_tau():
@@ -370,44 +387,21 @@ def test_boundary_density_rejects_negative_series_order_and_early_tau():
     np.testing.assert_array_equal(boundary_density(_zero, _one, _zero, cyl, spec, 1.05, z_pts, series_order=0), [2.0])
 
 
-def _heat_ladder(cyl, spec, sigma0, horizon, m, m_t):
-    ball = BallGrid(2, cyl.r_0, m)
-
-    def state(s):
-        pts = ball.points("mask")
-        var = sigma0**2 + 2 * spec.nu_eff * (s - cyl.t_in)
-        vals = np.zeros(ball.mask.shape)
-        vals[ball.mask] = (sigma0**2 / var) * np.exp(-np.sum(pts**2, axis=-1) / (2 * var))
-        return ball, vals
-
-    ds = horizon / m_t
-    snaps = [(cyl.t_in, state(cyl.t_in))]
-    for k in range(m_t):
-        snaps.append((cyl.t_in + (k + 0.5) * ds, state(cyl.t_in + (k + 0.5) * ds)))
-    snaps.append((cyl.t_in + horizon, state(cyl.t_in + horizon)))
-    return snaps
-
-
 def test_duhamel_pure_heat_residual():
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     probes = [[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]]
-    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 33, 8)
-    rep = duhamel_residual(snaps, None, cyl, spec, probes=probes)
+    heat = heat_bump_solution(cyl, spec.nu_eff, sigma0=cyl.r_0 / 6.0)
+    rep = duhamel_residual(heat, None, cyl, spec, cyl.t_in + 0.05, 33, 8, probes)
     assert rep.residual_max <= 1e-4
 
 
 def test_duhamel_zero_everything():
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    ball = BallGrid(2, cyl.r_0, 17)
-    zero = np.zeros(ball.mask.shape)
-    snaps = [(cyl.t_in, (ball, zero))]
-    for k in range(4):
-        snaps.append((cyl.t_in + (k + 0.5) * 0.0125, (ball, zero)))
-    snaps.append((cyl.t_in + 0.05, (ball, zero)))
-    rep = duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]])
+    rep = duhamel_residual(_zero, None, cyl, spec, cyl.t_in + 0.05, 17, 4, [[0.0, 0.0]])
     assert rep.residual_max == 0.0
+    assert duhamel_residual(_zero, _zero, cyl, spec, cyl.t_in + 0.05, 17, 4, [[0.0, 0.0]]).residual_max == 0.0
 
 
 def test_duhamel_constant_source_canary():
@@ -415,29 +409,17 @@ def test_duhamel_constant_source_canary():
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     horizon, c_src = 0.05, 0.8
-    ball = BallGrid(2, cyl.r_0, 33)
-    sigma0 = cyl.r_0 / 6.0
+    heat = heat_bump_solution(cyl, spec.nu_eff, sigma0=cyl.r_0 / 6.0)
 
-    def heat(s):
-        pts = ball.points("mask")
-        var = sigma0**2 + 2 * spec.nu_eff * (s - cyl.t_in)
-        vals = np.zeros(ball.mask.shape)
-        vals[ball.mask] = (sigma0**2 / var) * np.exp(-np.sum(pts**2, axis=-1) / (2 * var))
-        return vals
+    def state(s, xi):
+        return heat(s, xi) + c_src * (s - cyl.t_in)
 
-    m_t = 8
-    ds = horizon / m_t
-    snaps = [(cyl.t_in, (ball, heat(cyl.t_in)))]
-    sources = []
-    for k in range(m_t):
-        s = cyl.t_in + (k + 0.5) * ds
-        snaps.append((s, (ball, heat(s) + c_src * (s - cyl.t_in))))
-        sources.append(np.full(ball.mask.shape, c_src))
-    snaps.append((cyl.t_in + horizon, (ball, heat(cyl.t_in + horizon) + c_src * horizon)))
+    def source(s, xi):
+        return np.full(len(xi), c_src)
 
     probes = [[0.0, 0.0]]
-    with_src = duhamel_residual(snaps, sources, cyl, spec, probes=probes)
-    without_src = duhamel_residual(snaps, None, cyl, spec, probes=probes)
+    with_src = duhamel_residual(state, source, cyl, spec, cyl.t_in + horizon, 33, 8, probes)
+    without_src = duhamel_residual(state, None, cyl, spec, cyl.t_in + horizon, 33, 8, probes)
     # the constant-source state does not vanish at the base rim, so a few
     # percent of kernel mass belongs to the (omitted) boundary term; the
     # canary still separates cleanly: dropping the source costs c * elapsed
@@ -450,39 +432,10 @@ def test_duhamel_forced_refinement_order():
     # falls at the midpoint rule's formal order under joint refinement
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    sigma0 = cyl.r_0 / 4.5
-    rate = 3.0
-    horizon = 0.05
+    state, source = forced_bump_solution(cyl, spec.nu_eff, sigma0=cyl.r_0 / 4.5)
 
     def run(m, m_t):
-        ball = BallGrid(2, cyl.r_0, m)
-        pts = ball.points("mask")
-
-        def phi(p):
-            return np.exp(-np.sum(p**2, axis=-1) / (2 * sigma0**2))
-
-        def state(s):
-            vals = np.zeros(ball.mask.shape)
-            vals[ball.mask] = np.exp(-rate * (s - cyl.t_in)) * phi(pts)
-            return ball, vals
-
-        def source(s):
-            r_sq = np.sum(pts**2, axis=-1)
-            lap = (r_sq / sigma0**4 - 2.0 / sigma0**2) * phi(pts)
-            vals = np.zeros(ball.mask.shape)
-            g = np.exp(-rate * (s - cyl.t_in))
-            vals[ball.mask] = -rate * g * phi(pts) - spec.nu_eff * g * lap
-            return vals
-
-        ds = horizon / m_t
-        snaps = [(cyl.t_in, state(cyl.t_in))]
-        sources = []
-        for k in range(m_t):
-            s = cyl.t_in + (k + 0.5) * ds
-            snaps.append((s, state(s)))
-            sources.append(source(s))
-        snaps.append((cyl.t_in + horizon, state(cyl.t_in + horizon)))
-        return duhamel_residual(snaps, sources, cyl, spec, probes=[[0.0, 0.0], [0.25, 0.0]]).residual_max
+        return duhamel_residual(state, source, cyl, spec, cyl.t_in + 0.05, m, m_t, [[0.0, 0.0], [0.25, 0.0]]).residual_max
 
     coarse = run(17, 4)
     fine = run(33, 8)
@@ -490,68 +443,33 @@ def test_duhamel_forced_refinement_order():
     assert coarse / fine >= 3.0  # formal order 2 modulo boundary leakage
 
 
-def test_duhamel_rejects_bad_ladder():
-    spec = KernelSpec(nu_eff=0.5, n=2)
-    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    ball = BallGrid(2, cyl.r_0, 17)
-    zero = np.zeros(ball.mask.shape)
-    with pytest.raises(ValueError):
-        duhamel_residual([(1.0, (ball, zero)), (1.05, (ball, zero))], None, cyl, spec, [[0, 0]])
-    bad = [(1.0, (ball, zero)), (1.02, (ball, zero)), (1.05, (ball, zero))]
-    with pytest.raises(ValueError):
-        duhamel_residual(bad, None, cyl, spec, [[0, 0]])
-
-
-@pytest.mark.parametrize("index", [-1, 2])
-@pytest.mark.parametrize("other", [(2, 0.4, 33), (2, 0.5, 25), (3, 0.5, 9)])
-def test_duhamel_rejects_entry_off_the_entry_ball(index, other):
-    # a final state on a radius-0.4 ball used to be read on the entry ball's
-    # grid and gave a residual of 0.0154 with no error
-    spec = KernelSpec(nu_eff=0.5, n=2)
-    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 33, 8)
-    ball = BallGrid(*other)
-    snaps[index] = (snaps[index][0], (ball, np.zeros(ball.mask.shape)))
-    with pytest.raises(ValueError, match="different ball grid"):
-        duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]])
-
-
-def test_duhamel_rejects_arrays_off_the_ball_shape():
-    spec = KernelSpec(nu_eff=0.5, n=2)
-    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 17, 4)
-    ball = snaps[0][1][0]
-    for index, reshape in ((-1, lambda v: v[None]), (0, lambda v: v[:-1]), (1, lambda v: v.T[None])):
-        bad = list(snaps)
-        s, (_, values) = bad[index]
-        bad[index] = (s, (ball, reshape(values)))
-        with pytest.raises(ValueError, match=f"snapshot {index % len(snaps)} has shape .* expected the ball shape"):
-            duhamel_residual(bad, None, cyl, spec, probes=[[0.0, 0.0]])
-    zero = [np.zeros(ball.mask.shape)] * 4
-    with pytest.raises(ValueError, match="source 3"):
-        duhamel_residual(snaps, zero[:3] + [np.zeros((1,) + ball.mask.shape)], cyl, spec, probes=[[0.0, 0.0]])
-    with_zero = duhamel_residual(snaps, zero, cyl, spec, probes=[[0.0, 0.0]])
-    assert with_zero.residual_max == duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0]]).residual_max
-
-
-@pytest.mark.parametrize("probe", [[0.45, 0.45], [2.0, 0.0], [np.nan, 0.0]])
+@pytest.mark.parametrize("probe", [[0.45, 0.45], [2.0, 0.0], [np.nan, 0.0], [0.0, np.inf], [0.1], [0.1, 0.0, 0.0]])
 def test_duhamel_rejects_probes_off_the_ball(probe):
-    # (0.45, 0.45) lies outside the radius-0.5 ball; its interpolation
-    # indices used to be clipped, giving lhs 0 against rhs 3.5e-3 unflagged
+    # (0.45, 0.45) lies just outside the radius-0.5 ball; [0.1] and
+    # [0.1, 0, 0] have the wrong number of coordinates
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
-    snaps = _heat_ladder(cyl, spec, cyl.r_0 / 6.0, 0.05, 33, 8)
-    with pytest.raises(ValueError, match="probe 1 .*off the ball|finite"):
-        duhamel_residual(snaps, None, cyl, spec, probes=[[0.0, 0.0], probe])
-    # a node on the rim is data: its outward corners carry zero weight
-    rim = duhamel_residual(snaps, None, cyl, spec, probes=[[0.5, 0.0], [0.0, -0.5]])
+    heat = heat_bump_solution(cyl, spec.nu_eff, sigma0=cyl.r_0 / 6.0)
+    probes = [np.zeros(len(probe)), probe]  # the origin, in the probe's dimension, is accepted
+    with pytest.raises(ValueError, match="probe 1 .*(off the base ball|not finite)|probes of shape"):
+        duhamel_residual(heat, None, cyl, spec, cyl.t_in + 0.05, 33, 8, probes)
+    # the rim of the closed ball, on a grid node or between nodes, is accepted
+    rim = duhamel_residual(heat, None, cyl, spec, cyl.t_in + 0.05, 33, 8, [[0.5, 0.0], [0.0, -0.5], [0.3, 0.4]])
     assert rim.residual_max <= 1e-4
 
 
-def test_boundary_density_variants_and_duhamel_arbiter():
-    # both printed sign variants are evaluable; for a field with negligible
-    # nonlinear part they coincide, and the Duhamel residual picks a winner
-    # when the nonlinear convolution is switched on artificially
+@pytest.mark.parametrize("tau", [1.0, 0.9])
+def test_duhamel_rejects_tau_at_or_before_entry(tau):
+    spec = KernelSpec(nu_eff=0.5, n=2)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    with pytest.raises(ValueError, match="tau"):
+        duhamel_residual(_zero, None, cyl, spec, tau, 17, 4, [[0.0, 0.0]])
+
+
+def test_boundary_density_sign_variants():
+    # both printed sign variants are evaluable; they coincide when the
+    # nonlinear convolution vanishes and differ by 4x its value when it is
+    # switched on; nothing here decides which sign is right
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)
     tau = 1.05

@@ -87,16 +87,14 @@ def test_ckn_gate_windows():
         synthesize_singular_field(1.0, lam, mu, CONE, n_samples=120, rng=np.random.default_rng(8))
     )
     # (mu, lam) = (0.4, 0.5): velocity gate fails on mu >= 3/8
-    v = ckn_gate(mk(0.5, 0.4), "velocity")
+    v = ckn_gate(mk(0.5, 0.4))
     assert not v.velocity_ok
     # (0, 0) passes both
-    z = ckn_gate(mk(0.0, 0.0), "velocity")
+    z = ckn_gate(mk(0.0, 0.0))
     assert z.velocity_ok and z.gradient_ok
     # (mu0, lam0) = (0.49, 1.49) passes the gradient window
-    g = ckn_gate(mk(1.49, 0.49), "gradient")
+    g = ckn_gate(mk(1.49, 0.49))
     assert g.gradient_ok
-    with pytest.raises(ValueError):
-        ckn_gate(mk(0.0, 0.0), "pressure")
 
 
 def test_ckn_gate_monotone():
