@@ -3,7 +3,7 @@ singularity diagnostics on the torus.
 
 Subpackages by concern:
 
-  spectral    -- fields on the n-torus in mode/grid form, derivatives, norms
+  spectral    -- fields on the n-torus in mode/grid form, divergence, norms
   leray       -- Fourier pressure gradient and divergence-free projection
   dynamics    -- projected Navier-Stokes integration plus energy diagnostics
   cone        -- backward cones, the cone-to-cylinder map, comparison fields

@@ -36,7 +36,6 @@ from .leray import _project_modes, leray_project
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "rhs",
     "simulate",
     "hopf_energy_check",
     "energy",
@@ -190,18 +189,6 @@ class _HalfSpectrum:
                 out[i] += term
         out *= -1j
         return out
-
-
-def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
-    """nu Delta v - P[(v . grad) v]; divergence-free by construction.
-
-    ``v`` is taken as the real, solenoidal, 2/3-dealiased field that
-    ``simulate`` integrates: the advection term is evaluated from its half
-    spectrum in divergence form.
-    """
-    op = _HalfSpectrum(v.grid, cfg)
-    lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
-    return SpectralField(v.grid, lin * v.modes + _full(op.nonlinear(_half(v.modes, v.grid)), v.grid))
 
 
 def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:

@@ -2,8 +2,8 @@
 boundary-kernel series on the cylinder and Duhamel-representation
 residuals.
 
-Quadratures are midpoint rules on tensor grids; scalar sup-constants come
-from dense 1-D maximization.  The series, the boundary density and the
+Quadratures are midpoint rules on tensor grids; the sup-constants of the
+bound audits are closed forms.  The series, the boundary density and the
 Duhamel residual take fields as callables (s, points) -> values on one
 lattice, whose propagator depends only on the time gap and the node offset:
 it is stored as the real-FFT spectra of its m_t - 1 gap kernels on a
@@ -25,7 +25,6 @@ __all__ = [
     "BoundReport",
     "gaussian",
     "gaussian_derivative",
-    "gaussian_derivative_bound_form",
     "kernel_bound_check",
     "elliptic_integral_check",
     "boundary_kernel_series",
@@ -82,20 +81,6 @@ def gaussian_derivative(t, y, j, spec: KernelSpec):
     return (-2.0 * yj / denom) * (np.pi * denom) ** (-spec.n / 2.0) * np.exp(-r_sq / denom)
 
 
-def gaussian_derivative_bound_form(t, y, j, spec: KernelSpec):
-    """Normalized derivative kernel (-2 y_j / (4 pi nu t)) G used in the
-    sup-constant audit.  It differs from the exact gradient by 1/pi; this is
-    the normalization under which the audit constant
-    sup_z z^(n/2+1-delta) e^(-z^2) dominates the weighted scan."""
-    return gaussian_derivative(t, y, j, spec) / np.pi
-
-
-def _sup_1d(fn):
-    """Dense 1-D maximization on the uniform grid 1e-4, 2e-4, ..., 10."""
-    zs = np.arange(1e-4, 10.0 + 1e-4, 1e-4)
-    return float(np.max(fn(zs)))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     delta: float
@@ -110,43 +95,42 @@ def kernel_bound_check(delta, spec: KernelSpec, kind="derivative") -> BoundRepor
     """Scan sup over (t, |y|) of the weighted kernel against its analytic constant.
 
     kind='kernel':      |G| (4 pi nu t)^delta |y|^(n - 2 delta)
-                        vs  pi^(delta - n/2) sup_Q Q^(n/2 - delta) e^(-Q)
-    kind='derivative':  |G_bound,j| (4 pi nu t)^delta |y|^(n + 1 - 2 delta)
-                        vs  sup_z z^(n/2 + 1 - delta) e^(-z^2)
+                        vs  pi^(delta - n/2) sup_q q^a e^(-q) = pi^(delta - n/2) (a/e)^a,
+                        a = n/2 - delta
+    kind='derivative':  |d_1 G| / pi (4 pi nu t)^delta |y|^(n + 1 - 2 delta)
+                        vs  sup_z z^a e^(-z^2) = (a/2e)^(a/2),  a = n/2 + 1 - delta
 
-    Both weighted quantities depend on (t, y) only through |y|^2/(4 nu t),
-    so the observed sup is diffusivity-independent.  The scan takes 40
-    log-spaced times in [1e-3, 10] and 400 log-spaced radii in [1e-3, 10],
-    augmented with the stationary radius at each time so the sup is
-    attained on the grid.
+    The derivative is the exact gradient divided by pi, the normalization
+    under which the printed constant dominates the scan.  Both weighted
+    quantities depend on (t, y) only through |y|^2/(4 nu t), so the observed
+    sup is diffusivity-independent.  The scan takes 40 log-spaced times in
+    [1e-3, 10] and, at each, 400 log-spaced radii in [1e-3, 10] plus the
+    stationary radius sqrt(4 nu t a), so the sup is attained on the grid.
+    ValueError for kind='kernel' with delta > n/2, where the sup is infinite.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     n = spec.n
     nu = spec.nu_eff
-    ts = np.logspace(-3.0, 1.0, 40)
     if kind == "kernel":
         a = n / 2.0 - delta
-        c_pred = np.pi ** (delta - n / 2.0) * _sup_1d(lambda q: q**a * np.exp(-q))
+        if a < 0:
+            raise ValueError(f"the kernel sup is infinite for delta = {delta} > n/2 = {n / 2}")
+        c_pred = np.pi ** (delta - n / 2.0) * (a / np.e) ** a
         power = n - 2 * delta
-        weighted = functools.partial(gaussian, spec=spec)
     elif kind == "derivative":
         a = n / 2.0 + 1.0 - delta
-        c_pred = _sup_1d(lambda z: z**a * np.exp(-(z**2)))
+        c_pred = (a / (2 * np.e)) ** (a / 2)
         power = n + 1 - 2 * delta
-        weighted = functools.partial(gaussian_derivative_bound_form, j=0, spec=spec)
     else:
         raise ValueError("kind must be 'kernel' or 'derivative'")
-    c_obs = 0.0
-    for t in ts:
-        rads = np.logspace(-3, 1, 400)
-        if a > 0:
-            rads = np.append(rads, np.sqrt(4 * nu * t * a))
-        y = np.zeros((rads.size, n))
-        y[:, 0] = rads  # for the derivative, the axis direction maximizes |y_j| at fixed |y|
-        vals = np.abs(weighted(t, y)) * (4 * np.pi * nu * t) ** delta * rads**power
-        c_obs = max(c_obs, float(np.max(vals)))
-    return BoundReport(float(delta), kind, c_obs, c_pred, c_obs <= c_pred * (1 + 1e-6), nu)
+    ts = np.logspace(-3.0, 1.0, 40)[:, None]
+    rads = np.hstack([np.tile(np.logspace(-3, 1, 400), (ts.size, 1)), np.sqrt(4 * nu * ts * a)])
+    y = np.zeros(rads.shape + (n,))
+    y[..., 0] = rads  # for the derivative, the axis direction maximizes |y_j| at fixed |y|
+    weighted = gaussian(ts, y, spec) if kind == "kernel" else gaussian_derivative(ts, y, 0, spec) / np.pi
+    c_obs = float(np.max(np.abs(weighted) * (4 * np.pi * nu * ts) ** delta * rads**power))
+    return BoundReport(float(delta), kind, c_obs, float(c_pred), c_obs <= c_pred * (1 + 1e-12), nu)
 
 
 @dataclass(frozen=True)
@@ -274,7 +258,8 @@ class _CylinderLattice:
     axis (offsets 0, ..., m_x - 1, then -(m_x - 1), ..., -1, times the grid
     step), which is long enough that the circular convolution of data in
     the [0, m_x)^n corner never wraps around.  Only the m_t - 1 real-FFT
-    spectra of those kernels are stored, as ``spectra[d - 1]``.
+    spectra of those kernels are stored, as ``spectra[d - 1]``, built on
+    the first ``apply``.
     """
 
     def __init__(self, cyl: CylinderSpec, spec: KernelSpec, s, tau, m_x, m_t):
@@ -289,18 +274,22 @@ class _CylinderLattice:
         self.tau = tau
         self.m_t = m_t
         self.n_nodes = self.pts.shape[0]
-        size = 2 * m_x - 1
-        self.box = (size,) * spec.n
+        self.box = (2 * m_x - 1,) * spec.n
         self.axes = tuple(range(1, spec.n + 1))
         # flat index of each masked node in the [0, m_x)^n corner of the box
         self.nodes = np.ravel_multi_index(np.nonzero(self.ball.mask), self.box)
+
+    @functools.cached_property
+    def spectra(self):
+        """The gap-kernel spectra (``duhamel_residual`` never builds them)."""
+        m_x, n = self.ball.m, self.spec.n
         offsets = np.concatenate([np.arange(m_x), np.arange(1 - m_x, 0)]) * self.ball.h
-        r_sq = sum(np.meshgrid(*(offsets**2,) * spec.n, indexing="ij", sparse=True))
-        gaps = np.arange(1, m_t).reshape((-1,) + (1,) * spec.n)
-        kernels = _gaussian_sq(gaps * self.dt, r_sq, spec) * self.cell * self.dt
+        r_sq = sum(np.meshgrid(*(offsets**2,) * n, indexing="ij", sparse=True))
+        gaps = np.arange(1, self.m_t).reshape((-1,) + (1,) * n)
+        kernels = _gaussian_sq(gaps * self.dt, r_sq, self.spec) * self.cell * self.dt
         # times L^n undoes the forward norm: spectra * rfftn_forward(x) is
         # then the forward transform of the convolution with x
-        self.spectra = rfftn_forward(kernels, self.axes) * size**spec.n
+        return rfftn_forward(kernels, self.axes) * self.box[0] ** n
 
     def apply(self, state):
         """Propagator times a lattice vector (time-major, m_t * n_nodes):
@@ -319,6 +308,13 @@ class _CylinderLattice:
         conv = irfftn_forward(acc, self.axes, self.box[-1])
         out[1:] = conv.reshape(self.m_t - 1, -1)[:, self.nodes]
         return out.reshape(-1)
+
+    def powers(self, state, count):
+        """Yield ``state`` under 0, 1, ..., count - 1 applications of the propagator."""
+        for k in range(count):
+            if k:
+                state = self.apply(state)
+            yield state
 
     def target_weights(self, z):
         """Quadrature weights mapping lattice values to the event (tau, z)."""
@@ -357,10 +353,7 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
         lat = _CylinderLattice(cyl, spec, s, tau, m_x, m_t)
         state = np.concatenate([gaussian(m - s, lat.pts - v, spec) for m in lat.mids])
         tw = lat.target_weights(z)
-        terms.append(float(tw @ state))
-        for _ in range(3, K + 1):
-            state = lat.apply(state)
-            terms.append(float(tw @ state))
+        terms += [float(tw @ power) for power in lat.powers(state, K - 1)]
     terms = np.asarray(terms)
     converged = bool(terms.size < 3 or (abs(terms[-1]) <= abs(terms[-2]) <= abs(terms[-3])))
     return BoundarySeriesResult(float(np.sum(terms)), terms, float(abs(terms[-1])), converged)
@@ -455,11 +448,8 @@ def boundary_density(
         + 2.0 * np.asarray(initial_convolution(tau, z_points))
         + n_term_sign * 2.0 * np.asarray(nonlinear_convolution(tau, z_points))
     )
-    # lattice_vals under 0, 1, ..., series_order - 1 applications of the propagator
-    states = [lattice_vals][:series_order]
-    while len(states) < series_order:
-        states.append(lat.apply(states[-1]))
+    powers = list(lat.powers(lattice_vals, series_order))
     for i, z in enumerate(z_points):
         tw = lat.target_weights(z)
-        out[i] += sum(float(tw @ state) for state in states)
+        out[i] += sum(float(tw @ power) for power in powers)
     return out

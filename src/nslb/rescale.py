@@ -6,6 +6,7 @@ measured increment audit against the predicted superlinear growth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,22 +139,13 @@ def hm_cm_proxy_norm(v: SpectralField) -> float:
     m = 2
     total = sobolev_norm(v, m)
     grid = v.grid
-    n = grid.n
-    orders = [()]  # multi-indices as tuples of axis repetitions
-    frontier = [()]
-    for _ in range(m):
-        frontier = [o + (ax,) for o in frontier for ax in range(n)]
-        orders.extend(frontier)
-    seen = set()
-    for order in orders:
-        key = tuple(sorted(order))
-        if key in seen:
-            continue
-        seen.add(key)
-        modes = v.modes
-        for ax in key:
-            modes = 2j * np.pi * grid.alpha(ax) * modes
-        total += to_grid(SpectralField(grid, modes)).max_abs()
+    for k in range(m + 1):
+        # multi-indices of order k as sorted tuples of axis repetitions
+        for key in itertools.combinations_with_replacement(range(grid.n), k):
+            modes = v.modes
+            for ax in key:
+                modes = 2j * np.pi * grid.alpha(ax) * modes
+            total += to_grid(SpectralField(grid, modes)).max_abs()
     return float(total)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "PhysicalField",
     "to_modes",
     "to_grid",
-    "derivative",
     "divergence",
     "sobolev_norm",
     "dealias",
@@ -248,14 +247,6 @@ def to_grid(v: SpectralField) -> PhysicalField:
     c += v.modes[..., : grid.N // 2 + 1]
     c *= half_phase
     return PhysicalField(grid, irfftn_forward(c, tuple(range(1, 1 + grid.n)), grid.N))
-
-
-def derivative(v: SpectralField, i: int, k: int) -> SpectralField:
-    """Spectral d/dx_k of component i: mode alpha maps to 2 pi i alpha_k v_{i,alpha}."""
-    if not 0 <= k < v.grid.n:
-        raise ValueError(f"direction {k} out of range for n={v.grid.n}")
-    out = 2j * np.pi * v.grid.alpha(k) * v.modes[i]
-    return SpectralField(v.grid, out[None])
 
 
 def divergence(v: SpectralField) -> SpectralField:

@@ -1,10 +1,11 @@
 """Independent oracles the production paths are checked against.
 
 Everything here is deliberately dumb and direct: explicit mode loops,
-finite differences, and dense quadrature, sharing no code with the FFT or
-solver paths under test.  The exception is the weak-strong uniqueness
-bound at the end, a diagnostic over ``simulate`` trajectories that only
-the tests compute.
+finite differences, dense quadrature and dense 1-D maximization, sharing no
+code with the FFT or solver paths under test.  The exceptions are the
+solver's right-hand side ``rhs``, the spectral ``derivative`` and the
+weak-strong uniqueness bound at the end, a diagnostic over ``simulate``
+trajectories: only the tests compute them.
 """
 
 from dataclasses import dataclass
@@ -13,8 +14,8 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from nslb.dynamics import _cumulative_trapezoid, energy
-from nslb.spectral import to_grid
+from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
+from nslb.spectral import SpectralField, _full, _half, to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -217,6 +218,12 @@ def dense_propagator(pts, mids, cell, dt, nu_eff):
     return prop.reshape(m_t * n_nodes, m_t * n_nodes)
 
 
+def dense_sup_1d(fn):
+    """Dense 1-D maximization on the uniform grid 1e-4, 2e-4, ..., 10."""
+    zs = np.arange(1e-4, 10.0 + 1e-4, 1e-4)
+    return float(np.max(fn(zs)))
+
+
 def shifted_stencils(ball, values, axis):
     """(first, second) derivative of ``values`` along ``axis`` on the masked
     ball, with the node-by-node stencil choice of ``BallGrid``: centered
@@ -337,6 +344,26 @@ def perturbed_taylor_green_values(x, y, amplitude, eps):
         ]
     ) / (4 * np.pi)
     return taylor_green_values(x, y, amplitude) + eps * amplitude * pert
+
+
+def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
+    """nu Delta v - P[(v . grad) v]; divergence-free by construction.
+
+    ``v`` is taken as the real, solenoidal, 2/3-dealiased field that
+    ``simulate`` integrates: the advection term is evaluated from its half
+    spectrum in divergence form.
+    """
+    op = _HalfSpectrum(v.grid, cfg)
+    lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
+    return SpectralField(v.grid, lin * v.modes + _full(op.nonlinear(_half(v.modes, v.grid)), v.grid))
+
+
+def derivative(v: SpectralField, i: int, k: int) -> SpectralField:
+    """Spectral d/dx_k of component i: mode alpha maps to 2 pi i alpha_k v_{i,alpha}."""
+    if not 0 <= k < v.grid.n:
+        raise ValueError(f"direction {k} out of range for n={v.grid.n}")
+    out = 2j * np.pi * v.grid.alpha(k) * v.modes[i]
+    return SpectralField(v.grid, out[None])
 
 
 def l4_norm(v):

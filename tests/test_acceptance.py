@@ -118,7 +118,7 @@ def test_criterion_4_kernel_bounds():
         spread = (max(observed) - min(observed)) / max(observed)
         assert spread <= 1e-9  # diffusivity-independent constant
         lines.append(f"d={delta}: sup {max(observed):.4f} <= {predicted:.4f}")
-    report(4, "; ".join(lines) + " (1e-6 slack, nu-independent)")
+    report(4, "; ".join(lines) + " (1e-12 slack, nu-independent)")
 
 
 def test_criterion_5_duhamel_residual():

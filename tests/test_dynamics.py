@@ -15,7 +15,6 @@ from nslb.dynamics import (
     energy,
     gradient_energy,
     hopf_energy_check,
-    rhs,
     simulate,
 )
 from nslb.flows import TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
@@ -40,6 +39,7 @@ from oracles import (
     prefix_hopf_max_violation,
     prefix_weak_strong_c,
     projected_divergence_modes,
+    rhs,
     taylor_green_values,
     weak_strong_bound,
 )

@@ -18,14 +18,13 @@ from nslb.spectral import (
     TorusGrid,
     dealias,
     dealias_mask,
-    derivative,
     divergence,
     hermitian_symmetrize,
     to_grid,
     to_modes,
 )
 
-from oracles import brute_force_pressure_gradient
+from oracles import brute_force_pressure_gradient, derivative
 
 
 def test_zero_field_zero_pressure():

@@ -8,7 +8,6 @@ from nslb.spectral import (
     _mode_phase,
     hermitian_symmetrize,
     dealias,
-    derivative,
     divergence,
     sobolev_norm,
     to_grid,
@@ -17,7 +16,7 @@ from nslb.spectral import (
 
 from nslb.dynamics import SolverConfig, simulate
 from nslb.flows import random_divergence_free
-from oracles import centered_difference, grid_l2
+from oracles import centered_difference, derivative, grid_l2
 
 
 def random_field(grid, seed, ncomp=None):
