@@ -8,29 +8,34 @@ RK4 handles only the projected advection term.
 The loop runs on the real-to-complex half spectrum (last-axis wavenumbers
 0..N/2, the rest follow from conjugate symmetry; ``spectral._half`` and
 ``spectral._full`` convert) through scipy's compiled pocketfft transforms
-(``_compiled``).
+(``_compiled``), and it stores only the 2/3 box of that half lattice: the
+modes with every |alpha_k| <= N/3, the only ones the 2/3 rule keeps nonzero.
 The advection term is evaluated in divergence form, P[div(v (x) v)]:
-n inverse transforms for the velocity and one batched forward transform
-of the n(n+1)/2 products v_i v_j.  For a solenoidal state kept inside
-|alpha_k| <= N/3 this equals the advective form P[(v . grad) v] once the
-2/3 mask is applied: when 3 does not divide N, the products alias only
-onto modes the mask removes (Orszag 1971; Canuto, Hussaini, Quarteroni &
-Zang, Spectral Methods, 2007).  Divergence, projection, mask and
-coefficient are linear in the product transforms, so they are folded
-into one real tensor K[i, p] per mode, built once per run; the RK4 stages
-are combined in place in two preallocated buffers.  Full-lattice
-``SpectralField`` fields are rebuilt from the half spectrum only at record
-points, and either kept or handed to an observer.
+the box is scattered into a zeroed half-lattice buffer, n inverse
+transforms give the velocity, one batched forward transform the
+n(n+1)/2 products v_i v_j, and the box of that transform is gathered back.
+On each axis the box is one or two runs of lattice indices, so scatter
+and gather are 2^(n-1) block copies by basic slices.  For a solenoidal
+state kept inside the box this equals the advective form P[(v . grad) v]
+restricted to the box: when 3 does not divide N, the products alias only
+onto modes outside it (Orszag 1971; Canuto, Hussaini, Quarteroni & Zang,
+Spectral Methods, 2007).  Divergence, projection and coefficient are
+linear in the product transforms, so they are folded into one real tensor
+K[i, p] per box mode, built once per run; the RK4 stages are combined in
+place in two preallocated buffers.  Full-lattice ``SpectralField`` fields
+are rebuilt from the box only at record points, and either kept or handed
+to an observer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import SpectralField, TorusGrid, _full, _half, dealias, dealias_mask, hermitian_symmetrize
+from .spectral import SpectralField, TorusGrid, _full, _half, dealias, hermitian_symmetrize
 from .leray import _project_modes, leray_project
 
 __all__ = [
@@ -126,60 +131,94 @@ def gradient_energy(v: SpectralField) -> float:
 
 
 class _HalfSpectrum:
-    """Per-run operators of the IF-RK4 loop on the ``rfftn`` half lattice.
+    """Per-run operators of the IF-RK4 loop on the 2/3 box of the ``rfftn``
+    half lattice.
 
-    The loop state is the raw half spectrum c = (phase * modes)[..., :N/2+1]:
-    unphased coefficients, so that the real transforms map them straight to
-    grid values (``spectral._half``).  The (-1)^(alpha_1+...+alpha_n) phase
-    commutes with every diagonal operator here and is applied only when a
-    full-lattice field is rebuilt (``spectral._full``).  The last
-    half-lattice plane holds the Nyquist wavenumber, stored as -N/2 as on
-    the full lattice; every operator is even in alpha or zero there.
+    The loop state is the raw half spectrum c = (phase * modes)[..., :N/2+1]
+    on the box |alpha_k| <= k = N // 3: unphased coefficients, so that the
+    real transforms map them straight to grid values (``spectral._half``).
+    The (-1)^(alpha_1+...+alpha_n) phase commutes with every diagonal
+    operator here and is applied only when a full-lattice field is rebuilt
+    (``spectral._full``).  Box axes hold wavenumbers in FFT order: 0..k,
+    then -k..-1 on each of the first n-1 axes (half-lattice indices 0..k
+    and N-k..N-1), and 0..k on the last axis, which therefore has no
+    Nyquist plane (k < N/2).  ``scatter`` writes a box array into the
+    half-lattice buffer the inverse transform reads; nothing writes that
+    buffer off the box, so it stays zero there.  ``gather`` copies the box
+    out of a half-lattice array.
 
-    The advection term -c * mask * P[div(v (x) v)] is linear in the product
-    transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is applied as
-    -i * sum_p K[:, p] w_p.  Column p of the real tensor K is the Leray
-    projection of the divergence of a unit product p, that is alpha_j e_i +
-    alpha_i e_j (alpha_i e_i when i = j), times 2 pi * advect_coeff * mask.
+    The advection term -c * P[div(v (x) v)] on the box is linear in the
+    product transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is
+    applied as -i * sum_p K[:, p] w_p.  Column p of the real tensor K is the
+    Leray projection of the divergence of a unit product p, that is
+    alpha_j e_i + alpha_i e_j (alpha_i e_i when i = j), times
+    2 pi * advect_coeff.
     """
 
     def __init__(self, grid: TorusGrid, cfg: SolverConfig):
+        n, N = grid.n, grid.N
+        k = N // 3
         self.grid = grid
-        self.axes = tuple(range(1, 1 + grid.n))
-        half = (Ellipsis, slice(0, grid.N // 2 + 1))
-        n = grid.n
-        alphas = [grid.alpha(k)[half] for k in range(n)]
-        asq = grid.alpha_sq()[half]
+        self.axes = tuple(range(1, 1 + n))
+        self.shape = (2 * k + 1,) * (n - 1) + (k + 1,)
+        # (box slice, half-lattice slice) of the nonnegative and the
+        # negative wavenumbers of a full axis
+        runs = ((slice(0, k + 1), slice(0, k + 1)), (slice(k + 1, 2 * k + 1), slice(N - k, N)))
+        last = slice(0, k + 1)
+        self._blocks = [
+            ((Ellipsis, *(box for box, _ in combo), last), (Ellipsis, *(lat for _, lat in combo), last))
+            for combo in itertools.product(runs, repeat=n - 1)
+        ]
+        waves = [np.concatenate([np.arange(k + 1), np.arange(-k, 0)])] * (n - 1) + [np.arange(k + 1)]
+        alphas = [w.astype(float).reshape([-1 if j == axis else 1 for j in range(n)]) for axis, w in enumerate(waves)]
+        asq = np.zeros(self.shape)
+        for alpha in alphas:
+            asq = asq + alpha**2
         inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
         lin = -cfg.nu * 4 * np.pi**2 * asq
         self.e_full = np.exp(lin * cfg.dt)
         self.e_half = np.exp(lin * cfg.dt / 2)
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        half_shape = asq.shape
-        scale = 2 * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
-        self.K = np.empty((n, len(self.pairs)) + half_shape)
+        scale = 2 * np.pi * cfg.advect_coeff
+        self.K = np.empty((n, len(self.pairs)) + self.shape)
         for p, (i, j) in enumerate(self.pairs):
-            div = np.zeros((n,) + half_shape)
+            div = np.zeros((n,) + self.shape)
             div[i] += alphas[j]
             if j != i:
                 div[j] += alphas[i]
             self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
+        self._half = np.zeros((n,) + grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
         self._prods = np.empty((len(self.pairs),) + grid.shape)
-        self._term = np.empty(half_shape, dtype=complex)
+        self._w = np.empty((len(self.pairs),) + self.shape, dtype=complex)
+        self._term = np.empty(self.shape, dtype=complex)
+
+    def scatter(self, c):
+        """The half-lattice buffer holding the box array c, zero off the box
+        (reused: valid until the next ``scatter`` or ``nonlinear``)."""
+        half = self._half
+        for box, lat in self._blocks:
+            half[lat] = c[box]
+        return half
+
+    def gather(self, h, out):
+        """Copy the box of the half-lattice array h into ``out``."""
+        for box, lat in self._blocks:
+            out[box] = h[lat]
+        return out
 
     def abs_sum(self, c):
-        """sum |v_alpha| over the full lattice: last-axis wavenumbers 1..N/2-1 count twice."""
+        """sum |v_alpha| over the full lattice: last-axis box planes 1..k count twice."""
         a = np.abs(c)
-        return float(a.sum() + a[..., 1:-1].sum())
+        return float(a.sum() + a[..., 1:].sum())
 
     def nonlinear(self, c):
-        """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c,
-        as a new array."""
-        vel = irfftn_forward(c, self.axes, self.grid.N)
+        """-advect_coeff * P[div(v (x) v)] of the box array c on the box, as a
+        new array."""
+        vel = irfftn_forward(self.scatter(c), self.axes, self.grid.N)
         prods = self._prods
         for p, (i, j) in enumerate(self.pairs):
             np.multiply(vel[i], vel[j], out=prods[p])
-        w = rfftn_forward(prods, self.axes)
+        w = self.gather(rfftn_forward(prods, self.axes), self._w)
         out = np.empty(c.shape, dtype=complex)
         term = self._term
         for i, k_i in enumerate(self.K):
@@ -216,7 +255,8 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
         raise ValueError(f"initial field is not conjugate-symmetric (anti-Hermitian part {asym:.3e})")
 
     op = _HalfSpectrum(grid, cfg)
-    m = _half(state, grid)
+    m = op.gather(_half(state, grid), np.empty((grid.n,) + op.shape, dtype=complex))
+    del state
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt
@@ -228,7 +268,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     times, energies, grads, snaps = [], [], [], []
 
     def record(t):
-        f = SpectralField(grid, _full(m, grid))
+        f = SpectralField(grid, _full(op.scatter(m), grid))
         times.append(t)
         energies.append(energy(f))
         grads.append(gradient_energy(f))

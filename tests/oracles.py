@@ -3,9 +3,10 @@
 Everything here is deliberately dumb and direct: explicit mode loops,
 finite differences, dense quadrature and dense 1-D maximization, sharing no
 code with the FFT or solver paths under test.  The exceptions are the
-solver's right-hand side ``rhs``, the spectral ``derivative`` and the
-weak-strong uniqueness bound at the end, a diagnostic over ``simulate``
-trajectories: only the tests compute them.
+solver's right-hand side ``rhs``, the half-lattice advection operator
+``HalfLatticeOperator`` the 2/3-box loop is checked against, the spectral
+``derivative`` and the weak-strong uniqueness bound at the end, a
+diagnostic over ``simulate`` trajectories: only the tests compute them.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,10 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
+from nslb._compiled import irfftn_forward, rfftn_forward
 from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
-from nslb.spectral import SpectralField, _full, _half, to_grid
+from nslb.leray import _project_modes
+from nslb.spectral import SpectralField, TorusGrid, _full, _half, dealias_mask, to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -160,6 +163,57 @@ def out_of_place_if_rk4(nonlinear, e_full, e_half, dt, m, steps):
         m = e_full * m + dt / 6.0 * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
         states.append(m)
     return states
+
+
+class HalfLatticeOperator:
+    """The IF-RK4 operators on the whole ``rfftn`` half lattice, with the
+    2/3 mask folded into K: the reference the box operators of
+    ``dynamics._HalfSpectrum`` must reproduce bit for bit on the box.
+
+    ``nonlinear`` takes and returns raw half spectra of shape
+    (n, N, ..., N/2+1); K is zero off the 2/3 box.
+    """
+
+    def __init__(self, grid: TorusGrid, cfg: SolverConfig):
+        self.grid = grid
+        self.axes = tuple(range(1, 1 + grid.n))
+        half = (Ellipsis, slice(0, grid.N // 2 + 1))
+        n = grid.n
+        alphas = [grid.alpha(k)[half] for k in range(n)]
+        asq = grid.alpha_sq()[half]
+        inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
+        lin = -cfg.nu * 4 * np.pi**2 * asq
+        self.e_full = np.exp(lin * cfg.dt)
+        self.e_half = np.exp(lin * cfg.dt / 2)
+        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        half_shape = asq.shape
+        scale = 2 * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
+        self.K = np.empty((n, len(self.pairs)) + half_shape)
+        for p, (i, j) in enumerate(self.pairs):
+            div = np.zeros((n,) + half_shape)
+            div[i] += alphas[j]
+            if j != i:
+                div[j] += alphas[i]
+            self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
+
+    def nonlinear(self, c):
+        """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c."""
+        vel = irfftn_forward(c, self.axes, self.grid.N)
+        prods = np.stack([vel[i] * vel[j] for i, j in self.pairs])
+        w = rfftn_forward(prods, self.axes)
+        out = np.empty(c.shape, dtype=complex)
+        for i, k_i in enumerate(self.K):
+            out[i] = k_i[0] * w[0]
+            for p in range(1, len(self.pairs)):
+                out[i] += k_i[p] * w[p]
+        out *= -1j
+        return out
+
+
+def box_of(op: _HalfSpectrum, modes):
+    """The 2/3 box of the raw half spectrum of full-lattice modes, as the
+    loop of ``simulate`` stores it."""
+    return op.gather(_half(modes, op.grid), np.empty((modes.shape[0],) + op.shape, dtype=complex))
 
 
 def loop_poisson_system(ball, rhs_values, boundary_values):
@@ -350,12 +404,13 @@ def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
     """nu Delta v - P[(v . grad) v]; divergence-free by construction.
 
     ``v`` is taken as the real, solenoidal, 2/3-dealiased field that
-    ``simulate`` integrates: the advection term is evaluated from its half
-    spectrum in divergence form.
+    ``simulate`` integrates: the advection term is evaluated from the 2/3
+    box of its half spectrum in divergence form.
     """
     op = _HalfSpectrum(v.grid, cfg)
     lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
-    return SpectralField(v.grid, lin * v.modes + _full(op.nonlinear(_half(v.modes, v.grid)), v.grid))
+    advection = _full(op.scatter(op.nonlinear(box_of(op, v.modes))), v.grid)
+    return SpectralField(v.grid, lin * v.modes + advection)
 
 
 def derivative(v: SpectralField, i: int, k: int) -> SpectralField:

@@ -47,6 +47,17 @@ def test_irfftn_forward_matches_scipy_fft(n, N, batch, seed):
     assert np.array_equal(irfftn_forward(c, axes, N), want)
 
 
+@pytest.mark.parametrize("shape", [(3, 32, 32, 17), (2, 32, 17), (3, 12, 12, 7)])
+def test_irfftn_forward_leaves_its_input_unchanged(shape):
+    # the solver's zeroed scatter buffer is read by every inverse transform
+    # and must stay zero off the 2/3 box
+    rng = np.random.default_rng(len(shape))
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = c.tobytes()
+    irfftn_forward(c, tuple(range(1, len(shape))), 2 * (shape[-1] - 1))
+    assert c.tobytes() == before
+
+
 @pytest.mark.parametrize("n, m", [(2, 17), (2, 129), (3, 33)])
 def test_poisson_matvec_matches_csr_matrix(n, m):
     ball = BallGrid(n, 0.5, m)

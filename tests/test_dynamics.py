@@ -26,13 +26,16 @@ from nslb.spectral import (
     _full,
     _half,
     dealias,
+    dealias_mask,
     divergence,
     hermitian_symmetrize,
     to_grid,
     to_modes,
 )
 from oracles import (
+    HalfLatticeOperator,
     advective_nonlinear_modes,
+    box_of,
     l4_norm,
     out_of_place_if_rk4,
     perturbed_taylor_green_values,
@@ -123,19 +126,36 @@ def test_rhs_matches_advective_oracle(n, N, advect_coeff):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff, seed):
-    # the per-run tensor K is the divergence, projection, mask and
-    # coefficient of the unfused evaluation; N = 12 puts modes on the N/3 shell
+    # the per-run tensor K is the divergence, projection and coefficient of
+    # the unfused evaluation on the 2/3 box; N = 12 puts modes on the N/3
+    # shell.  The box holds no mode outside the mask, so the random input
+    # is masked.
     grid = TorusGrid(n, N)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff))
     rng = np.random.default_rng(seed)
     shape = (n,) + grid.shape[:-1] + (N // 2 + 1,)
+    keep = dealias_mask(grid)[..., : N // 2 + 1]
     for c in (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        keep * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
         _half(random_divergence_free(grid, rng, kmax=N // 3).modes, grid),
     ):
         expected = projected_divergence_modes(c, n, N, advect_coeff)
-        got = op.nonlinear(c)
+        box = op.gather(c, np.empty((n,) + op.shape, dtype=complex))
+        got = op.scatter(op.nonlinear(box))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [8, 10, 12, 16, 30])
+def test_scattered_box_is_the_dealias_mask(n, N):
+    # the 2/3 set has one definition: the box scatters onto exactly the
+    # half-lattice modes ``dealias_mask`` keeps
+    grid = TorusGrid(n, N)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
+    assert op.K.shape[2:] == op.e_full.shape == op.e_half.shape == op.shape
+    scattered = op.scatter(np.ones((n,) + op.shape, dtype=complex))
+    keep = dealias_mask(grid)[..., : N // 2 + 1]
+    assert np.array_equal(scattered, np.broadcast_to(keep, scattered.shape).astype(complex))
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 12)])
@@ -145,11 +165,34 @@ def test_in_place_rk4_equals_out_of_place_update(n, N):
     v0 = random_divergence_free(grid, np.random.default_rng(4), kmax=N // 3)
     traj = simulate(v0, cfg)
     op = _HalfSpectrum(grid, cfg)
-    m0 = _half(dealias(leray_project(v0)).modes, grid)
+    m0 = box_of(op, dealias(leray_project(v0)).modes)
     # copied per call: the reference keeps four distinct stage values even
     # if ``nonlinear`` handed out a reused buffer
     states = out_of_place_if_rk4(lambda c: op.nonlinear(c).copy(), op.e_full, op.e_half, cfg.dt, m0, 5)
     assert len(traj.snapshots) == 6
+    for f, m in zip(traj.snapshots[1:], states):
+        assert np.array_equal(f.modes, _full(op.scatter(m), grid))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 10, 12, 16, 30]),
+    advect_coeff=st.sampled_from([1.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_loop_equals_half_lattice_reference(n, N, advect_coeff, seed):
+    # the loop on the 2/3 box is the half-lattice loop with the mask folded
+    # into K, bit for bit: every box mode sees the same operations, and
+    # every mode off the box is zero in both.  N = 12 puts modes on the N/3 shell.
+    grid = TorusGrid(n, N)
+    cfg = SolverConfig(nu=0.03, dt=2e-3, t_end=6e-3, advect_coeff=advect_coeff)
+    v0 = random_divergence_free(grid, np.random.default_rng(seed), kmax=N // 3, rms=3.0)
+    traj = simulate(v0, cfg)
+    ref = HalfLatticeOperator(grid, cfg)
+    m0 = _half(dealias(leray_project(v0)).modes, grid)
+    states = out_of_place_if_rk4(ref.nonlinear, ref.e_full, ref.e_half, cfg.dt, m0, 3)
+    assert len(traj.snapshots) == 4
     for f, m in zip(traj.snapshots[1:], states):
         assert np.array_equal(f.modes, _full(m, grid))
 
@@ -265,10 +308,12 @@ def test_full_lattice_rebuild_is_the_field_the_loop_sees(n, N, seed):
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
 def test_half_spectrum_abs_sum_is_full_lattice_sum(n, N, seed):
+    # on the 2/3 box, the field the loop can hold: dealiased modes
     grid, modes = _hermitian_field(n, N, seed)
+    modes = modes * dealias_mask(grid)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
     full_sum = float(np.sum(np.abs(modes)))
-    assert op.abs_sum(_half(modes, grid)) == pytest.approx(full_sum, rel=1e-13)
+    assert op.abs_sum(box_of(op, modes)) == pytest.approx(full_sum, rel=1e-13)
 
 
 def test_simulate_zero_initial_data():

@@ -173,6 +173,18 @@ def test_kernel_bound_passes_with_tight_slack(n, delta, nu, kind):
     assert rep.c_observed == pytest.approx(c * (a / np.e) ** a, rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("delta", [0.25, 0.5, 0.75, 0.9])
+def test_derivative_audit_observes_the_sharp_constant(n, delta):
+    # |d_1 G| / pi (4 pi nu t)^delta |y|^(n + 1 - 2 delta) = 2 pi^(-a) q^a e^(-q)
+    # in q = |y|^2 / (4 nu t), a = n/2 + 1 - delta: the scan finds its sup
+    # 2 pi^(-a) (a/e)^a, so a derivative kernel off by any factor moves it
+    # (the reported c_predicted, (a/2e)^(a/2), is 2.7-3.7x larger)
+    rep = kernel_bound_check(delta, KernelSpec(nu_eff=0.1, n=n), kind="derivative")
+    a = n / 2 + 1 - delta
+    assert rep.c_observed == pytest.approx(2 * np.pi**-a * (a / np.e) ** a, rel=1e-12)
+
+
 def test_kernel_bound_edge_delta_finite():
     rep = kernel_bound_check(0.99, KernelSpec(nu_eff=0.1, n=2), kind="derivative")
     assert np.isfinite(rep.c_observed) and np.isfinite(rep.c_predicted)
