@@ -55,7 +55,14 @@ def _boolean(raw):
         raise ValueError("not a boolean: use 1/yes/true/on or 0/no/false/off") from None
 
 
-def _list(raw, cast=float):
+def _finite(raw):
+    """A finite float: "nan" and "inf" parse as floats, but no key means them."""
+    if not np.isfinite(value := float(raw)):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _list(raw, cast=_finite):
     """A whitespace- or comma-separated list of at least one value."""
     values = [cast(tok) for tok in raw.replace(",", " ").split()]
     if not values:
@@ -135,10 +142,10 @@ def _initial_field(p):
         ("grid", "n"): (int, 2),
         ("grid", "N"): (int, ...),
         ("physics", "initial"): (str, "taylor-green", lambda v: v in ("taylor-green", "random"), "must be taylor-green or random"),
-        ("physics", "amplitude"): (float, 1.0, lambda x: x != 0, "must be nonzero: a zero field passes every check vacuously"),
-        ("physics", "nu"): (float, ...),
-        ("physics", "dt"): (float, ...),
-        ("physics", "t_end"): (float, ...),
+        ("physics", "amplitude"): (_finite, 1.0, lambda x: x != 0, "must be nonzero: a zero field passes every check vacuously"),
+        ("physics", "nu"): (_finite, ...),
+        ("physics", "dt"): (_finite, ...),
+        ("physics", "t_end"): (_finite, ...),
         ("physics", "snapshot_stride"): (int, 1),
         ("output", "snapshots"): (_boolean, False),
     },
@@ -202,9 +209,9 @@ def run_simulate(p, out: Path):
 @_register(
     "transform-check",
     {
-        ("cone", "t_s"): (float, 1.0),
-        ("cone", "t_1"): (float, 0.5),
-        ("physics", "nu"): (float, 0.02, lambda x: x > 0, "must be positive"),
+        ("cone", "t_s"): (_finite, 1.0),
+        ("cone", "t_1"): (_finite, 0.5),
+        ("physics", "nu"): (_finite, 0.02, lambda x: x > 0, "must be positive"),
     },
     cone=(lambda p: ConeSpec(t_s=p.t_s, x_s=(0.1, -0.2), t_1=p.t_1), "t_s", "t_1"),
 )
@@ -259,9 +266,9 @@ def run_transform_check(p, out: Path):
 @_register(
     "fit-singularity",
     {
-        ("fitting", "noise"): (float, 0.0, lambda x: x >= 0, "must be >= 0"),
+        ("fitting", "noise"): (_finite, 0.0, lambda x: x >= 0, "must be >= 0"),
         ("fitting", "samples"): (int, 240, lambda k: k >= MIN_SAMPLES, f"need at least {MIN_SAMPLES}"),
-        ("fitting", "tolerance"): (float, None),  # None: 0.02 without noise, 0.10 with
+        ("fitting", "tolerance"): (_finite, None),  # None: 0.02 without noise, 0.10 with
         ("fitting", "lambdas"): (_list, (0.2, 0.7, 1.4), lambda xs: all(x >= 0 for x in xs), "must be >= 0"),
         ("fitting", "mus"): (_list, (0.1, 0.3, 0.45, 0.0), lambda xs: all(x >= 0 for x in xs), "must be >= 0"),
     },
@@ -392,7 +399,7 @@ def run_verify_kernels(p, out: Path):
         ("rescale", "horizons"): (_list, (0.5, 1.0, 2.0), lambda ts: all(t >= 0.5 for t in ts), "must be >= 0.5"),
         ("rescale", "sweep_points"): (int, 1000, lambda k: k >= 2, "need at least 2, the two ends of the sweep"),
         ("grid", "N"): (int, 32),
-        ("physics", "nu"): (float, 0.05, lambda x: x > 0, "must be positive"),
+        ("physics", "nu"): (_finite, 0.05, lambda x: x > 0, "must be positive"),
     },
     grid=(lambda p: TorusGrid(n=2, N=p.N), "N"),
 )
@@ -450,7 +457,7 @@ def run_rescale_audit(p, out: Path):
 @_register(
     "duhamel-residual",
     {
-        ("kernels", "nu_eff"): (float, 0.5),
+        ("kernels", "nu_eff"): (_finite, 0.5),
         ("kernels", "resolutions"): (
             lambda raw: _list(raw, int),
             (17, 25, 33),

@@ -13,7 +13,9 @@ w(tau, z) = v(t, x) obeys a drift-diffusion system whose coefficients are
     mu_drift     = (t_s - t) / t_s  = 1 / (1 + tau).
 
 Cylinder cross sections are represented on a Cartesian grid masked to the
-base ball; one-sided second-order stencils handle the mask edge.
+base ball; one stencil table per derivative order (``_STENCILS``) gives each
+mask node the first row that fits the mask: centered, one-sided second-order
+forward and backward, lower-order fallback forward and backward.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ def mu_coeffs(tau, cone: ConeSpec) -> MuCoeffs:
     return MuCoeffs(mu1=1.0 / (1.0 + tau), mu2=1.0 / cone.t_s)
 
 
+# Ball stencil rows per derivative order, (offsets along the axis, integer coefficients,
+# divisor in units of h^order): centered, one-sided O(h^2), lower-order fallback.
+_STENCILS = {
+    1: (((1, -1), (1, -1), 2), ((0, 1, 2), (-3, 4, -1), 2), ((1, 0), (1, -1), 1)),
+    2: (((1, 0, -1), (1, -2, 1), 1), ((0, 1, 2, 3), (2, -5, 4, -1), 1), ((0, 1, 2), (1, -2, 1), 1)),
+}
+
+
 class BallGrid:
     """Cartesian grid over [-radius, radius]^n masked to the closed ball.
 
@@ -174,49 +184,36 @@ class BallGrid:
 
     def partial(self, values, axis):
         """d/dz_axis with centered stencils inside and one-sided O(h^2) at the edge."""
-        v = np.asarray(values, dtype=float)
-        out = np.zeros_like(v)
-        h = self.h
-
-        mask_f1, mask_b1, mask_f2, mask_b2 = (self._shifted(self.mask, k, axis) for k in (1, -1, 2, -2))
-        v_f1, v_b1, v_f2, v_b2 = (self._shifted(v, k, axis) for k in (1, -1, 2, -2))
-
-        centered = self.mask & mask_f1 & mask_b1
-        out[centered] = (v_f1[centered] - v_b1[centered]) / (2 * h)
-        fwd = self.mask & ~mask_b1 & mask_f1 & mask_f2
-        out[fwd] = (-3 * v[fwd] + 4 * v_f1[fwd] - v_f2[fwd]) / (2 * h)
-        bwd = self.mask & ~mask_f1 & mask_b1 & mask_b2
-        out[bwd] = (3 * v[bwd] - 4 * v_b1[bwd] + v_b2[bwd]) / (2 * h)
-        lone = self.mask & ~(centered | fwd | bwd)
-        if np.any(lone):
-            # single-neighbour fallback, first order
-            f_only = lone & mask_f1
-            out[f_only] = (v_f1[f_only] - v[f_only]) / h
-            b_only = lone & mask_b1 & ~mask_f1
-            out[b_only] = (v[b_only] - v_b1[b_only]) / h
-        out[~self.mask] = 0.0
-        return out
+        return self._stencil(values, axis, 1)
 
     def second_partial(self, values, axis):
+        return self._stencil(values, axis, 2)
+
+    def _stencil(self, values, axis, order):
+        """Each mask node takes the first row that fits the mask, in the order centered,
+        one-sided forward and backward, fallback forward and backward; a backward row
+        negates the offsets and scales the coefficients by (-1)^order.  Nodes that fit
+        no row, and nodes off the mask, stay 0.  Terms are summed in the listed offset
+        order, which keeps the bits of the hand-written differences."""
+        centered, *edges = _STENCILS[order]
+        rows = [centered]
+        for offsets, coeffs, div in edges:
+            rows += [(offsets, coeffs, div), (tuple(-k for k in offsets), tuple((-1) ** order * c for c in coeffs), div)]
         v = np.asarray(values, dtype=float)
         out = np.zeros_like(v)
-        h = self.h
-
-        masks = {k: self._shifted(self.mask, k, axis) for k in (-3, -2, -1, 1, 2, 3)}
-        vals = {k: self._shifted(v, k, axis) for k in (-3, -2, -1, 1, 2, 3)}
-        centered = self.mask & masks[1] & masks[-1]
-        out[centered] = (vals[1][centered] - 2 * v[centered] + vals[-1][centered]) / h**2
-        fwd = self.mask & ~masks[-1] & masks[1] & masks[2] & masks[3]
-        out[fwd] = (2 * v[fwd] - 5 * vals[1][fwd] + 4 * vals[2][fwd] - vals[3][fwd]) / h**2
-        bwd = self.mask & ~masks[1] & masks[-1] & masks[-2] & masks[-3]
-        out[bwd] = (2 * v[bwd] - 5 * vals[-1][bwd] + 4 * vals[-2][bwd] - vals[-3][bwd]) / h**2
-        lone = self.mask & ~(centered | fwd | bwd)
-        if np.any(lone):
-            f2 = lone & masks[1] & masks[2]
-            out[f2] = (v[f2] - 2 * vals[1][f2] + vals[2][f2]) / h**2
-            b2 = lone & masks[-1] & masks[-2] & ~(masks[1] & masks[2])
-            out[b2] = (v[b2] - 2 * vals[-1][b2] + vals[-2][b2]) / h**2
-        out[~self.mask] = 0.0
+        ks = {k for offsets, _, _ in rows for k in offsets}
+        masks = {k: self._shifted(self.mask, k, axis) for k in ks}
+        vals = {k: self._shifted(v, k, axis) for k in ks}
+        left = self.mask.copy()  # mask nodes no row has taken yet
+        for offsets, coeffs, div in rows:
+            take = left.copy()
+            for k in offsets:
+                take &= masks[k]
+            left &= ~take
+            total = coeffs[0] * vals[offsets[0]][take]
+            for k, c in zip(offsets[1:], coeffs[1:]):
+                total += c * vals[k][take]
+            out[take] = total / (div * self.h**order)
         return out
 
     def laplacian(self, values):

@@ -65,12 +65,13 @@ class SolverConfig:
     advect_coeff: float = 1.0
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
-        if self.t_end <= 0:
-            raise ValueError("end time must be positive")
+        # "not 0 < x < inf" also rejects nan
+        if not 0 < self.nu < np.inf:
+            raise ValueError("viscosity must be positive and finite")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("time step must be positive and finite")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError("end time must be positive and finite")
         ratio = self.t_end / self.dt
         steps = round(ratio)
         if abs(ratio - steps) > 1e-9 * max(steps, 1):

@@ -41,8 +41,8 @@ class KernelSpec:
     n: int
 
     def __post_init__(self):
-        if self.nu_eff <= 0:
-            raise ValueError("effective diffusivity must be positive")
+        if not 0 < self.nu_eff < np.inf:  # also rejects nan
+            raise ValueError("effective diffusivity must be positive and finite")
         if self.n not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
 

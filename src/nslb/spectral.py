@@ -14,6 +14,8 @@ on the half spectrum, last-axis wavenumbers 0..N/2: ``to_modes`` rebuilds
 the full lattice from it by the symmetry, and ``to_grid`` transforms the
 half spectrum of the field's conjugate-symmetric part.  ``_half`` and
 ``_full`` convert between the two lattices; the solver runs on the half.
+Every use of the symmetry reads one per-grid index, ``_mirror``: the flat
+full-lattice position of -alpha for each alpha.
 """
 
 from __future__ import annotations
@@ -110,6 +112,14 @@ def _mode_phase(grid):
     return _read_only(phase)
 
 
+@functools.cache
+def _mirror(grid):
+    """Flat full-lattice index of -alpha for every alpha: storage index
+    j -> (N - j) mod N on every axis (built once per grid, read-only)."""
+    neg = (grid.N - np.arange(grid.N)) % grid.N
+    return _read_only(np.ravel_multi_index(np.ix_(*(neg,) * grid.n), grid.shape))
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Mode representation of a field with one or more components.
@@ -174,17 +184,10 @@ class PhysicalField:
         return float(np.max(np.abs(self.values)))
 
 
-def _reflect(a, axes):
-    """Entries at -alpha along ``axes``: storage index j -> (N - j) mod N."""
-    for ax in axes:
-        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
-    return a
-
-
 def hermitian_symmetrize(modes, grid):
     """Project onto the conjugate-symmetric subspace, v_{-alpha} = conj(v_alpha)."""
-    axes = tuple(range(modes.ndim - grid.n, modes.ndim))
-    return 0.5 * (modes + _reflect(np.conj(modes), axes))
+    lead = modes.shape[: modes.ndim - grid.n]
+    return 0.5 * (modes + np.conj(np.take(modes.reshape(lead + (-1,)), _mirror(grid), axis=-1)))
 
 
 def _half_phase(grid):
@@ -205,26 +208,14 @@ def _full(c, grid):
     made exactly conjugate-symmetric, which is the part the inverse real
     transform reads.
     """
-    N = grid.N
-    plane_axes = tuple(range(c.ndim - grid.n, c.ndim - 1))
-    c = c * _half_phase(grid)
+    N, mirror = grid.N, _mirror(grid)
     out = np.empty(c.shape[:-1] + (N,), dtype=complex)
-    out[..., : N // 2 + 1] = c
-    out[..., N // 2 + 1 :] = _reflect(np.conj(c[..., N // 2 - 1 : 0 : -1]), plane_axes)
+    out[..., : N // 2 + 1] = c * _half_phase(grid)
+    flat = out.reshape(out.shape[: out.ndim - grid.n] + (-1,))
+    out[..., N // 2 + 1 :] = np.conj(np.take(flat, mirror[..., N // 2 + 1 :], axis=-1))
     for k in (0, N // 2):
-        plane = out[..., k]
-        out[..., k] = 0.5 * (plane + _reflect(np.conj(plane), plane_axes))
+        out[..., k] = 0.5 * (out[..., k] + np.conj(np.take(flat, mirror[..., k], axis=-1)))
     return out
-
-
-@functools.cache
-def _half_mirror(grid):
-    """(flat full-lattice index of -alpha, 0.5 * phase) for each alpha of
-    the half lattice (built once per grid, read-only)."""
-    N = grid.N
-    neg = (N - np.arange(N)) % N
-    index = np.ravel_multi_index(np.ix_(*(neg,) * (grid.n - 1), neg[: N // 2 + 1]), grid.shape)
-    return _read_only(index), _read_only(0.5 * _half_phase(grid))
 
 
 def to_modes(f: PhysicalField) -> SpectralField:
@@ -241,11 +232,10 @@ def to_grid(v: SpectralField) -> PhysicalField:
     transform, which is the inverse transform of v's conjugate-symmetric
     part 0.5 (v_alpha + conj v_{-alpha}); only its half spectrum is built."""
     grid = v.grid
-    index, half_phase = _half_mirror(grid)
-    c = np.take(v.modes.reshape(v.ncomp, -1), index, axis=1)  # v_{-alpha}
+    c = np.take(v.modes.reshape(v.ncomp, -1), _mirror(grid)[..., : grid.N // 2 + 1], axis=1)  # v_{-alpha}
     np.conjugate(c, out=c)
     c += v.modes[..., : grid.N // 2 + 1]
-    c *= half_phase
+    c *= 0.5 * _half_phase(grid)
     return PhysicalField(grid, irfftn_forward(c, tuple(range(1, 1 + grid.n)), grid.N))
 
 

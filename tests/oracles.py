@@ -283,7 +283,9 @@ def shifted_stencils(ball, values, axis):
     ball, with the node-by-node stencil choice of ``BallGrid``: centered
     where both neighbours are masked, one-sided second order at the mask
     edge, lower-order fallbacks for isolated nodes.  Shifts are done here by
-    np.roll with the wrapped planes zeroed."""
+    np.roll with the wrapped planes zeroed.  Also returns, per order, the
+    node selections (centered, forward, backward, fallback forward,
+    fallback backward, fits none)."""
     v = np.asarray(values, dtype=float)
     h = ball.h
     m = ball.m
@@ -309,6 +311,7 @@ def shifted_stencils(ball, values, axis):
     d1[f_only] = (vs[1][f_only] - v[f_only]) / h
     b_only = lone & ms[-1] & ~ms[1]
     d1[b_only] = (v[b_only] - vs[-1][b_only]) / h
+    rows = {1: (centered, fwd, bwd, f_only, b_only, lone & ~(f_only | b_only))}
 
     d2 = np.zeros_like(v)
     d2[centered] = (vs[1][centered] - 2 * v[centered] + vs[-1][centered]) / h**2
@@ -321,7 +324,58 @@ def shifted_stencils(ball, values, axis):
     d2[f2] = (v[f2] - 2 * vs[1][f2] + vs[2][f2]) / h**2
     b2 = lone & ms[-1] & ms[-2] & ~(ms[1] & ms[2])
     d2[b2] = (v[b2] - 2 * vs[-1][b2] + vs[-2][b2]) / h**2
-    return d1, d2
+    rows[2] = (centered, fwd, bwd, f2, b2, lone & ~(f2 | b2))
+    return d1, d2, rows
+
+
+def reflect(a, axes):
+    """Entries at -alpha along ``axes``: storage index j -> (N - j) mod N,
+    by one flip and one roll per axis."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
+def reflected_hermitian_symmetrize(modes, grid):
+    """0.5 (v_alpha + conj v_{-alpha}) with -alpha taken by ``reflect``."""
+    axes = tuple(range(modes.ndim - grid.n, modes.ndim))
+    return 0.5 * (modes + reflect(np.conj(modes), axes))
+
+
+def _half_lattice_phase(grid):
+    """(-1)^(alpha_1 + ... + alpha_n) on the half lattice, from the wavenumbers."""
+    k = grid.wavenumbers().astype(int)
+    mesh = np.meshgrid(*(k,) * (grid.n - 1), k[: grid.N // 2 + 1], indexing="ij")
+    return (-1.0) ** sum(mesh)
+
+
+def reflected_full(c, grid):
+    """Full-lattice phased modes from the raw half spectrum c: the upper
+    last-axis planes are the reflected conjugates of the lower ones, and the
+    self-mirrored planes 0 and N/2 are symmetrized by ``reflect``."""
+    N = grid.N
+    plane_axes = tuple(range(c.ndim - grid.n, c.ndim - 1))
+    c = c * _half_lattice_phase(grid)
+    out = np.empty(c.shape[:-1] + (N,), dtype=complex)
+    out[..., : N // 2 + 1] = c
+    out[..., N // 2 + 1 :] = reflect(np.conj(c[..., N // 2 - 1 : 0 : -1]), plane_axes)
+    for k in (0, N // 2):
+        plane = out[..., k]
+        out[..., k] = 0.5 * (plane + reflect(np.conj(plane), plane_axes))
+    return out
+
+
+def half_mirror_to_grid(v: SpectralField):
+    """Grid values of v's conjugate-symmetric part, with v_{-alpha} gathered
+    by a flat index built on the half lattice alone."""
+    grid, N = v.grid, v.grid.N
+    neg = (N - np.arange(N)) % N
+    index = np.ravel_multi_index(np.ix_(*(neg,) * (grid.n - 1), neg[: N // 2 + 1]), grid.shape)
+    c = np.take(v.modes.reshape(v.ncomp, -1), index, axis=1)
+    np.conjugate(c, out=c)
+    c += v.modes[..., : N // 2 + 1]
+    c *= 0.5 * _half_lattice_phase(grid)
+    return irfftn_forward(c, tuple(range(1, 1 + grid.n)), N)
 
 
 def centered_difference(values, axis, spacing):

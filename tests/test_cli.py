@@ -323,6 +323,21 @@ def simulate_cfg(changes):
         ("rescale-audit", "[physics]\nnu = 0\n", "[physics] nu"),
         ("duhamel-residual", "[kernels]\nresolutions = 5 9\n", "[kernels] resolutions"),
         ("duhamel-residual", "[kernels]\nnu_eff = 0\n", "[kernels] nu_eff"),
+        # "nan" and "inf" parse as floats and pass an "x <= 0" guard
+        ("simulate", simulate_cfg({"nu = 0.1": "nu = nan"}), "[physics] nu"),
+        ("simulate", simulate_cfg({"dt = 0.001": "dt = -inf"}), "[physics] dt"),
+        ("simulate", simulate_cfg({"t_end = 0.1": "t_end = inf"}), "[physics] t_end"),
+        ("simulate", simulate_cfg({"amplitude = 1.0": "amplitude = inf"}), "[physics] amplitude"),
+        ("duhamel-residual", "[kernels]\nnu_eff = nan\n", "[kernels] nu_eff"),
+        ("duhamel-residual", "[kernels]\nnu_eff = inf\n", "[kernels] nu_eff"),
+        ("verify-kernels", "[kernels]\nnus = 0.1 inf\n", "[kernels] nus"),
+        ("rescale-audit", "[rescale]\nhorizons = inf\n", "[rescale] horizons"),
+        ("rescale-audit", "[physics]\nnu = inf\n", "[physics] nu"),
+        ("transform-check", "[physics]\nnu = inf\n", "[physics] nu"),
+        ("transform-check", "[cone]\nt_s = inf\n", "[cone] t_s"),
+        ("fit-singularity", "[fitting]\nnoise = inf\n", "[fitting] noise"),
+        ("fit-singularity", "[fitting]\ntolerance = nan\n", "[fitting] tolerance"),
+        ("fit-singularity", "[fitting]\nmus = 0.1 nan\n", "[fitting] mus"),
     ],
     ids=[
         "dimension-4",
@@ -345,6 +360,20 @@ def simulate_cfg(changes):
         "rescale-zero-nu",
         "coarse-balls",
         "zero-nu-eff",
+        "nan-nu",
+        "minus-inf-dt",
+        "inf-t_end",
+        "inf-amplitude",
+        "nan-nu-eff",
+        "inf-nu-eff",
+        "inf-in-nus",
+        "inf-horizons",
+        "rescale-inf-nu",
+        "transform-inf-nu",
+        "inf-t_s",
+        "inf-noise",
+        "nan-tolerance",
+        "nan-in-mus",
     ],
 )
 def test_config_fault_exits_2_before_out_exists(tmp_path, capsys, experiment, text, field):
@@ -480,6 +509,20 @@ def test_benchmark_and_committed_configs_pass_the_config_check(tmp_path):
     assert sorted(CONFIG_EXPERIMENTS) == sorted(p.name for p in CONFIGS.glob("*.cfg"))
     for path, experiment in configs:
         _load(path, experiment, np.random.default_rng(0))
+
+
+def test_same_outputs_tool_runs_what_the_benchmark_runs():
+    # tools/same_outputs.py reads the solver config and each config's
+    # experiment itself; they must stay the benchmark's and the tests'
+    root = CONFIGS.parent
+    loaded = {}
+    for name, path in (("perfbench_child", root / "perfbench" / "child.py"), ("same_outputs", root / "tools" / "same_outputs.py")):
+        spec = importlib.util.spec_from_file_location(name, path)
+        loaded[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loaded[name])
+    tool = loaded["same_outputs"]
+    assert tool.solver_config() == loaded["perfbench_child"].SOLVER_CONFIG
+    assert {path.name: tool.experiment(path) for path in CONFIGS.glob("*.cfg")} == CONFIG_EXPERIMENTS
 
 
 def test_config_named_for_another_experiment_exits_2(tmp_path, capsys):

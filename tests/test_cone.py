@@ -162,15 +162,34 @@ def test_ball_interior_matches_roll_oracle(n):
             assert np.array_equal(ball.boundary, ball.mask & ~ball.interior)
 
 
-@pytest.mark.parametrize("n, m", [(2, 8), (2, 21), (3, 8), (3, 13)])
+# the first-derivative fallback needs an axis line crossing exactly two mask
+# nodes: 3D m = 10 has some, no 2D ball up to m = 256 does
+STENCIL_CASES = [(2, 8), (2, 21), (3, 8), (3, 10), (3, 13)]
+
+
+@pytest.mark.parametrize("n, m", STENCIL_CASES)
 def test_ball_stencils_match_oracle(n, m):
     ball = BallGrid(n, 0.45, m)
     rng = np.random.default_rng(n * 100 + m)
     values = rng.normal(size=ball.mask.shape)
+    values[rng.random(values.shape) < 0.05] = -0.0
     for axis in range(n):
-        d1, d2 = shifted_stencils(ball, values, axis)
-        assert np.array_equal(ball.partial(values, axis), d1)
-        assert np.array_equal(ball.second_partial(values, axis), d2)
+        d1, d2, _ = shifted_stencils(ball, values, axis)
+        assert ball.partial(values, axis).tobytes() == d1.tobytes()
+        assert ball.second_partial(values, axis).tobytes() == d2.tobytes()
+
+
+def test_ball_stencil_cases_select_every_row():
+    # each of the five rows of each order, and nodes that fit no row, occur
+    # in some case of test_ball_stencils_match_oracle
+    seen = {1: np.zeros(6, dtype=int), 2: np.zeros(6, dtype=int)}
+    for n, m in STENCIL_CASES:
+        ball = BallGrid(n, 0.45, m)
+        for axis in range(n):
+            _, _, rows = shifted_stencils(ball, np.zeros(ball.mask.shape), axis)
+            for order, selections in rows.items():
+                seen[order] += [np.count_nonzero(sel) for sel in selections]
+    assert all(np.all(counts > 0) for counts in seen.values()), seen
 
 
 @pytest.mark.parametrize("n, m", [(2, 9), (2, 24), (3, 9), (3, 14)])

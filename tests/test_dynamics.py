@@ -64,6 +64,12 @@ def test_config_validation():
     for stride in (0, -1, -10):
         with pytest.raises(ValueError, match="snapshot_stride"):
             SolverConfig(nu=0.1, dt=1e-3, t_end=1.0, snapshot_stride=stride)
+    # nan passes an "x <= 0" guard, and t_end = inf overflowed round()
+    for bad in (np.nan, np.inf, -np.inf):
+        for field in ("nu", "dt", "t_end"):
+            kwargs = {"nu": 0.1, "dt": 1e-3, "t_end": 1.0, field: bad}
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**kwargs)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=1.0)
     grid = TorusGrid(2, 32)
     assert cfg.stability_ratio(grid) == pytest.approx(1e-3 * 0.1 * (2 * np.pi * 16) ** 2)

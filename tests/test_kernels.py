@@ -28,6 +28,9 @@ def test_kernel_spec_validation():
         KernelSpec(nu_eff=0.0, n=2)
     with pytest.raises(ValueError):
         KernelSpec(nu_eff=1.0, n=4)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(nu_eff=bad, n=2)
 
 
 def test_gaussian_point_value_and_rejection():

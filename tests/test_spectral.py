@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    _full,
+    _mirror,
     _mode_phase,
     hermitian_symmetrize,
     dealias,
@@ -16,7 +20,14 @@ from nslb.spectral import (
 
 from nslb.dynamics import SolverConfig, simulate
 from nslb.flows import random_divergence_free
-from oracles import centered_difference, derivative, grid_l2
+from oracles import (
+    centered_difference,
+    derivative,
+    grid_l2,
+    half_mirror_to_grid,
+    reflected_full,
+    reflected_hermitian_symmetrize,
+)
 
 
 def random_field(grid, seed, ncomp=None):
@@ -179,13 +190,18 @@ def test_wavenumbers_are_fft_order_integers(N):
 @pytest.mark.parametrize("n, N", [(2, 10), (3, 8)])
 def test_per_grid_constants_built_once_and_read_only(n, N):
     grid = TorusGrid(n, N)
-    asq, phase = grid.alpha_sq(), _mode_phase(grid)
+    asq, phase, mirror = grid.alpha_sq(), _mode_phase(grid), _mirror(grid)
     assert TorusGrid(n, N).alpha_sq() is asq and _mode_phase(TorusGrid(n, N)) is phase
+    assert _mirror(TorusGrid(n, N)) is mirror
     wave = grid.wavenumbers()
     mesh = np.meshgrid(*(wave,) * n, indexing="ij")
     assert np.array_equal(asq, sum(k**2 for k in mesh))
     assert np.array_equal(phase, (-1.0) ** sum(k.astype(int) for k in mesh))
-    for shared in (asq, phase):
+    # the mirror holds the flat index of -alpha (mod N), and is an involution
+    for k, neg in zip(mesh, np.unravel_index(mirror, grid.shape)):
+        assert np.all((k + wave[neg]) % N == 0)
+    assert np.array_equal(mirror.ravel()[mirror], np.arange(N**n).reshape(grid.shape))
+    for shared in (asq, phase, mirror):
         with pytest.raises(ValueError, match="read-only"):
             shared[(0,) * n] = 7.0
         with pytest.raises(ValueError, match="read-only"):
@@ -210,3 +226,28 @@ def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
         got = to_grid(v).values
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from(range(8, 33, 2)),
+    lead=st.sampled_from([(), (1,), (3,), (9,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirror_matches_reflect_oracle_bit_for_bit(n, N, lead, seed):
+    # tobytes, not array_equal: snapshot files keep the sign of zero
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z.real[rng.random(shape) < 0.05] = -0.0
+        return z
+
+    half = draw(lead + grid.shape[:-1] + (N // 2 + 1,))
+    modes = draw(lead + grid.shape)  # not conjugate-symmetric
+    assert _full(half, grid).tobytes() == reflected_full(half, grid).tobytes()
+    assert hermitian_symmetrize(modes, grid).tobytes() == reflected_hermitian_symmetrize(modes, grid).tobytes()
+    v = SpectralField(grid, modes)
+    assert to_grid(v).values.tobytes() == half_mirror_to_grid(v).tobytes()

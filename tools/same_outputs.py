@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Check that the working tree writes the same output bytes as a git revision.
+
+    python tools/same_outputs.py REV
+
+Runs, once on the source of REV and once on the working tree:
+
+- every committed ``configs/*.cfg`` at seeds 0 and 7;
+- the 3D solver config of ``perfbench/child.py`` (``SOLVER_CONFIG``, every
+  snapshot written) at seed 0.
+
+Both sides use the working tree's configs.  Every output file is then
+compared byte for byte, except ``report.meta.json``, whose wall times and
+timestamps differ on every run.  Each differing file is printed, and the
+exit status is 1 if any file or exit code differs, 0 otherwise.
+
+REV's ``src`` is extracted with ``git archive`` into a temporary directory,
+which is removed afterwards; nothing is registered in the repository.
+"""
+
+from __future__ import annotations
+
+import ast
+import configparser
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 7)
+UNCOMPARED = {"report.meta.json"}
+
+
+def solver_config():
+    """``SOLVER_CONFIG`` as perfbench/child.py assigns it, read without importing the module."""
+    for node in ast.parse((ROOT / "perfbench" / "child.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SOLVER_CONFIG" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise SystemExit("perfbench/child.py assigns no SOLVER_CONFIG")
+
+
+def experiment(config):
+    """A committed config's experiment: its [experiment] name, else its file name."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.optionxform = str  # keys are case-sensitive (N vs n)
+    parser.read(config)
+    return parser.get("experiment", "name", fallback=config.stem.replace("_", "-"))
+
+
+def run_all(src, jobs, out):
+    """Run every job on the nslb package under ``src``; return {job name: exit code}."""
+    codes = {}
+    for name, exp, config, seed in jobs:
+        argv = [sys.executable, "-m", "nslb.cli", exp, "--config", str(config), "--out", str(out / name), "--seed", str(seed)]
+        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        codes[name] = done.returncode
+        if done.returncode != 0:
+            print(f"{name}: exit {done.returncode} on {src}\n{done.stderr.strip()}", file=sys.stderr)
+    return codes
+
+
+def compared_files(out):
+    return {p.relative_to(out) for p in out.rglob("*") if p.is_file() and p.name not in UNCOMPARED}
+
+
+def main(argv=None):
+    args = argv if argv is not None else sys.argv[1:]
+    if len(args) != 1:
+        raise SystemExit("usage: python tools/same_outputs.py REV")
+    git = ["git", "-C", str(ROOT)]
+    sha = subprocess.run(git + ["rev-parse", "--verify", f"{args[0]}^{{commit}}"], capture_output=True, text=True, check=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(git + ["archive", "--format=tar", sha, "src"], capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        solver = tmp / "solver.cfg"
+        solver.write_text(solver_config())
+        configs = sorted((ROOT / "configs").glob("*.cfg"))
+        jobs = [(f"{c.stem}-seed{s}", experiment(c), c, s) for c in configs for s in SEEDS]
+        jobs.append(("solver-3d-seed0", "simulate", solver, 0))
+
+        sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
+        codes = {side: run_all(src, jobs, tmp / f"out-{side}") for side, src in sides.items()}
+        files = {side: compared_files(tmp / f"out-{side}") for side in sides}
+
+        differ = [f"{name}: exit {codes['rev'][name]} at {sha[:10]}, {codes['tree'][name]} in the working tree" for name, *_ in jobs if codes["rev"][name] != codes["tree"][name]]
+        for rel in sorted(files["rev"] | files["tree"]):
+            a, b = tmp / "out-rev" / rel, tmp / "out-tree" / rel
+            if not (a.is_file() and b.is_file()):
+                differ.append(f"{rel}: only {'at ' + sha[:10] if a.is_file() else 'in the working tree'}")
+            elif not filecmp.cmp(a, b, shallow=False):
+                differ.append(f"{rel}: bytes differ")
+
+    print(f"{len(jobs)} runs, {len(files['rev'] | files['tree'])} files compared against {sha[:10]} ({', '.join(sorted(UNCOMPARED))} excluded)")
+    for line in differ:
+        print(f"DIFFERS {line}")
+    print(f"{len(differ)} differ" if differ else "all byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
