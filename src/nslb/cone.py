@@ -57,13 +57,13 @@ class ConeSpec:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.t_s <= 0:
-            raise ValueError("singular time must be positive")
+        object.__setattr__(self, "x_s", tuple(float(c) for c in self.x_s))
+        if not (0 < self.t_s < np.inf and np.all(np.isfinite(self.x_s))):  # "not 0 < x < inf" also rejects nan
+            raise ValueError("the tip (t_s, x_s) must be finite, with t_s > 0")
         if not 0 < self.t_1 < self.t_s:
             raise ValueError("entry time must satisfy 0 < t_1 < t_s")
         if self.rho != 1.0:
             raise ValueError("only scaling exponent rho = 1 is supported")
-        object.__setattr__(self, "x_s", tuple(float(c) for c in self.x_s))
 
     @property
     def n(self):
@@ -78,8 +78,8 @@ class CylinderSpec:
     r_0: float
 
     def __post_init__(self):
-        if self.t_in <= 0 or self.r_0 <= 0:
-            raise ValueError("cylinder entry time and base radius must be positive")
+        if not (0 < self.t_in < np.inf and 0 < self.r_0 < np.inf):  # also rejects nan
+            raise ValueError("cylinder entry time and base radius must be positive and finite")
 
     @classmethod
     def from_cone(cls, cone: ConeSpec) -> "CylinderSpec":
@@ -111,18 +111,18 @@ def dtau_dt(t, cone: ConeSpec):
 
 
 class MuCoeffs(NamedTuple):
-    mu1: float  # drift coefficient, 1/(1+tau)
+    mu1: np.ndarray  # drift coefficient, 1/(1+tau), shaped like tau
     mu2: float  # diffusion coefficient, 1/t_s (constant)
 
 
 def mu_coeffs(tau, cone: ConeSpec) -> MuCoeffs:
-    """Drift and diffusion coefficients of the transformed system.
+    """Drift and diffusion coefficients of the transformed system at tau, a scalar or an array.
 
     mu2 = (t_s - t)^0 / t_s = 1/t_s for all tau; mu1 = (t_s - t)/t_s, which
     equals 1/(1+tau) and decays to zero up the cylinder.
     """
-    tau = float(tau)
-    if tau < 0:
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
         raise ValueError("tau must be nonnegative")
     return MuCoeffs(mu1=1.0 / (1.0 + tau), mu2=1.0 / cone.t_s)
 

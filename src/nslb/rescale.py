@@ -74,41 +74,43 @@ def t_of_s(s, p: RescaleParams):
 
 @dataclass(frozen=True)
 class CoeffAudit:
-    """Coefficient values at one transformed time with their global bounds.
+    """Coefficient values at the transformed times s with their global bounds.
 
-    mu_tau_k stores r (1 + t)^k mu for k in {1, 2}; the upper bound r(1+T)
-    holds on the whole window exactly for these two orders.
+    s, mu and each mu_tau_k[k] are arrays of the shape of s (0-d values for
+    a scalar s); mu_tau_k stores r (1 + t)^k mu for k in {1, 2}; the upper
+    bound r(1+T) holds on the whole window exactly for these two orders.
     """
 
-    s: float
-    mu: float
+    s: np.ndarray
+    mu: np.ndarray
     mu_tau_k: dict
     lower_bound: float
     upper_bound: float
 
     @property
     def bounds_hold(self):
-        ok = self.mu >= self.lower_bound - 1e-12
-        for v in self.mu_tau_k.values():
-            ok = ok and v <= self.upper_bound * (1 + 1e-12)
-        return bool(ok)
+        """Both bounds at every point, for both orders k."""
+        uppers = (np.all(v <= self.upper_bound * (1 + 1e-12)) for v in self.mu_tau_k.values())
+        return bool(np.all(self.mu >= self.lower_bound - 1e-12) and all(uppers))
 
 
 def mu_of_s(s, p: RescaleParams) -> CoeffAudit:
-    """Damping coefficient mu(s) = (1 - (t - t0)^2)^{3/2} / (1 + t) with its bounds.
+    """Damping coefficient mu(s) = (1 - (t - t0)^2)^{3/2} / (1 + t) at the
+    transformed times s (a scalar or an array), with its bounds.
 
     On s in [0, 1/sqrt(3)] the window satisfies (1 - u^2)^{3/2} >= (3/4)^{3/2}
     = 3 sqrt(3)/8, giving mu >= 3 sqrt(3)/(8 (1 + T)) whenever the window sits
     inside the horizon; r (1 + t)^k mu <= r (1 + T) for k in {1, 2}.
     """
-    s = float(s)
-    t = float(t_of_s(s, p))
+    s = np.asarray(s, dtype=float)
+    t = t_of_s(s, p)
     u = t - p.t0
-    mu = (1.0 - u**2) ** 1.5 / (1.0 + t)
+    # ufuncs, not **: a scalar s then takes the same power loops as an array
+    mu = np.power(1.0 - np.square(u), 1.5) / (1.0 + t)
     lower = 3.0 * np.sqrt(3.0) / (8.0 * (1.0 + p.T))
     upper = p.r * (1.0 + p.T)
-    mu_tau = {k: p.r * (1.0 + t) ** k * mu for k in (1, 2)}
-    return CoeffAudit(s, float(mu), mu_tau, float(lower), float(upper))
+    mu_tau = {k: p.r * np.power(1.0 + t, k) * mu for k in (1, 2)}
+    return CoeffAudit(s, mu, mu_tau, float(lower), float(upper))
 
 
 def r_policy(p: RescaleParams) -> float:
@@ -120,15 +122,15 @@ def r_policy(p: RescaleParams) -> float:
     return 1.0 / (32.0 * (p.C_m + 1.0) ** 2 * (1.0 + p.T))
 
 
-def growth_exponent(delta, eps0) -> float:
-    """Step-growth exponent alpha0 = 2 (1 - eps0) delta + 1 - delta.
+def growth_exponent(delta, eps0):
+    """Step-growth exponent alpha0 = 2 (1 - eps0) delta + 1 - delta; broadcasts over arrays.
 
     Exceeds 1 exactly when delta (1 - 2 eps0) > 0, so for every
     delta in (0,1) and eps0 < 1/2.
     """
-    if not 0 < delta < 1:
+    if not (np.all(0 < delta) and np.all(delta < 1)):
         raise ValueError("delta must lie in (0, 1)")
-    if not 0 <= eps0 < 0.5:
+    if not (np.all(0 <= eps0) and np.all(eps0 < 0.5)):
         raise ValueError("eps0 must lie in [0, 0.5)")
     return 2.0 * (1.0 - eps0) * delta + 1.0 - delta
 
@@ -137,15 +139,20 @@ def hm_cm_proxy_norm(v: SpectralField) -> float:
     """Proxy for the H^2 cap C^2 norm on the torus: the order-2 Sobolev norm
     plus the grid maximum of every derivative through order 2."""
     m = 2
-    total = sobolev_norm(v, m)
     grid = v.grid
+    derivs = []
     for k in range(m + 1):
         # multi-indices of order k as sorted tuples of axis repetitions
         for key in itertools.combinations_with_replacement(range(grid.n), k):
             modes = v.modes
             for ax in key:
                 modes = 2j * np.pi * grid.alpha(ax) * modes
-            total += to_grid(SpectralField(grid, modes)).max_abs()
+            derivs.append(modes)
+    # grid values of every derivative, in one transform
+    grids = to_grid(SpectralField(grid, np.concatenate(derivs))).values.reshape((len(derivs), v.ncomp) + grid.shape)
+    total = sobolev_norm(v, m)
+    for g in grids:
+        total += float(np.max(np.abs(g)))
     return float(total)
 
 

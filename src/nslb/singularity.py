@@ -90,22 +90,19 @@ def sample_smooth_field(velocity_fn, cone: ConeSpec, n_samples=200, rng=None, dt
 
     Points are drawn in the same near-tip window the synthetic generator
     uses; the field magnitude is evaluated at x = x_s + r * (random unit
-    direction).
+    direction).  ``velocity_fn(t, points)`` is called once: t is an array
+    of per-point times aligned with the (n_samples, n) points, and it
+    returns the (n, n_samples) components.
     """
     rng = rng or np.random.default_rng(0)
     if dt_range is None:
         dt_range = (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1))
     dts, rs = _cone_sample_points(cone, n_samples, rng, dt_range, TIP_EXCLUSION)
-    n = cone.n
-    dirs = rng.standard_normal((n_samples, n))
+    dirs = rng.standard_normal((n_samples, cone.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = np.asarray(cone.x_s) + rs[:, None] * dirs
-    ts = cone.t_s - dts
-    vals = np.empty(n_samples)
-    for k in range(n_samples):
-        v = np.asarray(velocity_fn(ts[k], pts[k : k + 1]))
-        vals[k] = np.sqrt(np.sum(v**2))
-    return ConeSamples(cone, dts, rs, vals)
+    v = np.asarray(velocity_fn(cone.t_s - dts, pts))
+    return ConeSamples(cone, dts, rs, np.sqrt(np.sum(v**2, axis=0)))
 
 
 @dataclass(frozen=True)

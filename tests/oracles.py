@@ -7,8 +7,12 @@ solver's right-hand side ``rhs``, the half-lattice advection operator
 ``HalfLatticeOperator`` the 2/3-box loop is checked against, the spectral
 ``derivative`` and the weak-strong uniqueness bound at the end, a
 diagnostic over ``simulate`` trajectories: only the tests compute them.
+The one-call-per-point loops ``per_sample_smooth_field`` and
+``per_index_hm_cm_proxy_norm`` share the point sampler and ``to_grid`` with
+the code under test on purpose: they pin its batching bit for bit.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +22,8 @@ import scipy.sparse
 from nslb._compiled import irfftn_forward, rfftn_forward
 from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
 from nslb.leray import _project_modes
-from nslb.spectral import SpectralField, TorusGrid, _full, _half, dealias_mask, to_grid
+from nslb.singularity import TIP_EXCLUSION, _cone_sample_points
+from nslb.spectral import SpectralField, TorusGrid, _full, _half, dealias_mask, sobolev_norm, to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -430,6 +435,34 @@ def roll_interior(mask):
             edge[tuple(face)] = True
         interior &= np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis) & ~edge
     return interior
+
+
+def per_sample_smooth_field(velocity_fn, cone, n_samples, rng):
+    """(dt_vals, r_vals, |v|) drawn as ``sample_smooth_field`` draws them,
+    with the velocity evaluated one sample per call, at a scalar time."""
+    dts, rs = _cone_sample_points(cone, n_samples, rng, (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1)), TIP_EXCLUSION)
+    dirs = rng.standard_normal((n_samples, cone.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = np.asarray(cone.x_s) + rs[:, None] * dirs
+    ts = cone.t_s - dts
+    vals = np.empty(n_samples)
+    for k in range(n_samples):
+        v = np.asarray(velocity_fn(ts[k], pts[k : k + 1]))
+        vals[k] = np.sqrt(np.sum(v**2))
+    return dts, rs, vals
+
+
+def per_index_hm_cm_proxy_norm(v: SpectralField):
+    """Order-2 Sobolev norm plus the grid maximum of every derivative through
+    order 2, with one inverse transform per multi-index."""
+    total = sobolev_norm(v, 2)
+    for k in range(3):
+        for key in itertools.combinations_with_replacement(range(v.grid.n), k):
+            modes = v.modes
+            for ax in key:
+                modes = 2j * np.pi * v.grid.alpha(ax) * modes
+            total += to_grid(SpectralField(v.grid, modes)).max_abs()
+    return float(total)
 
 
 def taylor_green_values(x, y, a):

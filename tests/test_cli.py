@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nslb import cli
 from nslb.cli import EXPERIMENTS, SCHEMAS, ConfigError, _load, _u64, main
 from nslb.snapshots import MAGIC, VERSION, SnapshotError, read_snapshot, write_snapshot
 from nslb.spectral import PhysicalField, TorusGrid
@@ -338,6 +339,8 @@ def simulate_cfg(changes):
         ("fit-singularity", "[fitting]\nnoise = inf\n", "[fitting] noise"),
         ("fit-singularity", "[fitting]\ntolerance = nan\n", "[fitting] tolerance"),
         ("fit-singularity", "[fitting]\nmus = 0.1 nan\n", "[fitting] mus"),
+        ("fit-singularity", "[fitting]\ntolerance = -0.5\n", "[fitting] tolerance"),
+        ("fit-singularity", "[fitting]\ntolerance = 0\n", "[fitting] tolerance"),
     ],
     ids=[
         "dimension-4",
@@ -374,6 +377,8 @@ def simulate_cfg(changes):
         "inf-noise",
         "nan-tolerance",
         "nan-in-mus",
+        "negative-tolerance",
+        "zero-tolerance",
     ],
 )
 def test_config_fault_exits_2_before_out_exists(tmp_path, capsys, experiment, text, field):
@@ -384,6 +389,27 @@ def test_config_fault_exits_2_before_out_exists(tmp_path, capsys, experiment, te
     err = capsys.readouterr().err
     assert "config error" in err and field in err
     assert not out.exists()
+
+
+def test_audits_make_one_call_per_sweep(tmp_path, monkeypatch):
+    # rescale-audit: one mu_of_s call per horizon on the whole sweep and one
+    # growth_exponent call on the alpha0 grid; transform-check: one mu_coeffs
+    # call on all 601 tau
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(np.shape(args[0]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("mu_of_s", "growth_exponent", "mu_coeffs"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    rescale = write_config(tmp_path, "[rescale]\nhorizons = 0.5 1.0 2.0\nsweep_points = 1000\n", "rescale.cfg")
+    assert main(["rescale-audit", "--config", str(rescale), "--out", str(tmp_path / "rescale")]) == 0
+    assert main(["transform-check", "--config", str(write_config(tmp_path, "")), "--out", str(tmp_path / "transform")]) == 0
+    assert calls == {"mu_of_s": [(1000,)] * 3, "growth_exponent": [(9, 10)], "mu_coeffs": [(601,)]}
 
 
 def test_run_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):

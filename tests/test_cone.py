@@ -40,6 +40,28 @@ def test_cone_validation():
         ConeSpec(t_s=1.0, x_s=(0.0, 0.0), t_1=0.5, rho=1.2)
 
 
+@pytest.mark.parametrize(
+    "t_s, x_s, t_1",
+    [
+        (np.inf, (0.0, 0.0), 0.5),  # would map every t to tau = 0
+        (np.nan, (0.0, 0.0), 0.5),
+        (1.0, (0.0, 0.0), np.nan),
+        (1.0, (0.0, 0.0), np.inf),
+        (1.0, (np.nan, 0.0), 0.5),
+        (1.0, (0.0, -np.inf), 0.5),
+    ],
+)
+def test_cone_rejects_non_finite_fields(t_s, x_s, t_1):
+    with pytest.raises(ValueError):
+        ConeSpec(t_s=t_s, x_s=x_s, t_1=t_1)
+
+
+@pytest.mark.parametrize("t_in, r_0", [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, np.inf), (np.nan, np.inf)])
+def test_cylinder_rejects_non_finite_fields(t_in, r_0):
+    with pytest.raises(ValueError):
+        CylinderSpec(t_in=t_in, r_0=r_0)
+
+
 def test_cylinder_from_cone():
     cyl = CylinderSpec.from_cone(CONE)
     assert cyl.t_in == pytest.approx(0.5 / 0.5)
@@ -93,6 +115,16 @@ def test_mu_coefficients():
         assert mu2 == pytest.approx(0.5, abs=1e-15)  # constant in tau
         assert mu1 * (1 + tau) == pytest.approx(1.0, abs=1e-12)
         assert mu1 <= mu_coeffs(0.0, cone).mu1 + 1e-15
+
+
+def test_mu_coeffs_array_equals_elementwise_calls():
+    taus = np.logspace(-3, 3, 601)
+    coeffs = mu_coeffs(taus, CONE)
+    assert coeffs.mu1.tobytes() == np.array([mu_coeffs(t, CONE).mu1 for t in taus]).tobytes()
+    assert coeffs.mu2 == mu_coeffs(taus[0], CONE).mu2
+    assert np.max(np.abs(coeffs.mu1 * (1 + taus) - 1.0)) <= 1e-12
+    with pytest.raises(ValueError):
+        mu_coeffs(np.array([1.0, -1e-9]), CONE)
 
 
 def test_sample_constant_field():

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nslb.flows import perturbed_taylor_green, taylor_green
+import nslb.rescale
+from nslb.flows import perturbed_taylor_green, random_divergence_free, taylor_green
 from nslb.rescale import (
     RescaleParams,
     S_MAX,
@@ -13,7 +18,9 @@ from nslb.rescale import (
     s_of_t,
     t_of_s,
 )
-from nslb.spectral import SpectralField, TorusGrid
+from nslb.spectral import SpectralField, TorusGrid, to_grid
+
+from oracles import per_index_hm_cm_proxy_norm
 
 
 def params(**kw):
@@ -61,13 +68,42 @@ def test_mu_lower_bound_sweeps(big_t):
     # worst case: the window ends exactly at the horizon
     p = params(t0=big_t - 0.5, T=big_t)
     lower = 3 * np.sqrt(3) / (8 * (1 + big_t))
+    audit = mu_of_s(np.linspace(0.0, S_MAX, 1000), p)
+    assert np.all(audit.mu >= lower - 1e-12)
+    assert audit.lower_bound == pytest.approx(lower)
+    for k in (1, 2):
+        assert np.all(audit.mu_tau_k[k] <= p.r * (1 + big_t) * (1 + 1e-12))
+    assert audit.bounds_hold
+
+
+@pytest.mark.parametrize("big_t", [0.5, 1.0, 2.0])
+def test_mu_of_s_array_equals_elementwise_calls(big_t):
+    p = params(t0=big_t - 0.5, T=big_t)
     svals = np.linspace(0.0, S_MAX, 1000)
-    for s in svals:
-        audit = mu_of_s(s, p)
-        assert audit.mu >= lower - 1e-12
-        assert audit.lower_bound == pytest.approx(lower)
-        for k in (1, 2):
-            assert audit.mu_tau_k[k] <= p.r * (1 + big_t) * (1 + 1e-12)
+    audit = mu_of_s(svals, p)
+    points = [mu_of_s(s, p) for s in svals]
+    assert audit.s.tobytes() == svals.tobytes()
+    assert audit.mu.tobytes() == np.array([a.mu for a in points]).tobytes()
+    for k in (1, 2):
+        assert audit.mu_tau_k[k].tobytes() == np.array([a.mu_tau_k[k] for a in points]).tobytes()
+    assert (audit.lower_bound, audit.upper_bound) == (points[0].lower_bound, points[0].upper_bound)
+
+
+@pytest.mark.parametrize("index", [37, 513, 998])
+@pytest.mark.parametrize("order", ["lower", 1, 2])
+def test_bounds_hold_checks_every_point(order, index):
+    # a sweep that holds, broken at one interior point off any stride of 10
+    audit = mu_of_s(np.linspace(0.0, S_MAX, 1000), params(t0=0.5, T=1.0))
+    assert audit.bounds_hold and set(audit.mu_tau_k) == {1, 2}
+    if order == "lower":
+        mu = audit.mu.copy()
+        mu[index] = audit.lower_bound * (1 - 1e-6)
+        broken = dataclasses.replace(audit, mu=mu)
+    else:
+        v = audit.mu_tau_k[order].copy()
+        v[index] = audit.upper_bound * (1 + 1e-6)
+        broken = dataclasses.replace(audit, mu_tau_k={**audit.mu_tau_k, order: v})
+    assert not broken.bounds_hold
 
 
 def test_r_policy_values():
@@ -93,6 +129,15 @@ def test_growth_exponent_exceeds_one_on_grid():
             assert growth_exponent(delta, eps0) > 1.0
 
 
+def test_growth_exponent_array_equals_elementwise_calls():
+    deltas, eps0s = np.meshgrid(np.linspace(0.05, 0.95, 19), np.linspace(0.0, 0.4, 9))
+    loop = np.array([[growth_exponent(d, e) for d, e in zip(dr, er)] for dr, er in zip(deltas, eps0s)])
+    assert growth_exponent(deltas, eps0s).tobytes() == loop.tobytes()
+    for delta, eps0 in ((np.array([0.5, 1.0]), 0.1), (0.5, np.array([0.0, 0.5])), (np.array([np.nan]), 0.1)):
+        with pytest.raises(ValueError):
+            growth_exponent(delta, eps0)
+
+
 def test_hm_cm_proxy_norm_single_mode():
     grid = TorusGrid(2, 16)
     modes = np.zeros((1,) + grid.shape, dtype=complex)
@@ -103,6 +148,27 @@ def test_hm_cm_proxy_norm_single_mode():
     # 1 + 2pi + (2pi)^2 from the sup of the function and its derivatives
     expected = np.sqrt(0.5 * (2.0) ** 2) + 1.0 + 2 * np.pi + (2 * np.pi) ** 2
     assert hm_cm_proxy_norm(v) == pytest.approx(expected, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 100.0), n=st.sampled_from([2, 3]))
+def test_hm_cm_proxy_norm_matches_per_index_loop(seed, amplitude, n):
+    # one transform of all derivatives gives the bits of one transform each
+    v = random_divergence_free(TorusGrid(n, 16 if n == 2 else 8), np.random.default_rng(seed), rms=amplitude)
+    assert np.float64(hm_cm_proxy_norm(v)).tobytes() == np.float64(per_index_hm_cm_proxy_norm(v)).tobytes()
+
+
+def test_hm_cm_proxy_norm_transforms_once(monkeypatch):
+    calls = []
+
+    def counted(field):
+        calls.append(field.modes.shape)
+        return to_grid(field)
+
+    monkeypatch.setattr(nslb.rescale, "to_grid", counted)
+    grid = TorusGrid(3, 8)
+    hm_cm_proxy_norm(random_divergence_free(grid, np.random.default_rng(0)))
+    assert calls == [(10 * 3,) + grid.shape]  # 1 + 3 + 6 multi-indices, 3 components each
 
 
 def test_increment_zero_data():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslb.cone import ConeSpec
 from nslb.flows import TaylorGreenFlow
@@ -14,8 +16,21 @@ from nslb.singularity import (
     sample_smooth_field,
     synthesize_singular_field,
 )
+from oracles import per_sample_smooth_field
 
 CONE = ConeSpec(t_s=0.6, x_s=(0.15, 0.05), t_1=0.3)
+CONE_3D = ConeSpec(t_s=0.6, x_s=(0.15, 0.05, -0.1), t_1=0.3)
+
+
+def abc_velocity(amplitude, nu=0.05):
+    """Decaying ABC flow on the unit 3-torus, (t, (m, 3) points) -> (3, m); t broadcasts."""
+
+    def velocity(t, points):
+        x, y, z = 2 * np.pi * np.atleast_2d(np.asarray(points, dtype=float)).T
+        a = amplitude * np.exp(-4 * np.pi**2 * nu * np.asarray(t))
+        return np.stack([a * (np.sin(z) + np.cos(y)), a * (np.sin(x) + np.cos(z)), a * (np.sin(y) + np.cos(x))])
+
+    return velocity
 
 
 def test_synthetic_field_hand_value():
@@ -80,6 +95,34 @@ def test_smooth_control_fits_near_zero():
     s = sample_smooth_field(flow.velocity, CONE, n_samples=240, rng=np.random.default_rng(7))
     fit = fit_singularity_orders(s)
     assert fit.lam <= 0.05 and fit.mu <= 0.05
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 100.0), n=st.sampled_from([2, 3]))
+def test_sample_smooth_field_matches_per_sample_loop(seed, amplitude, n):
+    # one velocity call on all samples gives the bits of one call per sample
+    velocity = TaylorGreenFlow(nu=0.01, amplitude=amplitude).velocity if n == 2 else abc_velocity(amplitude)
+    cone = CONE if n == 2 else CONE_3D
+    got = sample_smooth_field(velocity, cone, n_samples=240, rng=np.random.default_rng(seed))
+    dts, rs, vals = per_sample_smooth_field(velocity, cone, 240, np.random.default_rng(seed))
+    assert got.dt_vals.tobytes() == dts.tobytes()
+    assert got.r_vals.tobytes() == rs.tobytes()
+    assert got.values.tobytes() == vals.tobytes()
+
+
+def test_sample_smooth_field_calls_velocity_once_with_per_point_times():
+    calls = []
+    flow = TaylorGreenFlow(nu=0.01, amplitude=1.0)
+
+    def velocity(t, points):
+        calls.append((np.asarray(t), np.asarray(points)))
+        return flow.velocity(t, points)
+
+    s = sample_smooth_field(velocity, CONE, n_samples=50, rng=np.random.default_rng(3))
+    assert len(calls) == 1
+    t, pts = calls[0]
+    assert t.shape == (50,) and pts.shape == (50, 2)
+    assert np.array_equal(t, CONE.t_s - s.dt_vals)
 
 
 def test_ckn_gate_windows():
