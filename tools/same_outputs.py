@@ -12,7 +12,13 @@ Runs, once on the source of REV and once on the working tree:
 Both sides use the working tree's configs.  Every output file is then
 compared byte for byte, except ``report.meta.json``, whose wall times and
 timestamps differ on every run.  Each differing file is printed, and the
-exit status is 1 if any file or exit code differs, 0 otherwise.
+exit status is 1 if any file or exit code differs, 0 otherwise.  For a
+differing ``.json`` or ``.csv`` file the line also gives the largest
+absolute and relative difference of a numeric field and the key where it
+is; a ``.csv`` file gets them column by column, with the largest
+difference over the largest magnitude in that column.  A field that
+differs and is not a number on both sides (a flag, a string, a missing
+key) is named.
 
 REV's ``src`` is extracted with ``git archive`` into a temporary directory,
 which is removed afterwards; nothing is registered in the repository.
@@ -22,8 +28,11 @@ from __future__ import annotations
 
 import ast
 import configparser
+import csv
 import filecmp
 import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +77,71 @@ def compared_files(out):
     return {p.relative_to(out) for p in out.rglob("*") if p.is_file() and p.name not in UNCOMPARED}
 
 
+def _leaves(tree, key=""):
+    """{dotted key: leaf} of a parsed JSON document."""
+    if isinstance(tree, dict):
+        return {k: v for name, sub in tree.items() for k, v in _leaves(sub, f"{key}.{name}" if key else name).items()}
+    if isinstance(tree, list):
+        return {k: v for i, sub in enumerate(tree) for k, v in _leaves(sub, f"{key}[{i}]").items()}
+    return {key: tree}
+
+
+def _csv_fields(path):
+    """{(column, row): cell} of a CSV file with a header row."""
+    with open(path, newline="") as fh:
+        return {(col, row): cell for row, record in enumerate(csv.DictReader(fh)) for col, cell in record.items()}
+
+
+def _finite(x):
+    """x as a float if it is a finite number (a bool is not), else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _largest(moves, name):
+    """Text of the largest absolute and relative move among (abs, rel, key) triples."""
+    d, _, at_d = max(moves, key=lambda m: m[0])
+    _, r, at_r = max(moves, key=lambda m: m[1])
+    return f"largest absolute move {d:.3g} at {name(at_d)}, relative {r:.3g} at {name(at_r)}"
+
+
+def numeric_moves(a, b):
+    """How the fields of the .json or .csv files a and b differ, as text;
+    None for other files.  A .csv file is reported column by column."""
+    if a.suffix == ".json":
+        fa, fb = (_leaves(json.loads(p.read_text())) for p in (a, b))
+        name = str
+    elif a.suffix == ".csv":
+        fa, fb = _csv_fields(a), _csv_fields(b)
+        name = lambda key: f"{key[0]}[row {key[1]}]"  # noqa: E731
+    else:
+        return None
+    moves, other = [], []
+    for key in sorted(fa.keys() | fb.keys(), key=str):
+        x, y = _finite(fa.get(key)), _finite(fb.get(key))
+        if x is None or y is None:
+            if str(fa.get(key)) != str(fb.get(key)):
+                other.append(name(key))
+        elif x != y:
+            moves.append((abs(x - y), abs(x - y) / max(abs(x), abs(y)), key))
+    parts = []
+    if moves and a.suffix == ".json":
+        parts.append(_largest(moves, name))
+    for column in sorted({key[0] for *_, key in moves} if a.suffix == ".csv" else ()):
+        scale = max(abs(_finite(cell) or 0.0) for key, cell in [*fa.items(), *fb.items()] if key[0] == column)
+        mine = [m for m in moves if m[2][0] == column]
+        worst = max(d for d, *_ in mine) / scale
+        parts.append(f"{column}: {_largest(mine, name)}, {worst:.3g} of the column's largest magnitude")
+    if other:
+        parts.append("not a number on both sides and different: " + ", ".join(other))
+    return "; ".join(parts)
+
+
 def main(argv=None):
     args = argv if argv is not None else sys.argv[1:]
     if len(args) != 1:
@@ -95,7 +169,8 @@ def main(argv=None):
             if not (a.is_file() and b.is_file()):
                 differ.append(f"{rel}: only {'at ' + sha[:10] if a.is_file() else 'in the working tree'}")
             elif not filecmp.cmp(a, b, shallow=False):
-                differ.append(f"{rel}: bytes differ")
+                moves = numeric_moves(a, b)
+                differ.append(f"{rel}: bytes differ" + (f"; {moves}" if moves else ""))
 
     print(f"{len(jobs)} runs, {len(files['rev'] | files['tree'])} files compared against {sha[:10]} ({', '.join(sorted(UNCOMPARED))} excluded)")
     for line in differ:
