@@ -5,11 +5,10 @@ The integrator is classical RK4 applied in integrating-factor variables:
 the viscous semigroup exp(-4 pi^2 nu |alpha|^2 dt) is applied exactly and
 RK4 handles only the projected advection term.
 
-The loop runs on the real-to-complex half spectrum (last-axis wavenumbers
-0..N/2, the rest follow from conjugate symmetry; ``spectral._half`` and
-``spectral._full`` convert) through scipy's compiled pocketfft transforms
-(``_compiled``), and it stores only the 2/3 box of that half lattice: the
-modes with every |alpha_k| <= N/3, the only ones the 2/3 rule keeps nonzero.
+The loop runs on the half spectrum that ``SpectralField`` stores (last-axis
+wavenumbers 0..N/2) through scipy's compiled pocketfft transforms
+(``_compiled``), and it stores only the 2/3 box of it: the modes with every
+|alpha_k| <= N/3, the only ones the 2/3 rule keeps nonzero.
 The advection term is evaluated in divergence form, P[div(v (x) v)]:
 the box is scattered into a zeroed half-lattice buffer, n inverse
 transforms give the velocity, one batched forward transform the
@@ -22,8 +21,8 @@ onto modes outside it (Orszag 1971; Canuto, Hussaini, Quarteroni & Zang,
 Spectral Methods, 2007).  Divergence, projection and coefficient are
 linear in the product transforms, so they are folded into one real tensor
 K[i, p] per box mode, built once per run; the RK4 stages are combined in
-place in two preallocated buffers.  Full-lattice ``SpectralField`` fields
-are rebuilt from the box only at record points, and either kept or handed
+place in two preallocated buffers.  At record points the box is scattered
+onto the half lattice as a ``SpectralField``, which is either kept or handed
 to an observer.
 """
 
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import SpectralField, TorusGrid, _full, _half, dealias, hermitian_symmetrize
+from .spectral import SpectralField, TorusGrid, _full_sum, _mode_phase, dealias
 from .leray import _project_modes, leray_project
 
 __all__ = [
@@ -87,19 +86,18 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded run: strictly increasing times, with the kinetic energy and
-    |grad v|^2 of the field at each time.
+    """Recorded run on ``grid``: strictly increasing times, with the kinetic
+    energy and |grad v|^2 of the field at each time.
 
     ``snapshots`` holds one field per time, or none when the run streamed
-    its fields to an observer instead (see ``simulate``).  ``grid`` and
-    ``gradient_energies``, when not given, are taken from the snapshots.
+    its fields to an observer instead (see ``simulate``).
     """
 
     times: np.ndarray
     snapshots: list
     energies: np.ndarray
-    gradient_energies: np.ndarray = None
-    grid: TorusGrid = None
+    gradient_energies: np.ndarray
+    grid: TorusGrid
     blew_up: bool = False
     note: str = ""
 
@@ -108,12 +106,6 @@ class Trajectory:
         self.energies = np.asarray(self.energies, dtype=float)
         if self.snapshots and len(self.snapshots) != self.times.size:
             raise ValueError("snapshot count must match time count")
-        if not self.snapshots and (self.grid is None or self.gradient_energies is None):
-            raise ValueError("a trajectory without snapshots must give its grid and gradient energies")
-        if self.grid is None:
-            self.grid = self.snapshots[0].grid
-        if self.gradient_energies is None:
-            self.gradient_energies = [gradient_energy(f) for f in self.snapshots]
         self.gradient_energies = np.asarray(self.gradient_energies, dtype=float)
         if not self.energies.size == self.gradient_energies.size == self.times.size:
             raise ValueError("energy counts must match time count")
@@ -123,24 +115,24 @@ class Trajectory:
 
 def energy(v: SpectralField) -> float:
     """Kinetic energy (1/2)|v|_L2^2 evaluated from modes (Parseval)."""
-    return 0.5 * float(np.sum(np.abs(v.modes) ** 2))
+    return 0.5 * _full_sum(np.abs(v.modes) ** 2, v.grid.N)
 
 
 def gradient_energy(v: SpectralField) -> float:
-    """|grad v|_L2^2 = sum_alpha 4 pi^2 |alpha|^2 |v_alpha|^2."""
-    return float(np.sum(4 * np.pi**2 * v.grid.alpha_sq() * np.abs(v.modes) ** 2))
+    """|grad v|_L2^2 = sum_alpha 4 pi^2 |alpha|^2 |v_alpha|^2 over the full lattice."""
+    return _full_sum(4 * np.pi**2 * v.grid.alpha_sq() * np.abs(v.modes) ** 2, v.grid.N)
 
 
 class _HalfSpectrum:
     """Per-run operators of the IF-RK4 loop on the 2/3 box of the ``rfftn``
     half lattice.
 
-    The loop state is the raw half spectrum c = (phase * modes)[..., :N/2+1]
-    on the box |alpha_k| <= k = N // 3: unphased coefficients, so that the
-    real transforms map them straight to grid values (``spectral._half``).
-    The (-1)^(alpha_1+...+alpha_n) phase commutes with every diagonal
-    operator here and is applied only when a full-lattice field is rebuilt
-    (``spectral._full``).  Box axes hold wavenumbers in FFT order: 0..k,
+    The loop state is the raw half spectrum c = phase * modes on the box
+    |alpha_k| <= k = N // 3: unphased coefficients, so that the real
+    transforms map them straight to grid values.  The
+    (-1)^(alpha_1+...+alpha_n) phase (``spectral._mode_phase``) commutes with
+    every diagonal operator here and is applied only when a field is
+    recorded.  Box axes hold wavenumbers in FFT order: 0..k,
     then -k..-1 on each of the first n-1 axes (half-lattice indices 0..k
     and N-k..N-1), and 0..k on the last axis, which therefore has no
     Nyquist plane (k < N/2).  ``scatter`` writes a box array into the
@@ -188,7 +180,7 @@ class _HalfSpectrum:
             if j != i:
                 div[j] += alphas[i]
             self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
-        self._half = np.zeros((n,) + grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+        self._half = np.zeros((n,) + grid.half_shape, dtype=complex)
         self._prods = np.empty((len(self.pairs),) + grid.shape)
         self._w = np.empty((len(self.pairs),) + self.shape, dtype=complex)
         self._term = np.empty(self.shape, dtype=complex)
@@ -209,8 +201,7 @@ class _HalfSpectrum:
 
     def abs_sum(self, c):
         """sum |v_alpha| over the full lattice: last-axis box planes 1..k count twice."""
-        a = np.abs(c)
-        return float(a.sum() + a[..., 1:].sum())
+        return _full_sum(np.abs(c), self.grid.N)
 
     def nonlinear(self, c):
         """-advect_coeff * P[div(v (x) v)] of the box array c on the box, as a
@@ -235,14 +226,12 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     """Integrate from v0 with integrating-factor RK4.
 
     The field is projected and dealiased on entry (``SpectralField`` has
-    already rejected non-finite modes); one whose projection is not
-    conjugate-symmetric to 1e-12 relative (not a real field) is rejected
-    with ValueError.  If the bound sum |v_alpha|
+    already rejected non-finite modes).  If the bound sum |v_alpha|
     on the grid maximum exceeds ``cfg.blowup_threshold`` or is not finite,
     the run stops and the partial trajectory is returned with ``blew_up``
     set.
 
-    The full-lattice field is built at each record point: t = 0, every
+    The field is built at each record point: t = 0, every
     ``cfg.snapshot_stride`` steps and the last step.  Its ``energy`` and
     ``gradient_energy`` are recorded in the trajectory.  With ``observe``
     None the field is kept in ``snapshots``; otherwise ``observe(t, field)``
@@ -250,14 +239,9 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     memory does not grow with the step count.
     """
     grid = v0.grid
-    state = dealias(leray_project(v0)).modes
-    asym = float(np.max(np.abs(state - hermitian_symmetrize(state, grid))))
-    if asym > 1e-12 * float(np.max(np.abs(state))):
-        raise ValueError(f"initial field is not conjugate-symmetric (anti-Hermitian part {asym:.3e})")
-
+    phase = _mode_phase(grid)
     op = _HalfSpectrum(grid, cfg)
-    m = op.gather(_half(state, grid), np.empty((grid.n,) + op.shape, dtype=complex))
-    del state
+    m = op.gather(dealias(leray_project(v0)).modes * phase, np.empty((grid.n,) + op.shape, dtype=complex))
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt
@@ -269,7 +253,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     times, energies, grads, snaps = [], [], [], []
 
     def record(t):
-        f = SpectralField(grid, _full(op.scatter(m), grid))
+        f = SpectralField(grid, op.scatter(m) * phase)
         times.append(t)
         energies.append(energy(f))
         grads.append(gradient_energy(f))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PhysicalField, SpectralField, TorusGrid, dealias, hermitian_symmetrize, to_modes
+from .spectral import PhysicalField, SpectralField, TorusGrid, _band, dealias, sobolev_norm, to_modes
 from .leray import leray_project
 
 __all__ = [
@@ -111,19 +111,19 @@ def perturbed_taylor_green(grid: TorusGrid, amplitude=1.0, eps=0.1) -> SpectralF
 
 
 def random_divergence_free(grid: TorusGrid, rng, kmax=None, rms=1.0) -> SpectralField:
-    """Band-limited random solenoidal field with prescribed grid RMS."""
+    """Band-limited random solenoidal field with prescribed grid RMS, from
+    the conjugate-symmetric part of complex normal draws on the full lattice."""
     if kmax is None:
         kmax = max(2, grid.N // 4)
     shape = (grid.n,) + grid.shape
-    modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    band = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n):
-        band &= np.abs(grid.alpha(axis)) <= kmax
-    band &= grid.alpha_sq() > 0
-    modes = modes * band
-    modes = hermitian_symmetrize(modes, grid)
-    field = dealias(leray_project(SpectralField(grid, modes)))
-    norm = np.sqrt(np.sum(np.abs(field.modes) ** 2))
+    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(1, 1 + grid.n))
+    mirrored = np.roll(np.flip(draw, axis=axes), 1, axis=axes)  # z_{-alpha}: index j -> (N - j) mod N
+    half = (Ellipsis, slice(0, grid.N // 2 + 1))
+    modes = 0.5 * (draw[half] + np.conj(mirrored[half]))
+    band = _band(grid, kmax) & (grid.alpha_sq() > 0)
+    field = dealias(leray_project(SpectralField(grid, modes * band)))
+    norm = sobolev_norm(field, 0.0)
     if norm == 0:
         raise ValueError("degenerate random field")
     return SpectralField(grid, field.modes * (rms / norm))

@@ -79,11 +79,12 @@ def _project_modes(modes, alphas, inv_asq):
 
 
 def leray_project(f: SpectralField) -> SpectralField:
-    """Orthogonal mode-wise projection onto divergence-free fields."""
+    """Orthogonal mode-wise projection onto the kernel of ``divergence``:
+    along ``grid.alpha`` (Nyquist read as 0); a mode where it vanishes is kept."""
     grid = f.grid
     if f.ncomp != grid.n:
         raise ValueError("projection needs one component per spatial dimension")
-    asq = grid.alpha_sq()
-    inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
     alphas = [grid.alpha(k) for k in range(grid.n)]
+    asq = sum(a**2 for a in alphas)
+    inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
     return SpectralField(grid, _project_modes(f.modes, alphas, inv_asq))

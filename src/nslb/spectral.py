@@ -5,17 +5,20 @@ A field is stored as a truncated Fourier series
     f(x) = sum_alpha  f_alpha exp(2 pi i alpha . x),    |alpha_k| <= N/2,
 
 so all 2*pi factors live in the mode formulas and the physical grid is
-the uniform lattice x_j = -0.5 + j/N.  Real-valued fields carry the
-conjugate symmetry f_{-alpha} = conj(f_alpha); it is enforced on entry,
-never assumed.
+the uniform lattice x_j = -0.5 + j/N.  Fields are real, f_{-alpha} =
+conj(f_alpha), so only the half spectrum is stored, last-axis wavenumbers
+0..N/2 (the real-to-complex layout; Canuto, Hussaini, Quarteroni & Zang,
+Spectral Methods, 2007): ``to_modes`` and ``to_grid`` are each one of
+scipy's compiled real pocketfft transforms (``_compiled``) times the
+(-1)^(alpha_1 + ... + alpha_n) phase of the -0.5 grid offset.  The
+last-axis planes 0 and N/2 hold both alpha and -alpha; ``SpectralField``
+makes them their own conjugate mirror.  A full-lattice sum of a quantity
+even in alpha counts the planes between them twice (``_full_sum``).
 
-Both transforms are scipy's compiled real pocketfft kernels (``_compiled``)
-on the half spectrum, last-axis wavenumbers 0..N/2: ``to_modes`` rebuilds
-the full lattice from it by the symmetry, and ``to_grid`` transforms the
-half spectrum of the field's conjugate-symmetric part.  ``_half`` and
-``_full`` convert between the two lattices; the solver runs on the half.
-Every use of the symmetry reads one per-grid index, ``_mirror``: the flat
-full-lattice position of -alpha for each alpha.
+The Nyquist wavenumber N/2 of an axis carries the one grid mode
+cos(pi N x_k), whose first derivative vanishes on the grid: ``alpha``, the
+symbol of d/dx_k in divergence, gradients and the Leray projection, reads
+it as 0, and ``alpha_sq``, the symbol of the Laplacian, as (N/2)^2.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "divergence",
     "sobolev_norm",
     "dealias",
-    "hermitian_symmetrize",
     "dealias_mask",
 ]
 
@@ -59,6 +61,11 @@ class TorusGrid:
         return (self.N,) * self.n
 
     @property
+    def half_shape(self):
+        """Shape of one component's modes: the half spectrum, last axis 0..N/2."""
+        return self.shape[:-1] + (self.N // 2 + 1,)
+
+    @property
     def spacing(self):
         return 1.0 / self.N
 
@@ -75,14 +82,24 @@ class TorusGrid:
         return ((np.arange(self.N) + self.N // 2) % self.N - self.N // 2).astype(float)
 
     def alpha(self, axis):
-        """Wavenumbers of one axis, broadcastable against an N^n array."""
-        shape = [1] * self.n
-        shape[axis] = self.N
-        return self.wavenumbers().reshape(shape)
+        """Wavenumbers of one axis, Nyquist read as 0 (the symbol of d/dx_axis
+        over 2 pi i), broadcastable against the half lattice."""
+        k = self.wavenumbers()
+        k[self.N // 2] = 0.0
+        return _on_axis(self, k, axis)
 
     def alpha_sq(self):
-        """|alpha|^2 on the full mode lattice (built once per grid, read-only)."""
+        """|alpha|^2 on the half lattice, Nyquist counted as (N/2)^2: the
+        symbol of -Laplacian over 4 pi^2 (built once per grid, read-only)."""
         return _alpha_sq(self)
+
+
+def _on_axis(grid, values, axis):
+    """Per-wavenumber values of one axis (FFT order, length N), cut to 0..N/2
+    on the last axis and shaped to broadcast against the half lattice."""
+    if axis == grid.n - 1:
+        values = values[: grid.N // 2 + 1]
+    return values.reshape([-1 if j == axis else 1 for j in range(grid.n)])
 
 
 def _read_only(a):
@@ -95,9 +112,9 @@ def _read_only(a):
 # them for everyone.
 @functools.cache
 def _alpha_sq(grid):
-    out = np.zeros(grid.shape)
+    out = np.zeros(grid.half_shape)
     for axis in range(grid.n):
-        out = out + grid.alpha(axis) ** 2
+        out = out + _on_axis(grid, grid.wavenumbers(), axis) ** 2
     return _read_only(out)
 
 
@@ -105,41 +122,68 @@ def _alpha_sq(grid):
 def _mode_phase(grid):
     """(-1)^(alpha_1 + ... + alpha_n), the exact phase of the -0.5 grid offset
     (built once per grid, read-only)."""
-    phase = np.ones(grid.shape)
+    phase = np.ones(grid.half_shape)
     for axis in range(grid.n):
-        k = grid.alpha(axis).astype(int)
+        k = _on_axis(grid, grid.wavenumbers(), axis).astype(int)
         phase = phase * np.where(k % 2 == 0, 1.0, -1.0)
     return _read_only(phase)
 
 
 @functools.cache
 def _mirror(grid):
-    """Flat full-lattice index of -alpha for every alpha: storage index
-    j -> (N - j) mod N on every axis (built once per grid, read-only)."""
+    """Flat index, within one last-axis plane (the first n-1 axes), of
+    -alpha for every alpha: storage index j -> (N - j) mod N on every axis
+    (built once per grid, read-only)."""
     neg = (grid.N - np.arange(grid.N)) % grid.N
-    return _read_only(np.ravel_multi_index(np.ix_(*(neg,) * grid.n), grid.shape))
+    plane = grid.shape[:-1]
+    return _read_only(np.ravel_multi_index(np.ix_(*(neg,) * len(plane)), plane))
+
+
+def _band(grid, kmax):
+    """Boolean half-lattice mask: True where every |alpha_k| <= kmax, the
+    Nyquist wavenumber counted as N/2."""
+    keep = np.ones(grid.half_shape, dtype=bool)
+    for axis in range(grid.n):
+        keep &= np.abs(_on_axis(grid, grid.wavenumbers(), axis)) <= kmax
+    return keep
+
+
+def _full_sum(a, N):
+    """Full-lattice sum of a quantity even in alpha from its values ``a`` on
+    the half lattice, or on a box of it whose last axis starts at 0: each
+    last-axis plane strictly between 0 and N/2 counts twice."""
+    return float(a.sum() + a[..., 1 : N // 2].sum())
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Mode representation of a field with one or more components.
+    """Mode representation of a real field with one or more components.
 
-    ``modes`` has shape (ncomp, N, ..., N) in FFT ordering along each
-    spatial axis.  Velocity fields carry grid.n components; scalars one.
-    Non-finite modes are rejected with ValueError.
+    ``modes`` has shape (ncomp,) + grid.half_shape, FFT ordering along each
+    axis; velocity fields carry grid.n components, scalars one.  In a copy,
+    the last-axis planes 0 and N/2 become 0.5 (v_alpha + conj v_{-alpha}),
+    the part the inverse real transform reads, so any half array is a real
+    field.  Another shape (the full lattice, last axis N, too) or non-finite
+    modes raise ValueError.
     """
 
     grid: TorusGrid
     modes: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.modes, dtype=complex)
-        if m.ndim == self.grid.n:
+        grid = self.grid
+        m = np.array(self.modes, dtype=complex)
+        if m.ndim == grid.n:
             m = m[None]
-        if m.shape[1:] != self.grid.shape:
-            raise ValueError(f"mode array shape {m.shape} does not match grid {self.grid.shape}")
+        if m.shape[1:] != grid.half_shape:
+            raise ValueError(
+                f"mode array shape {m.shape} is not (ncomp,) + {grid.half_shape}, the half spectrum of grid {grid.shape}"
+            )
         if not np.all(np.isfinite(m)):
             raise ValueError("mode array contains non-finite values")
+        planes = m[..., :: grid.N // 2]
+        mirrored = np.take(planes.reshape(m.shape[0], -1, 2), _mirror(grid), axis=1)
+        m[..., :: grid.N // 2] = 0.5 * (planes + np.conj(mirrored))
         object.__setattr__(self, "modes", m)
 
     @property
@@ -184,77 +228,36 @@ class PhysicalField:
         return float(np.max(np.abs(self.values)))
 
 
-def hermitian_symmetrize(modes, grid):
-    """Project onto the conjugate-symmetric subspace, v_{-alpha} = conj(v_alpha)."""
-    lead = modes.shape[: modes.ndim - grid.n]
-    return 0.5 * (modes + np.conj(np.take(modes.reshape(lead + (-1,)), _mirror(grid), axis=-1)))
-
-
-def _half_phase(grid):
-    return _mode_phase(grid)[..., : grid.N // 2 + 1]
-
-
-def _half(modes, grid):
-    """Raw half spectrum of full-lattice (phased) modes: the coefficients
-    the real transforms map straight to grid values."""
-    return modes[..., : grid.N // 2 + 1] * _half_phase(grid)
-
-
-def _full(c, grid):
-    """Full-lattice phased modes rebuilt from the raw half spectrum c by
-    v_{-alpha} = conj(v_alpha).
-
-    The last-axis planes 0 and N/2 are their own mirror images; they are
-    made exactly conjugate-symmetric, which is the part the inverse real
-    transform reads.
-    """
-    N, mirror = grid.N, _mirror(grid)
-    out = np.empty(c.shape[:-1] + (N,), dtype=complex)
-    out[..., : N // 2 + 1] = c * _half_phase(grid)
-    flat = out.reshape(out.shape[: out.ndim - grid.n] + (-1,))
-    out[..., N // 2 + 1 :] = np.conj(np.take(flat, mirror[..., N // 2 + 1 :], axis=-1))
-    for k in (0, N // 2):
-        out[..., k] = 0.5 * (out[..., k] + np.conj(np.take(flat, mirror[..., k], axis=-1)))
-    return out
-
-
 def to_modes(f: PhysicalField) -> SpectralField:
-    """Forward transform; rejects non-finite input.  The modes are exactly
-    conjugate-symmetric."""
+    """Forward transform; rejects non-finite input."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("physical field contains non-finite values")
     grid = f.grid
-    return SpectralField(grid, _full(rfftn_forward(f.values, tuple(range(1, 1 + grid.n))), grid))
+    return SpectralField(grid, rfftn_forward(f.values, tuple(range(1, 1 + grid.n))) * _mode_phase(grid))
 
 
 def to_grid(v: SpectralField) -> PhysicalField:
-    """Inverse transform onto the lattice: the real part of the full inverse
-    transform, which is the inverse transform of v's conjugate-symmetric
-    part 0.5 (v_alpha + conj v_{-alpha}); only its half spectrum is built."""
+    """Inverse transform onto the lattice."""
     grid = v.grid
-    c = np.take(v.modes.reshape(v.ncomp, -1), _mirror(grid)[..., : grid.N // 2 + 1], axis=1)  # v_{-alpha}
-    np.conjugate(c, out=c)
-    c += v.modes[..., : grid.N // 2 + 1]
-    c *= 0.5 * _half_phase(grid)
-    return PhysicalField(grid, irfftn_forward(c, tuple(range(1, 1 + grid.n)), grid.N))
+    return PhysicalField(grid, irfftn_forward(v.modes * _mode_phase(grid), tuple(range(1, 1 + grid.n)), grid.N))
 
 
 def divergence(v: SpectralField) -> SpectralField:
     """Mode-wise sum_k 2 pi i alpha_k v_{k,alpha}; returns a scalar field."""
     if v.ncomp != v.grid.n:
         raise ValueError("divergence needs one component per spatial dimension")
-    out = np.zeros(v.grid.shape, dtype=complex)
+    out = np.zeros(v.grid.half_shape, dtype=complex)
     for k in range(v.grid.n):
         out += 2j * np.pi * v.grid.alpha(k) * v.modes[k]
     return SpectralField(v.grid, out[None])
 
 
 def sobolev_norm(v: SpectralField, s: float) -> float:
-    """sqrt( sum_i sum_alpha |v_{i,alpha}|^2 (1+|alpha|^2)^s )."""
+    """sqrt( sum_i sum_alpha |v_{i,alpha}|^2 (1+|alpha|^2)^s ) over the full lattice."""
     if not np.isfinite(s):
         raise ValueError("Sobolev order must be finite")
     weight = (1.0 + v.grid.alpha_sq()) ** s
-    return float(np.sqrt(np.sum(np.abs(v.modes) ** 2 * weight)))
+    return float(np.sqrt(_full_sum(np.abs(v.modes) ** 2 * weight, v.grid.N)))
 
 
 def dealias(v: SpectralField) -> SpectralField:
@@ -264,8 +267,4 @@ def dealias(v: SpectralField) -> SpectralField:
 
 def dealias_mask(grid: TorusGrid):
     """Boolean mode mask of the 2/3 rule: True where every |alpha_k| <= N/3."""
-    cutoff = grid.N / 3.0
-    keep = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n):
-        keep &= np.abs(grid.alpha(axis)) <= cutoff
-    return keep
+    return _band(grid, grid.N / 3.0)

@@ -2,11 +2,15 @@
 
 Everything here is deliberately dumb and direct: explicit mode loops,
 finite differences, dense quadrature and dense 1-D maximization, sharing no
-code with the FFT or solver paths under test.  The exceptions are the
+code with the FFT or solver paths under test.  The spectral references work
+on the full complex mode lattice (numpy's complex FFTs, every wavenumber of
+every axis, Nyquist read as -N/2), whose last-axis cut 0..N/2 is the half
+spectrum ``SpectralField`` stores; ``full_lattice`` rebuilds the full
+lattice from a half spectrum.  The exceptions are the
 solver's right-hand side ``rhs``, the half-lattice advection operator
-``HalfLatticeOperator`` the 2/3-box loop is checked against, the spectral
-``derivative`` and the weak-strong uniqueness bound at the end, a
-diagnostic over ``simulate`` trajectories: only the tests compute them.
+``HalfLatticeOperator`` the 2/3-box loop is checked against and the
+weak-strong uniqueness bound at the end, a diagnostic over ``simulate``
+trajectories: only the tests compute them.
 The one-call-per-point loops ``per_sample_smooth_field`` and
 ``per_index_hm_cm_proxy_norm`` share the point sampler and ``to_grid`` with
 the code under test on purpose: they pin its batching bit for bit.
@@ -23,7 +27,7 @@ from nslb._compiled import irfftn_forward, rfftn_forward
 from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
 from nslb.leray import _project_modes
 from nslb.singularity import TIP_EXCLUSION, _cone_sample_points
-from nslb.spectral import SpectralField, TorusGrid, _full, _half, dealias_mask, sobolev_norm, to_grid
+from nslb.spectral import SpectralField, TorusGrid, _mode_phase, dealias_mask, sobolev_norm, to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -40,10 +44,12 @@ def brute_force_pressure_gradient(v, i):
 
     Pairs where alpha - gamma leaves the stored lattice contribute zero
     (truncation semantics).  O(M^2) in the mode count; keep N small.
+    Returns the half spectrum of the full-lattice result.
     """
     grid = v.grid
     n = grid.n
     N = grid.N
+    modes = full_lattice(v.modes, grid)
     wave = grid.wavenumbers().astype(int)
     out = np.zeros(grid.shape, dtype=complex)
 
@@ -70,17 +76,17 @@ def brute_force_pressure_gradient(v, i):
             if any(j is None for j in rest_idx):
                 continue
             for a in range(n):
-                va = v.modes[a][gamma_idx]
+                va = modes[a][gamma_idx]
                 if va == 0:
                     continue
                 for b in range(n):
-                    vb = v.modes[b][rest_idx]
+                    vb = modes[b][rest_idx]
                     if vb == 0:
                         continue
                     num += (2j * np.pi * gamma[b] * va) * (2j * np.pi * rest[a] * vb)
         p_alpha = num / (4 * np.pi**2 * float(np.dot(alpha, alpha)))
         out[alpha_idx] = 2j * np.pi * alpha[i] * p_alpha
-    return out
+    return out[..., : N // 2 + 1]
 
 
 def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
@@ -182,17 +188,16 @@ class HalfLatticeOperator:
     def __init__(self, grid: TorusGrid, cfg: SolverConfig):
         self.grid = grid
         self.axes = tuple(range(1, 1 + grid.n))
-        half = (Ellipsis, slice(0, grid.N // 2 + 1))
         n = grid.n
-        alphas = [grid.alpha(k)[half] for k in range(n)]
-        asq = grid.alpha_sq()[half]
+        alphas = [grid.alpha(k) for k in range(n)]
+        asq = grid.alpha_sq()
         inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
         lin = -cfg.nu * 4 * np.pi**2 * asq
         self.e_full = np.exp(lin * cfg.dt)
         self.e_half = np.exp(lin * cfg.dt / 2)
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         half_shape = asq.shape
-        scale = 2 * np.pi * cfg.advect_coeff * dealias_mask(grid)[half]
+        scale = 2 * np.pi * cfg.advect_coeff * dealias_mask(grid)
         self.K = np.empty((n, len(self.pairs)) + half_shape)
         for p, (i, j) in enumerate(self.pairs):
             div = np.zeros((n,) + half_shape)
@@ -216,9 +221,9 @@ class HalfLatticeOperator:
 
 
 def box_of(op: _HalfSpectrum, modes):
-    """The 2/3 box of the raw half spectrum of full-lattice modes, as the
-    loop of ``simulate`` stores it."""
-    return op.gather(_half(modes, op.grid), np.empty((modes.shape[0],) + op.shape, dtype=complex))
+    """The 2/3 box of the raw (unphased) half spectrum of a field's modes, as
+    the loop of ``simulate`` stores it."""
+    return op.gather(modes * _mode_phase(op.grid), np.empty((modes.shape[0],) + op.shape, dtype=complex))
 
 
 def loop_poisson_system(ball, rhs_values, boundary_values):
@@ -341,46 +346,83 @@ def reflect(a, axes):
     return a
 
 
-def reflected_hermitian_symmetrize(modes, grid):
-    """0.5 (v_alpha + conj v_{-alpha}) with -alpha taken by ``reflect``."""
-    axes = tuple(range(modes.ndim - grid.n, modes.ndim))
-    return 0.5 * (modes + reflect(np.conj(modes), axes))
-
-
-def _half_lattice_phase(grid):
-    """(-1)^(alpha_1 + ... + alpha_n) on the half lattice, from the wavenumbers."""
-    k = grid.wavenumbers().astype(int)
-    mesh = np.meshgrid(*(k,) * (grid.n - 1), k[: grid.N // 2 + 1], indexing="ij")
-    return (-1.0) ** sum(mesh)
-
-
-def reflected_full(c, grid):
-    """Full-lattice phased modes from the raw half spectrum c: the upper
-    last-axis planes are the reflected conjugates of the lower ones, and the
-    self-mirrored planes 0 and N/2 are symmetrized by ``reflect``."""
+def full_lattice(modes, grid):
+    """The full-lattice modes (..., N, ..., N) of a field's half spectrum:
+    the last-axis planes N/2+1..N-1 are the reflected conjugates of planes
+    N/2-1..1."""
     N = grid.N
-    plane_axes = tuple(range(c.ndim - grid.n, c.ndim - 1))
-    c = c * _half_lattice_phase(grid)
-    out = np.empty(c.shape[:-1] + (N,), dtype=complex)
-    out[..., : N // 2 + 1] = c
-    out[..., N // 2 + 1 :] = reflect(np.conj(c[..., N // 2 - 1 : 0 : -1]), plane_axes)
-    for k in (0, N // 2):
-        plane = out[..., k]
-        out[..., k] = 0.5 * (plane + reflect(np.conj(plane), plane_axes))
+    plane_axes = tuple(range(modes.ndim - grid.n, modes.ndim - 1))
+    out = np.empty(modes.shape[:-1] + (N,), dtype=complex)
+    out[..., : N // 2 + 1] = modes
+    out[..., N // 2 + 1 :] = reflect(np.conj(modes[..., N // 2 - 1 : 0 : -1]), plane_axes)
     return out
 
 
-def half_mirror_to_grid(v: SpectralField):
-    """Grid values of v's conjugate-symmetric part, with v_{-alpha} gathered
-    by a flat index built on the half lattice alone."""
-    grid, N = v.grid, v.grid.N
-    neg = (N - np.arange(N)) % N
-    index = np.ravel_multi_index(np.ix_(*(neg,) * (grid.n - 1), neg[: N // 2 + 1]), grid.shape)
-    c = np.take(v.modes.reshape(v.ncomp, -1), index, axis=1)
-    np.conjugate(c, out=c)
-    c += v.modes[..., : N // 2 + 1]
-    c *= 0.5 * _half_lattice_phase(grid)
-    return irfftn_forward(c, tuple(range(1, 1 + grid.n)), N)
+def full_wavenumbers(grid):
+    """The n wavenumber arrays alpha_k on the full lattice, FFT order,
+    Nyquist read as -N/2, each broadcastable against (N,) * n."""
+    wave = np.fft.fftfreq(grid.N, 1.0 / grid.N)
+    return [wave.reshape([-1 if j == k else 1 for j in range(grid.n)]) for k in range(grid.n)]
+
+
+def full_phase(grid):
+    """(-1)^(alpha_1 + ... + alpha_n) on the full lattice."""
+    return (-1.0) ** sum(a.astype(int) for a in full_wavenumbers(grid))
+
+
+def full_modes(values, grid):
+    """Full-lattice modes of real grid values (ncomp, N, ..., N), by numpy's
+    complex FFT."""
+    axes = tuple(range(1, 1 + grid.n))
+    return np.fft.fftn(values, axes=axes) / grid.N**grid.n * full_phase(grid)
+
+
+def full_to_grid(modes, grid):
+    """Grid values of full-lattice modes: the real part of the complex
+    inverse transform, which is the field of their conjugate-symmetric part."""
+    axes = tuple(range(1, 1 + grid.n))
+    return (np.fft.ifftn(modes * full_phase(grid), axes=axes) * grid.N**grid.n).real
+
+
+def full_energy(modes):
+    """(1/2) sum |v_alpha|^2 over the full lattice."""
+    return 0.5 * float(np.sum(np.abs(modes) ** 2))
+
+
+def full_gradient_energy(modes, grid):
+    """sum 4 pi^2 |alpha|^2 |v_alpha|^2 over the full lattice."""
+    asq = sum(a**2 for a in full_wavenumbers(grid))
+    return float(np.sum(4 * np.pi**2 * asq * np.abs(modes) ** 2))
+
+
+def full_sobolev_norm(modes, grid, s):
+    """sqrt(sum |v_alpha|^2 (1 + |alpha|^2)^s) over the full lattice."""
+    asq = sum(a**2 for a in full_wavenumbers(grid))
+    return float(np.sqrt(np.sum(np.abs(modes) ** 2 * (1.0 + asq) ** s)))
+
+
+def full_divergence(modes, grid):
+    """sum_k 2 pi i alpha_k v_{k,alpha} on the full lattice, shape (1, N, ..., N)."""
+    return sum(derivative(modes[k], grid, k) for k in range(grid.n))[None]
+
+
+def full_random_divergence_free(grid, rng, kmax, rms):
+    """Full-lattice modes of ``random_divergence_free``: the same draws,
+    band and conjugate-symmetric part, the Leray projection with Nyquist
+    read as -N/2, the 2/3 mask and the L2 normalisation."""
+    shape = (grid.n,) + grid.shape
+    modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    alphas = full_wavenumbers(grid)
+    asq = sum(a**2 for a in alphas)
+    band, keep = asq > 0, np.ones(grid.shape, dtype=bool)
+    for a in alphas:
+        band &= np.abs(a) <= kmax
+        keep &= np.abs(a) <= grid.N / 3.0
+    modes = modes * band
+    modes = 0.5 * (modes + reflect(np.conj(modes), tuple(range(1, grid.n + 1))))
+    dot = sum(a * m for a, m in zip(alphas, modes)) / np.where(asq == 0, 1.0, asq)
+    modes = np.stack([m - a * dot for a, m in zip(alphas, modes)]) * keep
+    return modes * (rms / np.sqrt(np.sum(np.abs(modes) ** 2)))
 
 
 def centered_difference(values, axis, spacing):
@@ -496,16 +538,18 @@ def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
     """
     op = _HalfSpectrum(v.grid, cfg)
     lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
-    advection = _full(op.scatter(op.nonlinear(box_of(op, v.modes))), v.grid)
+    advection = op.scatter(op.nonlinear(box_of(op, v.modes))) * _mode_phase(v.grid)
     return SpectralField(v.grid, lin * v.modes + advection)
 
 
-def derivative(v: SpectralField, i: int, k: int) -> SpectralField:
-    """Spectral d/dx_k of component i: mode alpha maps to 2 pi i alpha_k v_{i,alpha}."""
-    if not 0 <= k < v.grid.n:
-        raise ValueError(f"direction {k} out of range for n={v.grid.n}")
-    out = 2j * np.pi * v.grid.alpha(k) * v.modes[i]
-    return SpectralField(v.grid, out[None])
+def derivative(modes, grid, k):
+    """Spectral d/dx_k of full-lattice modes: mode alpha maps to
+    2 pi i alpha_k v_alpha, the Nyquist wavenumber read as -N/2.  Across a
+    Nyquist plane the result is not conjugate-symmetric; ``full_to_grid``
+    keeps its conjugate-symmetric part."""
+    if not 0 <= k < grid.n:
+        raise ValueError(f"direction {k} out of range for n={grid.n}")
+    return 2j * np.pi * full_wavenumbers(grid)[k] * modes
 
 
 def l4_norm(v):

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,19 +22,18 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    _full,
-    _half,
+    _mode_phase,
     dealias,
     dealias_mask,
     divergence,
-    hermitian_symmetrize,
-    to_grid,
     to_modes,
 )
 from oracles import (
     HalfLatticeOperator,
     advective_nonlinear_modes,
     box_of,
+    full_lattice,
+    full_random_divergence_free,
     l4_norm,
     out_of_place_if_rk4,
     perturbed_taylor_green_values,
@@ -78,7 +76,7 @@ def test_config_validation():
 def test_rhs_zero_field():
     grid = TorusGrid(2, 16)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.1)
-    zero = SpectralField(grid, np.zeros((2,) + grid.shape, dtype=complex))
+    zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
     assert np.max(np.abs(rhs(zero, cfg).modes)) == 0.0
 
 
@@ -105,7 +103,7 @@ def test_rhs_euler_energy_conservation():
         random_divergence_free(grid, np.random.default_rng(1), kmax=1),  # single-shell mode
     ):
         advection = rhs(v, cfg).modes - lin_op * v.modes
-        power = np.sum(np.conj(v.modes) * advection).real
+        power = np.sum(np.conj(full_lattice(v.modes, grid)) * full_lattice(advection, grid)).real
         assert abs(power) < 1e-10
 
 
@@ -119,7 +117,7 @@ def test_rhs_matches_advective_oracle(n, N, advect_coeff):
     lin = -cfg.nu * 4 * np.pi**2 * grid.alpha_sq()
     for seed in range(3):
         v = random_divergence_free(grid, np.random.default_rng(seed), kmax=N // 3)
-        expected = advective_nonlinear_modes(v.modes, n, N, advect_coeff)
+        expected = advective_nonlinear_modes(full_lattice(v.modes, grid), n, N, advect_coeff)[..., : N // 2 + 1]
         got = rhs(v, cfg).modes - lin * v.modes
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -139,11 +137,11 @@ def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff,
     grid = TorusGrid(n, N)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff))
     rng = np.random.default_rng(seed)
-    shape = (n,) + grid.shape[:-1] + (N // 2 + 1,)
-    keep = dealias_mask(grid)[..., : N // 2 + 1]
+    shape = (n,) + grid.half_shape
+    keep = dealias_mask(grid)
     for c in (
         keep * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
-        _half(random_divergence_free(grid, rng, kmax=N // 3).modes, grid),
+        random_divergence_free(grid, rng, kmax=N // 3).modes * _mode_phase(grid),
     ):
         expected = projected_divergence_modes(c, n, N, advect_coeff)
         box = op.gather(c, np.empty((n,) + op.shape, dtype=complex))
@@ -160,7 +158,7 @@ def test_scattered_box_is_the_dealias_mask(n, N):
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
     assert op.K.shape[2:] == op.e_full.shape == op.e_half.shape == op.shape
     scattered = op.scatter(np.ones((n,) + op.shape, dtype=complex))
-    keep = dealias_mask(grid)[..., : N // 2 + 1]
+    keep = dealias_mask(grid)
     assert np.array_equal(scattered, np.broadcast_to(keep, scattered.shape).astype(complex))
 
 
@@ -177,7 +175,7 @@ def test_in_place_rk4_equals_out_of_place_update(n, N):
     states = out_of_place_if_rk4(lambda c: op.nonlinear(c).copy(), op.e_full, op.e_half, cfg.dt, m0, 5)
     assert len(traj.snapshots) == 6
     for f, m in zip(traj.snapshots[1:], states):
-        assert np.array_equal(f.modes, _full(op.scatter(m), grid))
+        assert np.array_equal(f.modes, SpectralField(grid, op.scatter(m) * _mode_phase(grid)).modes)
 
 
 @settings(max_examples=20, deadline=None)
@@ -196,11 +194,11 @@ def test_box_loop_equals_half_lattice_reference(n, N, advect_coeff, seed):
     v0 = random_divergence_free(grid, np.random.default_rng(seed), kmax=N // 3, rms=3.0)
     traj = simulate(v0, cfg)
     ref = HalfLatticeOperator(grid, cfg)
-    m0 = _half(dealias(leray_project(v0)).modes, grid)
+    m0 = dealias(leray_project(v0)).modes * _mode_phase(grid)
     states = out_of_place_if_rk4(ref.nonlinear, ref.e_full, ref.e_half, cfg.dt, m0, 3)
     assert len(traj.snapshots) == 4
     for f, m in zip(traj.snapshots[1:], states):
-        assert np.array_equal(f.modes, _full(m, grid))
+        assert np.array_equal(f.modes, SpectralField(grid, m * _mode_phase(grid)).modes)
 
 
 def test_recorded_snapshots_do_not_alias_the_loop_state():
@@ -231,7 +229,7 @@ def test_streamed_run_records_what_the_retained_run_keeps(n, N, stride, blow_up,
         # a CFL number of about rms * dt * N = 4: the explicit advection
         # step diverges within a few steps
         v0 = random_divergence_free(grid, rng, kmax=N // 3, rms=40.0)
-        threshold = 1e6 * float(np.sum(np.abs(v0.modes)))
+        threshold = 1e6 * float(np.sum(np.abs(full_lattice(v0.modes, grid))))
         dt = 0.1 / N
         cfg = SolverConfig(nu=1e-8, dt=dt, t_end=100 * dt, snapshot_stride=stride, blowup_threshold=threshold)
     else:
@@ -277,55 +275,22 @@ def test_streamed_run_memory_does_not_grow_with_step_count():
     assert peak(40, None) - peak(5, None) >= 30 * snapshot
 
 
-def _hermitian_field(n, N, seed):
-    grid = TorusGrid(n, N)
-    rng = np.random.default_rng(seed)
-    shape = (n,) + grid.shape
-    modes = hermitian_symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
-    return grid, modes
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
-def test_half_spectrum_round_trip(n, N, seed):
-    grid, modes = _hermitian_field(n, N, seed)
-    half = _half(modes, grid)
-    assert half.shape == (n,) + grid.shape[:-1] + (N // 2 + 1,)
-    assert np.array_equal(_full(half, grid), modes)
-    assert np.array_equal(_half(_full(half, grid), grid), half)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
-def test_full_lattice_rebuild_is_the_field_the_loop_sees(n, N, seed):
-    # any half spectrum, including planes 0 and N/2 that are not their own
-    # conjugate mirror, rebuilds to the real field the inverse real transform reads
-    grid = TorusGrid(n, N)
-    rng = np.random.default_rng(seed)
-    shape = (n,) + grid.shape[:-1] + (N // 2 + 1,)
-    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    modes = _full(half, grid)
-    assert np.array_equal(hermitian_symmetrize(modes, grid), modes)
-    values = to_grid(SpectralField(grid, modes)).values
-    seen = scipy.fft.irfftn(half, s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
-    assert np.max(np.abs(values - seen)) <= 1e-12 * np.max(np.abs(seen))
-
-
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
 def test_half_spectrum_abs_sum_is_full_lattice_sum(n, N, seed):
     # on the 2/3 box, the field the loop can hold: dealiased modes
-    grid, modes = _hermitian_field(n, N, seed)
-    modes = modes * dealias_mask(grid)
+    grid = TorusGrid(n, N)
+    rng = np.random.default_rng(seed)
+    v = dealias(to_modes(PhysicalField(grid, rng.standard_normal((n,) + grid.shape))))
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
-    full_sum = float(np.sum(np.abs(modes)))
-    assert op.abs_sum(box_of(op, modes)) == pytest.approx(full_sum, rel=1e-13)
+    full_sum = float(np.sum(np.abs(full_lattice(v.modes, grid))))
+    assert op.abs_sum(box_of(op, v.modes)) == pytest.approx(full_sum, rel=1e-13)
 
 
 def test_simulate_zero_initial_data():
     grid = TorusGrid(2, 16)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.01)
-    zero = SpectralField(grid, np.zeros((2,) + grid.shape, dtype=complex))
+    zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
     traj = simulate(zero, cfg)
     assert all(energy(f) == 0.0 for f in traj.snapshots)
 
@@ -369,8 +334,8 @@ def test_rk4_convergence_order():
         return simulate(v0, cfg).snapshots[-1]
 
     ref = terminal(1.25e-4)
-    err_coarse = np.sqrt(np.sum(np.abs(terminal(2e-3).modes - ref.modes) ** 2))
-    err_fine = np.sqrt(np.sum(np.abs(terminal(1e-3).modes - ref.modes) ** 2))
+    err_coarse = np.sqrt(2 * energy(terminal(2e-3) - ref))
+    err_fine = np.sqrt(2 * energy(terminal(1e-3) - ref))
     assert err_coarse / err_fine >= 8.0
 
 
@@ -408,24 +373,15 @@ def test_simulate_rejects_non_finite_initial_field():
         simulate(SpectralField(grid, modes), cfg)
 
 
-def test_simulate_rejects_non_hermitian_initial_field():
-    # a complex field has no real half spectrum; it must not be truncated silently
-    grid = TorusGrid(2, 16)
-    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.01)
-    v = random_divergence_free(grid, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        simulate(SpectralField(grid, 1j * v.modes + v.modes), cfg)
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        simulate(SpectralField(grid, 1j * v.modes), cfg)
-
-
 def test_trajectory_validation():
     grid = TorusGrid(2, 16)
-    zero = SpectralField(grid, np.zeros((2,) + grid.shape, dtype=complex))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0]), [zero, zero], np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), [zero], np.array([0.0]))
+    zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
+    with pytest.raises(ValueError, match="increasing"):
+        Trajectory(np.array([0.0, 0.0]), [zero, zero], np.zeros(2), np.zeros(2), grid)
+    with pytest.raises(ValueError, match="snapshot count"):
+        Trajectory(np.array([0.0, 1.0]), [zero], np.zeros(1), np.zeros(1), grid)
+    with pytest.raises(ValueError, match="energy counts"):
+        Trajectory(np.array([0.0, 1.0]), [], np.zeros(2), np.zeros(1), grid)
 
 
 def test_hopf_taylor_green_near_equality():
@@ -442,7 +398,7 @@ def test_hopf_taylor_green_near_equality():
 def test_hopf_zero_field():
     grid = TorusGrid(2, 16)
     cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.01)
-    zero = SpectralField(grid, np.zeros((2,) + grid.shape, dtype=complex))
+    zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
     rep = hopf_energy_check(simulate(zero, cfg), cfg)
     assert rep.passed and rep.max_violation <= 0.0
 
@@ -489,10 +445,15 @@ def test_weak_strong_perturbed_pair_stable_under_refinement():
 
 
 def const_field(grid, vx, vy):
-    modes = np.zeros((2,) + grid.shape, dtype=complex)
+    modes = np.zeros((2,) + grid.half_shape, dtype=complex)
     modes[0][0, 0] = vx
     modes[1][0, 0] = vy
     return SpectralField(grid, modes)
+
+
+def trajectory_of(times, snaps):
+    """The retained trajectory of hand-built snapshots."""
+    return Trajectory(times, snaps, [energy(f) for f in snaps], [gradient_energy(f) for f in snaps], snaps[0].grid)
 
 
 def test_weak_strong_calibration_synthetic_growth():
@@ -505,8 +466,8 @@ def test_weak_strong_calibration_synthetic_growth():
         times = np.linspace(0.0, 1.0, records)
         snaps_a = [const_field(grid, c0, 0.0) for _ in times]
         snaps_b = [const_field(grid, c0, g0 * np.exp(kappa * t)) for t in times]
-        traj_a = Trajectory(times, snaps_a, np.array([energy(f) for f in snaps_a]))
-        traj_b = Trajectory(times, snaps_b, np.array([energy(f) for f in snaps_b]))
+        traj_a = trajectory_of(times, snaps_a)
+        traj_b = trajectory_of(times, snaps_b)
         rep = weak_strong_bound(traj_a, traj_b)
         expected = 2 * kappa / (c0**4 + c0**2)
         assert rep.p == 4
@@ -562,8 +523,8 @@ def test_weak_strong_quadrature_matches_prefix_oracle():
     other = ref + rng.normal(scale=1e-3, size=ref.shape)
     snaps_a = [const_field(grid, *v) for v in ref]
     snaps_b = [const_field(grid, *v) for v in other]
-    traj_a = Trajectory(times, snaps_a, np.array([energy(f) for f in snaps_a]))
-    traj_b = Trajectory(times, snaps_b, np.array([energy(f) for f in snaps_b]))
+    traj_a = trajectory_of(times, snaps_a)
+    traj_b = trajectory_of(times, snaps_b)
     gaps = np.array([2.0 * energy(a - b) for a, b in zip(snaps_a, snaps_b)])
     l4 = np.array([l4_norm(f) for f in snaps_a])
     want = prefix_weak_strong_c(times, gaps, l4**4 + l4**2)
@@ -577,7 +538,7 @@ def test_weak_strong_zero_reference():
     cfg = SolverConfig(nu=0.05, dt=1e-3, t_end=0.05)
     traj = simulate(taylor_green(grid, 1.0), cfg)
     zero_snaps = [SpectralField(grid, np.zeros_like(traj.snapshots[0].modes)) for _ in traj.times]
-    traj_zero = Trajectory(traj.times, zero_snaps, np.zeros(traj.times.size))
+    traj_zero = trajectory_of(traj.times, zero_snaps)
     rep = weak_strong_bound(traj, traj_zero)
     # gap(t) = |v(t)|^2 decays, so the smallest admissible C is zero
     assert rep.initial_gap == pytest.approx(2 * traj.energies[0])
@@ -597,7 +558,7 @@ def test_weak_strong_rejects_mismatched_grids():
 
 def test_l4_norm_constant_field():
     grid = TorusGrid(2, 16)
-    modes = np.zeros((2,) + grid.shape, dtype=complex)
+    modes = np.zeros((2,) + grid.half_shape, dtype=complex)
     modes[0][0, 0] = 3.0
     modes[1][0, 0] = 4.0
     v = SpectralField(grid, modes)
@@ -624,8 +585,20 @@ def test_taylor_green_fields_match_formula_oracle(N):
     for amplitude, eps in ((1.0, 0.2), (0.6, 0.1)):
         want = to_modes(PhysicalField(grid, perturbed_taylor_green_values(x, y, amplitude, eps)))
         assert np.array_equal(perturbed_taylor_green(grid, amplitude=amplitude, eps=eps).modes, want.modes)
-    # the vortex pair is exactly the four modes alpha = (+-1, +-1)
+    # the vortex pair is exactly the four modes alpha = (+-1, +-1): the
+    # half spectrum holds (+-1, 1), the mirror images of (-+1, -1)
     modes = taylor_green(grid, 1.0).modes
-    assert np.max(np.abs(np.abs(modes[:, [1, 1, -1, -1], [1, -1, 1, -1]]) - 0.25)) < 1e-15
-    modes[:, [1, 1, -1, -1], [1, -1, 1, -1]] = 0.0
+    assert np.max(np.abs(np.abs(modes[:, [1, -1], [1, 1]]) - 0.25)) < 1e-15
+    modes[:, [1, -1], [1, 1]] = 0.0
     assert np.max(np.abs(modes)) < 1e-15
+
+
+@pytest.mark.parametrize("n, N, kmax", [(2, 16, 4), (2, 16, 8), (3, 8, 2), (3, 12, 4)])
+def test_random_field_is_the_symmetric_part_of_the_full_lattice_draw(n, N, kmax):
+    # a seed gives the field of its full-lattice draws; kmax = N/2 puts the
+    # Nyquist planes in the band, which the 2/3 mask then removes
+    grid = TorusGrid(n, N)
+    for seed in range(3):
+        v = random_divergence_free(grid, np.random.default_rng(seed), kmax=kmax, rms=1.7)
+        want = full_random_divergence_free(grid, np.random.default_rng(seed), kmax, 1.7)
+        assert np.max(np.abs(full_lattice(v.modes, grid) - want)) <= 1e-14 * np.max(np.abs(want))

@@ -140,7 +140,7 @@ def test_growth_exponent_array_equals_elementwise_calls():
 
 def test_hm_cm_proxy_norm_single_mode():
     grid = TorusGrid(2, 16)
-    modes = np.zeros((1,) + grid.shape, dtype=complex)
+    modes = np.zeros((1,) + grid.half_shape, dtype=complex)
     modes[0][1, 0] = 0.5
     modes[0][-1, 0] = 0.5  # cos(2 pi x1)
     v = SpectralField(grid, modes)
@@ -168,12 +168,12 @@ def test_hm_cm_proxy_norm_transforms_once(monkeypatch):
     monkeypatch.setattr(nslb.rescale, "to_grid", counted)
     grid = TorusGrid(3, 8)
     hm_cm_proxy_norm(random_divergence_free(grid, np.random.default_rng(0)))
-    assert calls == [(10 * 3,) + grid.shape]  # 1 + 3 + 6 multi-indices, 3 components each
+    assert calls == [(10 * 3,) + grid.half_shape]  # 1 + 3 + 6 multi-indices, 3 components each
 
 
 def test_increment_zero_data():
     grid = TorusGrid(2, 16)
-    zero = SpectralField(grid, np.zeros((2,) + grid.shape, dtype=complex))
+    zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
     rep = increment_bound_check(zero, 0.05, params())
     assert np.all(rep.increment_norms == 0.0)
     assert rep.passed  # trivially bounded

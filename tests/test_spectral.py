@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,10 +10,8 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    _full,
     _mirror,
     _mode_phase,
-    hermitian_symmetrize,
     dealias,
     divergence,
     sobolev_norm,
@@ -18,15 +19,20 @@ from nslb.spectral import (
     to_modes,
 )
 
-from nslb.dynamics import SolverConfig, simulate
+from nslb.dynamics import SolverConfig, energy, gradient_energy, simulate
 from nslb.flows import random_divergence_free
 from oracles import (
     centered_difference,
     derivative,
+    full_divergence,
+    full_energy,
+    full_gradient_energy,
+    full_lattice,
+    full_modes,
+    full_sobolev_norm,
+    full_to_grid,
     grid_l2,
-    half_mirror_to_grid,
-    reflected_full,
-    reflected_hermitian_symmetrize,
+    reflect,
 )
 
 
@@ -77,13 +83,14 @@ def test_round_trip(n, N):
 
 
 def test_conjugate_symmetry_of_real_fields():
+    # the half spectrum is the last-axis cut of the full complex transform,
+    # and its planes 0 and N/2 hold both alpha and -alpha
     grid = TorusGrid(2, 16)
-    v = to_modes(random_field(grid, seed=5))
-    m = v.modes
-    refl = np.conj(m)
-    for ax in (1, 2):
-        refl = np.roll(np.flip(refl, axis=ax), 1, axis=ax)
-    assert np.max(np.abs(m - refl)) < 1e-14
+    f = random_field(grid, seed=5)
+    m = to_modes(f).modes
+    assert np.max(np.abs(m - full_modes(f.values, grid)[..., :9])) < 1e-14
+    for k in (0, 8):
+        assert np.array_equal(m[..., k], reflect(np.conj(m[..., k]), (1,)))
     # zero mode is real
     assert abs(m[0][0, 0].imag) < 1e-15
 
@@ -95,33 +102,42 @@ def test_non_finite_rejected():
     with pytest.raises(ValueError):
         to_modes(PhysicalField(grid, vals))
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        modes = np.zeros((2,) + grid.shape, dtype=complex)
+        modes = np.zeros((2,) + grid.half_shape, dtype=complex)
         modes[1, 2, 3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             SpectralField(grid, modes)
 
 
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+def test_spectral_field_rejects_the_full_lattice(n, N):
+    # a caller still passing full-lattice modes gets an error, not a wrong field
+    grid = TorusGrid(n, N)
+    for shape in ((n,) + grid.shape, grid.shape, (n,) + grid.shape[:-1] + (N // 2,)):
+        with pytest.raises(ValueError, match=re.escape(f"{grid.half_shape}, the half spectrum")):
+            SpectralField(grid, np.zeros(shape, dtype=complex))
+
+
 def test_derivative_analytic():
     grid = TorusGrid(2, 32)
     x, y = grid.meshes()
-    v = to_modes(PhysicalField(grid, np.sin(2 * np.pi * x)[None]))
-    d = to_grid(derivative(v, 0, 0))
-    assert np.max(np.abs(d.values[0] - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
+    v = full_modes(np.sin(2 * np.pi * x)[None], grid)
+    d = full_to_grid(derivative(v, grid, 0), grid)
+    assert np.max(np.abs(d[0] - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
     # derivative along x2 of an x2-independent field vanishes
-    d2 = to_grid(derivative(v, 0, 1))
-    assert np.max(np.abs(d2.values)) < 1e-12
+    d2 = full_to_grid(derivative(v, grid, 1), grid)
+    assert np.max(np.abs(d2)) < 1e-12
     # constant field -> zero derivative
-    c = to_modes(PhysicalField(grid, np.ones((1,) + grid.shape)))
-    assert np.max(np.abs(derivative(c, 0, 0).modes)) < 1e-14
+    c = full_modes(np.ones((1,) + grid.shape), grid)
+    assert np.max(np.abs(derivative(c, grid, 0))) < 1e-14
 
 
 def test_derivative_matches_centered_differences():
     grid = TorusGrid(2, 64)
     f = to_grid(dealias(to_modes(random_field(grid, seed=11, ncomp=1))))
-    v = to_modes(f)
+    v = full_modes(f.values, grid)
     h = grid.spacing
     for axis in range(2):
-        spectral = to_grid(derivative(v, 0, axis)).values[0]
+        spectral = full_to_grid(derivative(v, grid, axis), grid)[0]
         fd = centered_difference(f.values[0], axis, h)
         # centered differences are O(h^2); the bound tracks the field scale
         scale = np.max(np.abs(spectral)) + 1.0
@@ -130,10 +146,13 @@ def test_derivative_matches_centered_differences():
 
 def test_sobolev_norm_values():
     grid = TorusGrid(3, 8)
-    modes = np.zeros((1,) + grid.shape, dtype=complex)
-    modes[0][1, 0, 0] = 1.0
+    modes = np.zeros((1,) + grid.half_shape, dtype=complex)
+    modes[0][0, 0, 1] = 1.0  # alpha = (0, 0, 1) and its mirror (0, 0, -1)
     v = SpectralField(grid, modes)
-    assert abs(sobolev_norm(v, 1.0) - np.sqrt(2.0)) < 1e-14
+    assert abs(sobolev_norm(v, 1.0) - 2.0) < 1e-14
+    modes[0][0, 0, 1] = 0.0
+    modes[0][1, 0, 0] = modes[0][-1, 0, 0] = 1.0  # both in the last-axis plane 0
+    assert abs(sobolev_norm(SpectralField(grid, modes), 1.0) - 2.0) < 1e-14
     zero = SpectralField(grid, np.zeros_like(modes))
     assert sobolev_norm(zero, 3.0) == 0.0
 
@@ -164,13 +183,13 @@ def test_divergence_cases():
     w = to_modes(PhysicalField(grid, np.stack([np.sin(2 * np.pi * x), np.zeros(grid.shape)])))
     div_grid = to_grid(divergence(w))
     assert np.max(np.abs(div_grid.values[0] - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
-    zero = SpectralField(grid, np.zeros((2,) + grid.shape, dtype=complex))
+    zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
     assert np.max(np.abs(divergence(zero).modes)) == 0.0
 
 
 def test_dealias_rule():
     grid = TorusGrid(2, 8)
-    modes = np.zeros((1,) + grid.shape, dtype=complex)
+    modes = np.zeros((1,) + grid.half_shape, dtype=complex)
     modes[0][3, 0] = 1.0  # |alpha_1| = 3 > 8/3
     modes[0][2, 1] = 1.0  # kept
     v = dealias(SpectralField(grid, modes))
@@ -194,16 +213,18 @@ def test_per_grid_constants_built_once_and_read_only(n, N):
     assert TorusGrid(n, N).alpha_sq() is asq and _mode_phase(TorusGrid(n, N)) is phase
     assert _mirror(TorusGrid(n, N)) is mirror
     wave = grid.wavenumbers()
-    mesh = np.meshgrid(*(wave,) * n, indexing="ij")
+    mesh = np.meshgrid(*(wave,) * (n - 1), wave[: N // 2 + 1], indexing="ij")
     assert np.array_equal(asq, sum(k**2 for k in mesh))
     assert np.array_equal(phase, (-1.0) ** sum(k.astype(int) for k in mesh))
-    # the mirror holds the flat index of -alpha (mod N), and is an involution
-    for k, neg in zip(mesh, np.unravel_index(mirror, grid.shape)):
+    # the mirror holds the flat index of -alpha (mod N) within a last-axis
+    # plane, and is an involution
+    plane = grid.shape[:-1]
+    for k, neg in zip(np.meshgrid(*(wave,) * (n - 1), indexing="ij"), np.unravel_index(mirror, plane)):
         assert np.all((k + wave[neg]) % N == 0)
-    assert np.array_equal(mirror.ravel()[mirror], np.arange(N**n).reshape(grid.shape))
+    assert np.array_equal(mirror.ravel()[mirror], np.arange(N ** (n - 1)).reshape(plane))
     for shared in (asq, phase, mirror):
         with pytest.raises(ValueError, match="read-only"):
-            shared[(0,) * n] = 7.0
+            shared[(0,) * shared.ndim] = 7.0
         with pytest.raises(ValueError, match="read-only"):
             shared *= 2.0
     assert asq[(0,) * n] == 0.0 and phase[(0,) * n] == 1.0
@@ -211,21 +232,70 @@ def test_per_grid_constants_built_once_and_read_only(n, N):
 
 @pytest.mark.parametrize("n, N", [(2, 16), (2, 32), (3, 8), (3, 12), (3, 16)])
 def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
-    # a derivative across the Nyquist plane is not conjugate-symmetric;
-    # to_grid keeps the real part of the full complex inverse transform of
-    # it, and of the exactly conjugate-symmetric fields simulate records
+    # a full-lattice derivative across a Nyquist plane is not
+    # conjugate-symmetric; the real part of its complex inverse transform is
+    # what the half-spectrum derivative (Nyquist symbol 0) transforms to.
+    # simulate's records are the real fields of their full lattices.
     grid = TorusGrid(n, N)
-    d = derivative(to_modes(random_field(grid, 3)), 0, 0)
-    assert not np.array_equal(hermitian_symmetrize(d.modes, grid), d.modes)
+    f = random_field(grid, 3)
+    v = to_modes(f)
+    full = full_modes(f.values, grid)
+    fields = []
+    for k in range(n):
+        d = derivative(full[0], grid, k)[None]
+        assert not np.allclose(d, reflect(np.conj(d), tuple(range(1, n + 1))))
+        fields.append((SpectralField(grid, 2j * np.pi * grid.alpha(k) * v.modes[0]), d))
     v0 = random_divergence_free(grid, np.random.default_rng(6), kmax=N // 3)
     records = simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=6e-3)).snapshots
-    mesh = np.meshgrid(*(grid.wavenumbers(),) * n, indexing="ij")
-    phase = (-1.0) ** sum(k.astype(int) for k in mesh)
-    for v in [d] + records:
-        want = (np.fft.ifftn(v.modes * phase, axes=tuple(range(1, n + 1))) * N**n).real
-        got = to_grid(v).values
+    fields += [(r, full_lattice(r.modes, grid)) for r in records]
+    for field, modes in fields:
+        want = full_to_grid(modes, grid)
+        got = to_grid(field).values
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, N", [(2, 16), (3, 8), (3, 12)])
+def test_odd_derivatives_read_the_nyquist_wavenumber_as_zero(n, N):
+    # a field whose only Nyquist content is on axis 0, not the last axis:
+    # cos(pi N x_0) times a smooth profile in x_n.  The derivative along
+    # x_0 with the Nyquist symbol 0 gives the field of the full-lattice
+    # derivative; reading the half-lattice index N/2 as -N/2 does not
+    grid = TorusGrid(n, N)
+    x = grid.meshes()
+    values = np.cos(np.pi * N * x[0]) * (1.0 + np.sin(2 * np.pi * x[-1])) + np.sin(2 * np.pi * (x[0] + x[1]))
+    v = to_modes(PhysicalField(grid, values[None]))
+    assert all(grid.alpha(k)[(0,) * k + (N // 2,)] == 0.0 for k in range(n - 1))
+    assert grid.alpha(n - 1)[(0,) * (n - 1) + (N // 2,)] == 0.0
+    want = full_to_grid(derivative(full_modes(values[None], grid)[0], grid, 0)[None], grid)
+    got = to_grid(SpectralField(grid, 2j * np.pi * grid.alpha(0) * v.modes[0])).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    naive = 2j * np.pi * grid.wavenumbers().reshape([-1] + [1] * (n - 1)) * v.modes[0]
+    assert np.max(np.abs(to_grid(SpectralField(grid, naive)).values - want)) > 0.1 * np.max(np.abs(want))
+    # divergence uses the same symbol
+    vel = np.stack([values] + [np.zeros(grid.shape)] * (n - 1))
+    want = full_to_grid(full_divergence(full_modes(vel, grid), grid), grid)
+    got = to_grid(divergence(to_modes(PhysicalField(grid, vel)))).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_matches_full_lattice_oracles(n, N, seed):
+    # random grid values have content on every mode, the Nyquist planes of
+    # every axis included
+    grid = TorusGrid(n, N)
+    f = random_field(grid, seed)
+    v = to_modes(f)
+    full = full_modes(f.values, grid)
+    assert energy(v) == pytest.approx(full_energy(full), rel=1e-13)
+    assert gradient_energy(v) == pytest.approx(full_gradient_energy(full, grid), rel=1e-13)
+    for s in (1, 2):
+        assert sobolev_norm(v, s) == pytest.approx(full_sobolev_norm(full, grid, s), rel=1e-13)
+    assert np.max(np.abs(to_grid(v).values - f.values)) <= 1e-13 * np.max(np.abs(f.values))
+    want = full_to_grid(full_divergence(full, grid), grid)
+    got = to_grid(divergence(v)).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,18 +306,21 @@ def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mirror_matches_reflect_oracle_bit_for_bit(n, N, lead, seed):
-    # tobytes, not array_equal: snapshot files keep the sign of zero
+    # any half array is a real field: its last-axis planes 0 and N/2 are
+    # replaced by 0.5 (v_alpha + conj v_{-alpha}), and the inverse real
+    # transform reads nothing else of them.  tobytes, not array_equal:
+    # snapshot files keep the sign of zero
     grid = TorusGrid(n, N)
     rng = np.random.default_rng(seed)
-
-    def draw(shape):
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        z.real[rng.random(shape) < 0.05] = -0.0
-        return z
-
-    half = draw(lead + grid.shape[:-1] + (N // 2 + 1,))
-    modes = draw(lead + grid.shape)  # not conjugate-symmetric
-    assert _full(half, grid).tobytes() == reflected_full(half, grid).tobytes()
-    assert hermitian_symmetrize(modes, grid).tobytes() == reflected_hermitian_symmetrize(modes, grid).tobytes()
-    v = SpectralField(grid, modes)
-    assert to_grid(v).values.tobytes() == half_mirror_to_grid(v).tobytes()
+    shape = lead + grid.half_shape
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    half.real[rng.random(shape) < 0.05] = -0.0
+    want = half.copy()
+    planes = half[..., :: N // 2]
+    want[..., :: N // 2] = 0.5 * (planes + reflect(np.conj(planes), tuple(range(len(lead), len(lead) + n - 1))))
+    v = SpectralField(grid, half.reshape((-1,) + grid.half_shape))
+    assert v.modes.tobytes() == want.tobytes()
+    seen = scipy.fft.irfftn(v.modes * _mode_phase(grid), s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
+    assert to_grid(v).values.tobytes() == seen.tobytes()
+    raw = scipy.fft.irfftn(half.reshape(v.modes.shape) * _mode_phase(grid), s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
+    assert np.max(np.abs(to_grid(v).values - raw)) <= 1e-12 * np.max(np.abs(raw))
