@@ -128,28 +128,28 @@ def irfftn_forward(c, axes, n):
 class CSRMatrix:
     """Square sparse matrix in canonical CSR form: rows ascending, columns
     ascending within a row, no repeated entry.  scipy's ``csr_matrix`` sorts
-    its input into the same form, so products agree to the bit."""
+    its input into the same form, so products agree to the bit.
+
+    The constructor checks what the compiled product reads: ``indptr``
+    starts at 0, never decreases and ends at the entry count, and every
+    column lies in [0, size)."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
 
-    @classmethod
-    def from_entries(cls, rows, cols, data, size):
-        """Matrix of the (row, col, value) entries in three arrays; no (row, col) pair may repeat."""
-        if cols.size and not 0 <= cols.min() <= cols.max() < size:
-            raise ValueError(f"column index outside [0, {size})")
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(size + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        return cls(indptr, cols[order], data[order])
+    def __post_init__(self):
+        ptr, cols = self.indptr, self.indices
+        if ptr.ndim != 1 or ptr.size == 0 or ptr[0] != 0 or np.any(np.diff(ptr) < 0) or ptr[-1] != cols.size:
+            raise ValueError(f"indptr must rise from 0 to the entry count {cols.size}")
+        if cols.ndim != 1 or self.data.shape != cols.shape:
+            raise ValueError(f"need one value per column index, got shapes {self.data.shape} and {cols.shape}")
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.size:
+            raise ValueError(f"column index outside [0, {self.size})")
 
     @property
     def size(self):
         return self.indptr.size - 1
-
-    def __neg__(self):
-        return CSRMatrix(self.indptr, self.indices, -self.data)
 
     def __matmul__(self, x):
         if x.shape != (self.size,) or x.dtype != np.float64:

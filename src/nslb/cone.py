@@ -15,7 +15,11 @@ w(tau, z) = v(t, x) obeys a drift-diffusion system whose coefficients are
 Cylinder cross sections are represented on a Cartesian grid masked to the
 base ball; one stencil table per derivative order (``_STENCILS``) gives each
 mask node the first row that fits the mask: centered, one-sided second-order
-forward and backward, lower-order fallback forward and backward.
+forward and backward, lower-order fallback forward and backward.  Each ball
+finds the nodes of every row once per (axis, order) and keeps its arrays
+read-only, so a stencil is a gather of flat indices.  The ball Dirichlet
+Poisson problem is assembled straight into CSR as the symmetric positive
+definite -A p = -b and solved by conjugate gradients.
 """
 
 from __future__ import annotations
@@ -140,7 +144,8 @@ class BallGrid:
 
     Nodes are uniformly spaced with the endpoints included; ``mask`` marks
     nodes inside the ball, ``interior`` those whose axis neighbours are all
-    masked (the rest form the numeric boundary ring).
+    masked (the rest form the numeric boundary ring).  These arrays, ``axis``
+    and ``mesh`` are read-only.
     """
 
     def __init__(self, n, radius, m):
@@ -153,14 +158,17 @@ class BallGrid:
         self.m = int(m)
         self.axis = np.linspace(-radius, radius, m)
         self.h = self.axis[1] - self.axis[0]
-        mesh = np.meshgrid(*(self.axis,) * n, indexing="ij")
-        self.mesh = mesh
-        r_sq = sum(c**2 for c in mesh)
+        self.mesh = np.meshgrid(*(self.axis,) * n, indexing="ij")
+        r_sq = sum(c**2 for c in self.mesh)
         self.mask = r_sq <= radius**2 + 1e-12
         self.interior = self.mask.copy()
         for axis in range(n):
             self.interior &= self._shifted(self.mask, 1, axis) & self._shifted(self.mask, -1, axis)
         self.boundary = self.mask & ~self.interior
+        # the stencil rows are found from the mask once, so it must not change
+        for arr in (self.axis, *self.mesh, self.mask, self.interior, self.boundary):
+            arr.flags.writeable = False
+        self._rows = {}  # (axis, order) -> rows of _stencil_rows
 
     def points(self, which):
         """(m_pts, n) coordinates of masked nodes ('mask', 'interior', 'boundary')."""
@@ -189,31 +197,41 @@ class BallGrid:
     def second_partial(self, values, axis):
         return self._stencil(values, axis, 2)
 
-    def _stencil(self, values, axis, order):
+    def _stencil_rows(self, axis, order):
         """Each mask node takes the first row that fits the mask, in the order centered,
         one-sided forward and backward, fallback forward and backward; a backward row
-        negates the offsets and scales the coefficients by (-1)^order.  Nodes that fit
-        no row, and nodes off the mask, stay 0.  Terms are summed in the listed offset
-        order, which keeps the bits of the hand-written differences."""
-        centered, *edges = _STENCILS[order]
-        rows = [centered]
-        for offsets, coeffs, div in edges:
-            rows += [(offsets, coeffs, div), (tuple(-k for k in offsets), tuple((-1) ** order * c for c in coeffs), div)]
-        v = np.asarray(values, dtype=float)
-        out = np.zeros_like(v)
-        ks = {k for offsets, _, _ in rows for k in offsets}
-        masks = {k: self._shifted(self.mask, k, axis) for k in ks}
-        vals = {k: self._shifted(v, k, axis) for k in ks}
-        left = self.mask.copy()  # mask nodes no row has taken yet
-        for offsets, coeffs, div in rows:
-            take = left.copy()
-            for k in offsets:
-                take &= masks[k]
-            left &= ~take
-            total = coeffs[0] * vals[offsets[0]][take]
-            for k, c in zip(offsets[1:], coeffs[1:]):
-                total += c * vals[k][take]
-            out[take] = total / (div * self.h**order)
+        negates the offsets and scales the coefficients by (-1)^order.  Returns, per
+        row, (flat indices of the nodes that take it, offsets in flat-index units,
+        coefficients, divisor); nodes that fit no row are in none.  Built once per
+        (axis, order)."""
+        if (axis, order) not in self._rows:
+            centered, *edges = _STENCILS[order]
+            rows = [centered]
+            for offsets, coeffs, div in edges:
+                rows += [(offsets, coeffs, div), (tuple(-k for k in offsets), tuple((-1) ** order * c for c in coeffs), div)]
+            stride = self.m ** (self.n - 1 - axis)
+            masks = {k: self._shifted(self.mask, k, axis) for offsets, _, _ in rows for k in offsets}
+            left = self.mask.copy()  # mask nodes no row has taken yet
+            table = []
+            for offsets, coeffs, div in rows:
+                take = left.copy()
+                for k in offsets:
+                    take &= masks[k]
+                left &= ~take
+                table.append((np.flatnonzero(take), tuple(k * stride for k in offsets), coeffs, div))
+            self._rows[axis, order] = table
+        return self._rows[axis, order]
+
+    def _stencil(self, values, axis, order):
+        """Nodes off the mask, and mask nodes that fit no row, stay 0.  Terms are summed
+        in the listed offset order, which keeps the bits of the hand-written differences."""
+        v = np.asarray(values, dtype=float).reshape(-1)
+        out = np.zeros(self.mask.shape)
+        for nodes, steps, coeffs, div in self._stencil_rows(axis, order):
+            total = coeffs[0] * v[nodes + steps[0]]
+            for k, c in zip(steps[1:], coeffs[1:]):
+                total += c * v[nodes + k]
+            out.flat[nodes] = total / (div * self.h**order)
         return out
 
     def laplacian(self, values):
@@ -256,36 +274,37 @@ def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid) -> Compa
 
 
 def _poisson_system(ball: BallGrid, rhs, bvals):
-    """Sparse matrix (canonical CSR) and right-hand side of the interior Dirichlet problem.
+    """The SPD interior Dirichlet problem -A_h p = -b as (canonical CSR matrix, -b).
 
-    One row per interior node in ``np.argwhere`` order: the 2n-point
-    Laplacian, with each neighbour on the boundary ring moved into the
-    right-hand side.  Neighbours are visited in (axis, step) order, so the
-    subtractions from ``b`` happen in a fixed order per row.
+    One row per interior node in flat-index order: 2n/h^2 on the diagonal
+    and -1/h^2 for each interior axis neighbour, each neighbour on the
+    boundary ring moved into the right-hand side.  Neighbours sit at the
+    flat offsets -m^(n-1), ..., -1, 0, +1, ..., +m^(n-1) (CSR, Saad 2003,
+    section 3.4); the interior numbering is monotone in the flat index, so
+    the columns ascend along each row in that order.  Boundary neighbours
+    are added to -b in (axis, step) order, so the additions happen in a
+    fixed order per row.
     """
-    interior = ball.interior
-    nodes = np.argwhere(interior)
-    m_int = nodes.shape[0]
-    idx = -np.ones(interior.shape, dtype=np.intp)
-    idx[interior] = np.arange(m_int)
+    n, m = ball.n, ball.m
+    flat = np.flatnonzero(ball.interior)  # interior nodes never touch the box edge
+    idx = np.full(ball.interior.size, -1, dtype=np.intp)
+    idx[flat] = np.arange(flat.size)
+    strides = [m ** (n - 1 - axis) for axis in range(n)]
+    offsets = [-s for s in strides] + [0] + strides[::-1]
+    cols = idx[flat[:, None] + offsets]  # -1 where the neighbour is off the interior
+    del idx
+    inner = cols >= 0
+    indptr = np.zeros(flat.size + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(inner, axis=1), out=indptr[1:])
     h2 = ball.h**2
-    diag = np.arange(m_int)
-
-    rows, cols = [diag], [diag]
-    data = [np.full(m_int, -2.0 * ball.n / h2)]
-    b = rhs[interior]
-    for axis in range(ball.n):
+    data = np.full(indptr[-1], -1.0 / h2)
+    data[indptr[:-1] + np.count_nonzero(inner[:, :n], axis=1)] = 2.0 * n / h2
+    b = -rhs.flat[flat]
+    for axis in range(n):
         for step in (-1, 1):
-            nb = nodes.copy()
-            nb[:, axis] += step
-            nb = tuple(nb.T)  # interior nodes never touch the box edge
-            inner = interior[nb]
-            rows.append(diag[inner])
-            cols.append(idx[nb][inner])
-            data.append(np.full(int(inner.sum()), 1.0 / h2))
-            b[~inner] -= bvals[nb][~inner] / h2
-    mat = CSRMatrix.from_entries(np.concatenate(rows), np.concatenate(cols), np.concatenate(data), m_int)
-    return mat, b
+            out = ~inner[:, offsets.index(step * strides[axis])]
+            b[out] += bvals.flat[flat[out] + step * strides[axis]] / h2
+    return CSRMatrix(indptr, cols[inner], data), b
 
 
 # Conjugate gradients stop once the updated residual satisfies
@@ -342,11 +361,12 @@ def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
     Dirichlet data on the boundary ring, and both must be finite there.
     Returns p on the full mask (boundary data reproduced exactly).
 
-    The matrix A is symmetric negative definite, so -A p = -b is solved by
-    unpreconditioned conjugate gradients to a relative residual of
-    ``_CG_RTOL`` (1e-14).  A zero right-hand side gives p = 0 on the
-    interior; no convergence within the iteration cap, which grows with the
-    number of unknowns, raises ``RuntimeError``.
+    The 2n-point Laplacian A is symmetric negative definite, so the system
+    is assembled as the SPD -A p = -b and solved by unpreconditioned
+    conjugate gradients to a relative residual of ``_CG_RTOL`` (1e-14).  A
+    zero right-hand side gives p = 0 on the interior; no convergence within
+    the iteration cap, which grows with the number of unknowns, raises
+    ``RuntimeError``.
     """
     rhs = np.asarray(rhs_values, dtype=float)
     bvals = np.asarray(boundary_values, dtype=float)
@@ -359,7 +379,7 @@ def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
         raise ValueError("boundary_values is non-finite on the boundary ring")
     mat, b = _poisson_system(ball, rhs, bvals)
     p = np.zeros(ball.mask.shape)
-    p[ball.interior] = _conjugate_gradients(-mat, -b)
+    p[ball.interior] = _conjugate_gradients(mat, b)
     p[ball.boundary] = bvals[ball.boundary]
     return p
 
@@ -387,27 +407,32 @@ def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, dtau=None
         dtau = ball.h
     nu = sampler.nu
     mu1, mu2 = mu_coeffs(tau, cone)
-    w_minus = sample_w_function(sampler.velocity, cone, tau - dtau, ball)
-    w_mid = sample_w_function(sampler.velocity, cone, tau, ball)
-    w_plus = sample_w_function(sampler.velocity, cone, tau + dtau, ball)
-    wdot = (w_plus.values - w_minus.values) / (2 * dtau)
+    w_minus = sample_w_function(sampler.velocity, cone, tau - dtau, ball).values
+    w = sample_w_function(sampler.velocity, cone, tau, ball).values
+    wdot = sample_w_function(sampler.velocity, cone, tau + dtau, ball).values
+    wdot -= w_minus
+    wdot /= 2 * dtau
+    del w_minus
 
     t = float(t_of_tau(tau, cone))
     n = ball.n
     # pressure on the cross section from the Poisson problem
-    grad_w = np.stack([[ball.partial(w_mid.values[i], j) for j in range(n)] for i in range(n)])
+    grad_w = np.empty((n, n) + ball.mask.shape)
+    for i in range(n):
+        for j in range(n):
+            grad_w[i, j] = ball.partial(w[i], j)
     rhs_p = -sum(grad_w[i][j] * grad_w[j][i] for i in range(n) for j in range(n))
     p_bc = np.zeros(ball.mask.shape)
     bpts = ball.points("boundary")
     p_bc[ball.boundary] = sampler.pressure(t, _cone_points(cone, t, bpts))
     p_w = poisson_dirichlet(ball, rhs_p, p_bc)
 
-    residual = np.zeros_like(w_mid.values)
+    residual = np.zeros_like(w)
     for i in range(n):
-        lap = ball.laplacian(w_mid.values[i])
+        lap = ball.laplacian(w[i])
         drift = np.zeros(ball.mask.shape)
         for j in range(n):
-            drift += (w_mid.values[j] + ball.mesh[j]) * grad_w[i][j]
+            drift += (w[j] + ball.mesh[j]) * grad_w[i][j]
         dp = ball.partial(p_w, i)
         residual[i] = wdot[i] - mu2 * nu * lap + mu1 * drift + mu1 * dp
     sel = ball.interior

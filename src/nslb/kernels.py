@@ -293,19 +293,28 @@ class _CylinderLattice:
 
     def apply(self, state):
         """Propagator times a lattice vector (time-major, m_t * n_nodes):
-        the causal convolution out[j2] = sum_{j1 < j2} G_{j2-j1} * state[j1]."""
+        the causal convolution out[j2] = sum_{j1 < j2} G_{j2-j1} * state[j1],
+        run in place over the state's modes, latest time first, with one
+        work plane (the box is freed once transformed)."""
         st = np.asarray(state, dtype=float).reshape(self.m_t, self.n_nodes)
         out = np.zeros_like(st)
         if self.m_t == 1:
             return out.reshape(-1)
+        spectra = self.spectra
         box = np.zeros((self.m_t - 1,) + self.box)
         box.reshape(self.m_t - 1, -1)[:, self.nodes] = st[:-1]
         modes = rfftn_forward(box, self.axes)
-        # out[j + 1] gathers the gaps d = 1, ..., j + 1 from state[j + 1 - d]
-        acc = np.zeros_like(modes)
-        for d, spectrum in enumerate(self.spectra, start=1):
-            acc[d - 1 :] += spectrum * modes[: self.m_t - d]
-        conv = irfftn_forward(acc, self.axes, self.box[-1])
+        del box
+        term = np.empty_like(modes[0])
+        for j in range(self.m_t - 2, -1, -1):
+            # plane j becomes out[j + 1], the sum from zero of the gaps d = 1, ..., j + 1
+            # from state[j + 1 - d]; the d = 1 term is the last read of plane j
+            np.multiply(spectra[0], modes[j], out=term)
+            modes[j] = 0.0
+            modes[j] += term
+            for d in range(2, j + 2):
+                modes[j] += np.multiply(spectra[d - 1], modes[j + 1 - d], out=term)
+        conv = irfftn_forward(modes, self.axes, self.box[-1])
         out[1:] = conv.reshape(self.m_t - 1, -1)[:, self.nodes]
         return out.reshape(-1)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SolverConfig, simulate
-from .spectral import SpectralField, sobolev_norm, to_grid
+from .spectral import SpectralField, _on_axis, sobolev_norm, to_grid
 
 __all__ = [
     "RescaleParams",
@@ -137,7 +137,9 @@ def growth_exponent(delta, eps0):
 
 def hm_cm_proxy_norm(v: SpectralField) -> float:
     """Proxy for the H^2 cap C^2 norm on the torus: the order-2 Sobolev norm
-    plus the grid maximum of every derivative through order 2."""
+    plus the grid maximum of every derivative through order 2.  An axis
+    repeated in a multi-index takes the signed wavenumber (Nyquist -N/2), so
+    d_a^2 agrees with ``alpha_sq``; an axis taken once takes ``alpha``."""
     m = 2
     grid = v.grid
     derivs = []
@@ -146,7 +148,8 @@ def hm_cm_proxy_norm(v: SpectralField) -> float:
         for key in itertools.combinations_with_replacement(range(grid.n), k):
             modes = v.modes
             for ax in key:
-                modes = 2j * np.pi * grid.alpha(ax) * modes
+                k_ax = _on_axis(grid, grid.wavenumbers(), ax) if key.count(ax) > 1 else grid.alpha(ax)
+                modes = 2j * np.pi * k_ax * modes
             derivs.append(modes)
     # grid values of every derivative, in one transform
     grids = to_grid(SpectralField(grid, np.concatenate(derivs))).values.reshape((len(derivs), v.ncomp) + grid.shape)

@@ -282,6 +282,26 @@ def dense_propagator(pts, mids, cell, dt, nu_eff):
     return prop.reshape(m_t * n_nodes, m_t * n_nodes)
 
 
+def accumulated_lattice_apply(lat, state):
+    """``_CylinderLattice.apply`` with every gap's products summed into a
+    separate accumulator over all output planes at once: out[j + 1] gathers
+    the gaps d = 1, ..., j + 1 from state[j + 1 - d], summed from zero in
+    ascending d."""
+    st = np.asarray(state, dtype=float).reshape(lat.m_t, lat.n_nodes)
+    out = np.zeros_like(st)
+    if lat.m_t == 1:
+        return out.reshape(-1)
+    box = np.zeros((lat.m_t - 1,) + lat.box)
+    box.reshape(lat.m_t - 1, -1)[:, lat.nodes] = st[:-1]
+    modes = rfftn_forward(box, lat.axes)
+    acc = np.zeros_like(modes)
+    for d, spectrum in enumerate(lat.spectra, start=1):
+        acc[d - 1 :] += spectrum * modes[: lat.m_t - d]
+    conv = irfftn_forward(acc, lat.axes, lat.box[-1])
+    out[1:] = conv.reshape(lat.m_t - 1, -1)[:, lat.nodes]
+    return out.reshape(-1)
+
+
 def dense_sup_1d(fn):
     """Dense 1-D maximization on the uniform grid 1e-4, 2e-4, ..., 10."""
     zs = np.arange(1e-4, 10.0 + 1e-4, 1e-4)
@@ -496,13 +516,18 @@ def per_sample_smooth_field(velocity_fn, cone, n_samples, rng):
 
 def per_index_hm_cm_proxy_norm(v: SpectralField):
     """Order-2 Sobolev norm plus the grid maximum of every derivative through
-    order 2, with one inverse transform per multi-index."""
+    order 2, with one inverse transform per multi-index; a repeated axis
+    takes the signed wavenumber (Nyquist -N/2), a single one ``alpha``."""
     total = sobolev_norm(v, 2)
     for k in range(3):
         for key in itertools.combinations_with_replacement(range(v.grid.n), k):
             modes = v.modes
             for ax in key:
-                modes = 2j * np.pi * v.grid.alpha(ax) * modes
+                if key.count(ax) > 1:
+                    symbol = full_wavenumbers(v.grid)[ax][..., : v.grid.N // 2 + 1]
+                else:
+                    symbol = v.grid.alpha(ax)
+                modes = 2j * np.pi * symbol * modes
             total += to_grid(SpectralField(v.grid, modes)).max_abs()
     return float(total)
 

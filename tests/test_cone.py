@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -224,18 +225,71 @@ def test_ball_stencil_cases_select_every_row():
     assert all(np.all(counts > 0) for counts in seen.values()), seen
 
 
+def _assert_negated_loop_system(ball, rhs, bvals):
+    """_poisson_system is the loop oracle's system negated, in scipy's
+    canonical CSR arrays (entry order included), bit for bit."""
+    mat, b = _poisson_system(ball, rhs, bvals)
+    want_mat, want_b = loop_poisson_system(ball, rhs, bvals)
+    assert np.array_equal(mat.indptr, want_mat.indptr)
+    assert np.array_equal(mat.indices, want_mat.indices)
+    assert mat.data.tobytes() == (-want_mat.data).tobytes()
+    assert b.tobytes() == (-want_b).tobytes()
+
+
+random_balls = dict(n=st.sampled_from([2, 3]), m=st.integers(8, 40), radius=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**random_balls)
+def test_cached_stencil_rows_match_oracle_on_random_balls(n, m, radius, seed):
+    ball = BallGrid(n, radius, m)
+    rng = np.random.default_rng(seed)
+    for values in (rng.normal(size=ball.mask.shape), rng.normal(size=ball.mask.shape)):
+        for axis in range(n):  # the second pass reads the cached rows
+            d1, d2, _ = shifted_stencils(ball, values, axis)
+            assert ball.partial(values, axis).tobytes() == d1.tobytes()
+            assert ball.second_partial(values, axis).tobytes() == d2.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(**random_balls)
+def test_poisson_assembly_matches_negated_loop_oracle_on_random_balls(n, m, radius, seed):
+    ball = BallGrid(n, radius, m)
+    rng = np.random.default_rng(seed)
+    _assert_negated_loop_system(ball, rng.normal(size=ball.mask.shape), rng.normal(size=ball.mask.shape))
+
+
+def test_ball_arrays_are_read_only():
+    ball = BallGrid(3, 0.5, 9)
+    for arr in (ball.axis, *ball.mesh, ball.mask, ball.interior, ball.boundary):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+
+
+def test_poisson_assembly_memory_stays_within_twice_its_output():
+    # the neighbour table and the output arrays fit in 2x the returned bytes;
+    # COO triplets with a sort and a negated copy need about 4.5x
+    ball = BallGrid(3, 0.5, 33)
+    rng = np.random.default_rng(5)
+    rhs, bvals = rng.normal(size=ball.mask.shape), rng.normal(size=ball.mask.shape)
+    tracemalloc.start()
+    try:
+        mat, b = _poisson_system(ball, rhs, bvals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = mat.indptr.nbytes + mat.indices.nbytes + mat.data.nbytes + b.nbytes
+    assert peak <= 2.0 * kept, (peak, kept)
+
+
 @pytest.mark.parametrize("n, m", [(2, 9), (2, 24), (3, 9), (3, 14)])
 def test_poisson_assembly_matches_loop_oracle(n, m):
     ball = BallGrid(n, 0.5, m)
     rng = np.random.default_rng(7 * n + m)
     rhs = rng.normal(size=ball.mask.shape)
     bvals = rng.normal(size=ball.mask.shape)
-    mat, b = _poisson_system(ball, rhs, bvals)
+    _assert_negated_loop_system(ball, rhs, bvals)
     want_mat, want_b = loop_poisson_system(ball, rhs, bvals)
-    # the same canonical CSR arrays as scipy's, entry order included
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(mat, name), getattr(want_mat, name))
-    assert np.array_equal(b, want_b)
     p = poisson_dirichlet(ball, rhs, bvals)
     want = np.zeros(ball.mask.shape)
     want[ball.interior] = scipy.sparse.linalg.spsolve(want_mat, want_b)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -20,7 +22,7 @@ from nslb.kernels import (
     kernel_bound_check,
 )
 
-from oracles import dense_propagator, dense_sup_1d, midpoint_grid
+from oracles import accumulated_lattice_apply, dense_propagator, dense_sup_1d, midpoint_grid
 
 
 def test_kernel_spec_validation():
@@ -386,6 +388,30 @@ def test_boundary_series_3d_at_default_size():
     size = 2 * 16 - 1
     assert lat.spectra.shape == (7, size, size, size // 2 + 1)
     assert lat.spectra.nbytes == 7 * size**2 * (size // 2 + 1) * 16
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([2, 3]), m_t=st.sampled_from([1, 2, 3, 6, 8]), m_x=st.integers(8, 12), seed=st.integers(0, 2**32 - 1))
+def test_lattice_apply_in_place_matches_accumulated_convolution(n, m_t, m_x, seed):
+    # the in-place convolution sums each plane's gaps in the same order, from zero
+    lat = _CylinderLattice(CylinderSpec(t_in=1.0, r_0=0.5), KernelSpec(nu_eff=0.5, n=n), 1.0, 1.3, m_x, m_t)
+    x = np.random.default_rng(seed).normal(size=m_t * lat.n_nodes)
+    assert lat.apply(x).tobytes() == accumulated_lattice_apply(lat, x).tobytes()
+
+
+def test_lattice_apply_memory_stays_within_its_spectra():
+    # with the spectra built, apply holds the modes and the inverse transform
+    # (about one spectra's bytes each) and one work plane
+    lat = _CylinderLattice(CylinderSpec(t_in=1.0, r_0=0.5), KernelSpec(nu_eff=0.5, n=3), 1.0, 1.3, 14, 8)
+    x = np.random.default_rng(2).normal(size=lat.m_t * lat.n_nodes)
+    lat.apply(x)
+    tracemalloc.start()
+    try:
+        lat.apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * lat.spectra.nbytes, (peak, lat.spectra.nbytes)
 
 
 def test_duhamel_residual_never_builds_the_lattice_spectra(monkeypatch):

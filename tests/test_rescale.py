@@ -18,7 +18,7 @@ from nslb.rescale import (
     s_of_t,
     t_of_s,
 )
-from nslb.spectral import SpectralField, TorusGrid, to_grid
+from nslb.spectral import PhysicalField, SpectralField, TorusGrid, sobolev_norm, to_grid, to_modes
 
 from oracles import per_index_hm_cm_proxy_norm
 
@@ -156,6 +156,16 @@ def test_hm_cm_proxy_norm_matches_per_index_loop(seed, amplitude, n):
     # one transform of all derivatives gives the bits of one transform each
     v = random_divergence_free(TorusGrid(n, 16 if n == 2 else 8), np.random.default_rng(seed), rms=amplitude)
     assert np.float64(hm_cm_proxy_norm(v)).tobytes() == np.float64(per_index_hm_cm_proxy_norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("n, axis", [(2, 0), (2, 1), (3, 1), (3, 2)])
+def test_hm_cm_proxy_norm_second_derivative_keeps_the_nyquist_mode(n, axis):
+    # cos(pi N x_a) has zero first derivatives on the grid (alpha reads
+    # Nyquist as 0), but d_a^2 of it is -(pi N)^2 times it, as alpha_sq says
+    grid, amplitude = TorusGrid(n, 8), 0.7
+    v = to_modes(PhysicalField(grid, amplitude * np.cos(np.pi * grid.N * grid.meshes()[axis])))
+    second = hm_cm_proxy_norm(v) - sobolev_norm(v, 2) - amplitude
+    assert second == pytest.approx((np.pi * grid.N) ** 2 * amplitude, rel=1e-12)
 
 
 def test_hm_cm_proxy_norm_transforms_once(monkeypatch):
