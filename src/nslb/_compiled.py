@@ -31,9 +31,11 @@ import numpy as np
 __all__ = ["KERNEL_FILES", "CSRMatrix", "rfftn_forward", "irfftn_forward"]
 
 # scipy's own arguments for norm="forward": forward, then pocketfft's
-# normalisation code (2 scales by 1/size, 0 does not), out and workers
-_R2C_ARGS = (True, 2, None, 1)
-_C2R_ARGS = (False, 0, None, 1)
+# normalisation code (2 scales by 1/size, 0 does not); the output array
+# (None: a new one) and the worker count follow
+_R2C_ARGS = (True, 2)
+_C2R_ARGS = (False, 0)
+_WORKERS = 1
 
 
 def _scipy_dir() -> Path:
@@ -84,10 +86,12 @@ def _checked(pocketfft, sparsetools):
     r2c, c2r = _kernel(pocketfft, "r2c"), _kernel(pocketfft, "c2r")
     matvec = _kernel(sparsetools, "csr_matvec")
     ones = np.ones((2, 4))
+    out = np.zeros((2, 4))
     try:
-        modes = r2c(ones, (0, 1), *_R2C_ARGS)
+        modes = r2c(ones, (0, 1), *_R2C_ARGS, None, _WORKERS)
         ok = np.array_equal(modes, [[1, 0, 0], [0, 0, 0]])
-        ok = ok and np.array_equal(c2r(modes, (0, 1), 4, *_C2R_ARGS), ones)
+        ok = ok and np.array_equal(c2r(modes, (0, 1), 4, *_C2R_ARGS, None, _WORKERS), ones)
+        ok = ok and c2r(modes, (0, 1), 4, *_C2R_ARGS, out, _WORKERS) is out and np.array_equal(out, ones)
     except (TypeError, ValueError, IndexError) as exc:
         raise _unusable(f"pocketfft r2c/c2r rejected nslb's call: {exc!r}") from None
     if not ok:
@@ -114,14 +118,16 @@ KERNEL_FILES, _r2c, _c2r, _csr_matvec = _load_kernels(_scipy_dir())
 
 def rfftn_forward(x, axes):
     """scipy's ``rfftn(x, axes=axes, norm="forward")`` of a float64 array."""
-    return _r2c(x, axes, *_R2C_ARGS)
+    return _r2c(x, axes, *_R2C_ARGS, None, _WORKERS)
 
 
-def irfftn_forward(c, axes, n):
+def irfftn_forward(c, axes, n, out=None):
     """scipy's ``irfftn(c, s, axes=axes, norm="forward")`` of a complex128
     array, for s = c's lengths along ``axes`` with the last one replaced by
-    ``n``; that axis of c must hold n // 2 + 1 entries."""
-    return _c2r(c, axes, n, *_C2R_ARGS)
+    ``n``; that axis of c must hold n // 2 + 1 entries.  With ``out`` (a
+    float64 array of the result's shape, not overlapping c) the result is
+    written there and ``out`` is returned."""
+    return _c2r(c, axes, n, *_C2R_ARGS, out, _WORKERS)
 
 
 @dataclass(frozen=True)

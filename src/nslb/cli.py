@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import platform
+import resource
 import sys
 import time as _time
 import traceback
@@ -557,6 +558,12 @@ def _environment():
     }
 
 
+def _peak_rss_mb():
+    """The process's peak resident set size so far, in MB of 2^20 bytes
+    (Linux counts ``ru_maxrss`` in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10
+
+
 def _u64(raw):
     """An integer seed in [0, 2^64); argparse turns the error into exit 2."""
     try:
@@ -592,6 +599,7 @@ def main(argv=None):
         meta = {
             "wall_seconds": _time.time() - started,
             "timestamp": _time.time(),
+            "peak_rss_mb": _peak_rss_mb(),
             "nslb_threads": os.environ.get("NSLB_THREADS"),
             "environment": _environment(),
         }

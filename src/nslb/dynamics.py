@@ -10,9 +10,10 @@ wavenumbers 0..N/2) through scipy's compiled pocketfft transforms
 (``_compiled``), and it stores only the 2/3 box of it: the modes with every
 |alpha_k| <= N/3, the only ones the 2/3 rule keeps nonzero.
 The advection term is evaluated in divergence form, P[div(v (x) v)]:
-the box is scattered into a zeroed half-lattice buffer, n inverse
-transforms give the velocity, one batched forward transform the
-n(n+1)/2 products v_i v_j, and the box of that transform is gathered back.
+the box is scattered into a zeroed half-lattice buffer, one batched
+inverse transform gives the n velocity components, and each of the
+n(n+1)/2 products v_i v_j is formed, transformed and its box gathered
+back in turn, so only one product lives on the grid at a time.
 On each axis the box is one or two runs of lattice indices, so scatter
 and gather are 2^(n-1) block copies by basic slices.  For a solenoidal
 state kept inside the box this equals the advective form P[(v . grad) v]
@@ -21,9 +22,10 @@ onto modes outside it (Orszag 1971; Canuto, Hussaini, Quarteroni & Zang,
 Spectral Methods, 2007).  Divergence, projection and coefficient are
 linear in the product transforms, so they are folded into one real tensor
 K[i, p] per box mode, built once per run; the RK4 stages are combined in
-place in two preallocated buffers.  At record points the box is scattered
-onto the half lattice as a ``SpectralField``, which is either kept or handed
-to an observer.
+place in two preallocated buffers, and the four stage derivatives are
+released at the end of each step.  At record points the box is scattered
+onto the half lattice and phased in place as a ``SpectralField``, which is
+either kept or handed to an observer.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import SpectralField, TorusGrid, _full_sum, _mode_phase, dealias
+from .spectral import SpectralField, TorusGrid, _abs_sq, _full_sum, _mode_phase, dealias
 from .leray import _project_modes, leray_project
 
 __all__ = [
@@ -115,12 +117,14 @@ class Trajectory:
 
 def energy(v: SpectralField) -> float:
     """Kinetic energy (1/2)|v|_L2^2 evaluated from modes (Parseval)."""
-    return 0.5 * _full_sum(np.abs(v.modes) ** 2, v.grid.N)
+    return 0.5 * _full_sum(_abs_sq(v.modes), v.grid.N)
 
 
 def gradient_energy(v: SpectralField) -> float:
     """|grad v|_L2^2 = sum_alpha 4 pi^2 |alpha|^2 |v_alpha|^2 over the full lattice."""
-    return _full_sum(4 * np.pi**2 * v.grid.alpha_sq() * np.abs(v.modes) ** 2, v.grid.N)
+    weighted = _abs_sq(v.modes)
+    weighted *= 4 * np.pi**2 * v.grid.alpha_sq()
+    return _full_sum(weighted, v.grid.N)
 
 
 class _HalfSpectrum:
@@ -136,16 +140,17 @@ class _HalfSpectrum:
     then -k..-1 on each of the first n-1 axes (half-lattice indices 0..k
     and N-k..N-1), and 0..k on the last axis, which therefore has no
     Nyquist plane (k < N/2).  ``scatter`` writes a box array into the
-    half-lattice buffer the inverse transform reads; nothing writes that
-    buffer off the box, so it stays zero there.  ``gather`` copies the box
+    half-lattice buffer the inverse transform reads; off the box only
+    ``field`` writes it (the phase turns zeros into -0.0) and then zeroes
+    it again, so it reads +0.0 there.  ``gather`` copies the box
     out of a half-lattice array.
 
     The advection term -c * P[div(v (x) v)] on the box is linear in the
     product transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is
-    applied as -i * sum_p K[:, p] w_p.  Column p of the real tensor K is the
-    Leray projection of the divergence of a unit product p, that is
-    alpha_j e_i + alpha_i e_j (alpha_i e_i when i = j), times
-    2 pi * advect_coeff.
+    applied as -i * sum_p K[:, p] w_p, accumulated one product at a time.
+    Column p of the real tensor K is the Leray projection of the divergence
+    of a unit product p, that is alpha_j e_i + alpha_i e_j (alpha_i e_i
+    when i = j), times 2 pi * advect_coeff.
     """
 
     def __init__(self, grid: TorusGrid, cfg: SolverConfig):
@@ -153,6 +158,7 @@ class _HalfSpectrum:
         k = N // 3
         self.grid = grid
         self.axes = tuple(range(1, 1 + n))
+        self._prod_axes = tuple(range(n))
         self.shape = (2 * k + 1,) * (n - 1) + (k + 1,)
         # (box slice, half-lattice slice) of the nonnegative and the
         # negative wavenumbers of a full axis
@@ -181,9 +187,9 @@ class _HalfSpectrum:
                 div[j] += alphas[i]
             self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
         self._half = np.zeros((n,) + grid.half_shape, dtype=complex)
-        self._prods = np.empty((len(self.pairs),) + grid.shape)
-        self._w = np.empty((len(self.pairs),) + self.shape, dtype=complex)
-        self._term = np.empty(self.shape, dtype=complex)
+        self._prod = np.empty(grid.shape)
+        self._w = np.empty(self.shape, dtype=complex)
+        self._term = np.empty((n,) + self.shape, dtype=complex)
 
     def scatter(self, c):
         """The half-lattice buffer holding the box array c, zero off the box
@@ -203,21 +209,34 @@ class _HalfSpectrum:
         """sum |v_alpha| over the full lattice: last-axis box planes 1..k count twice."""
         return _full_sum(np.abs(c), self.grid.N)
 
+    def field(self, c):
+        """The recorded field of the box array c: its half spectrum times the
+        mode phase, formed in the scatter buffer, which is zeroed again once
+        ``SpectralField`` has copied it."""
+        half = self.scatter(c)
+        half *= _mode_phase(self.grid)
+        f = SpectralField(self.grid, half)
+        half.fill(0)
+        return f
+
     def nonlinear(self, c):
         """-advect_coeff * P[div(v (x) v)] of the box array c on the box, as a
-        new array."""
+        new array.
+
+        One product is transformed at a time, and column p of K is applied
+        to all n components at once; each mode still sums the terms in
+        ascending p, starting from the p = 0 term."""
         vel = irfftn_forward(self.scatter(c), self.axes, self.grid.N)
-        prods = self._prods
-        for p, (i, j) in enumerate(self.pairs):
-            np.multiply(vel[i], vel[j], out=prods[p])
-        w = self.gather(rfftn_forward(prods, self.axes), self._w)
+        prod, w, term = self._prod, self._w, self._term
         out = np.empty(c.shape, dtype=complex)
-        term = self._term
-        for i, k_i in enumerate(self.K):
-            np.multiply(k_i[0], w[0], out=out[i])
-            for p in range(1, len(self.pairs)):
-                np.multiply(k_i[p], w[p], out=term)
-                out[i] += term
+        for p, (i, j) in enumerate(self.pairs):
+            np.multiply(vel[i], vel[j], out=prod)
+            self.gather(rfftn_forward(prod, self._prod_axes), w)
+            if p == 0:
+                np.multiply(self.K[:, 0], w, out=out)
+            else:
+                np.multiply(self.K[:, p], w, out=term)
+                out += term
         out *= -1j
         return out
 
@@ -239,9 +258,12 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     memory does not grow with the step count.
     """
     grid = v0.grid
-    phase = _mode_phase(grid)
+    # projected before the operators are built, so that the projection's
+    # temporaries and the operators are not held at once
+    start = dealias(leray_project(v0)).modes * _mode_phase(grid)
     op = _HalfSpectrum(grid, cfg)
-    m = op.gather(dealias(leray_project(v0)).modes * phase, np.empty((grid.n,) + op.shape, dtype=complex))
+    m = op.gather(start, np.empty((grid.n,) + op.shape, dtype=complex))
+    del start
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt
@@ -253,7 +275,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     times, energies, grads, snaps = [], [], [], []
 
     def record(t):
-        f = SpectralField(grid, op.scatter(m) * phase)
+        f = op.field(m)
         times.append(t)
         energies.append(energy(f))
         grads.append(gradient_energy(f))
@@ -295,6 +317,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
         np.multiply(sixth_dt, a, out=a)
         np.multiply(e_full, m, out=m)
         np.add(m, a, out=m)
+        del n1, n2, n3, n4  # not held across the record point
         t = (step + 1) * dt
         # sup |v| <= sum |v_alpha|: cheap overflow guard without a transform
         bound = op.abs_sum(m)

@@ -112,17 +112,28 @@ def perturbed_taylor_green(grid: TorusGrid, amplitude=1.0, eps=0.1) -> SpectralF
 
 def random_divergence_free(grid: TorusGrid, rng, kmax=None, rms=1.0) -> SpectralField:
     """Band-limited random solenoidal field with prescribed grid RMS, from
-    the conjugate-symmetric part of complex normal draws on the full lattice."""
+    the conjugate-symmetric part of complex normal draws on the full lattice.
+
+    The real parts of the draws come first from ``rng``, then the imaginary
+    parts; only the half spectrum of the symmetric part is formed."""
     if kmax is None:
         kmax = max(2, grid.N // 4)
     shape = (grid.n,) + grid.shape
-    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    axes = tuple(range(1, 1 + grid.n))
-    mirrored = np.roll(np.flip(draw, axis=axes), 1, axis=axes)  # z_{-alpha}: index j -> (N - j) mod N
-    half = (Ellipsis, slice(0, grid.N // 2 + 1))
-    modes = 0.5 * (draw[half] + np.conj(mirrored[half]))
-    band = _band(grid, kmax) & (grid.alpha_sq() > 0)
-    field = dealias(leray_project(SpectralField(grid, modes * band)))
+    draw = np.empty(shape, dtype=complex)
+    draw.real = rng.standard_normal(shape)
+    draw.imag = rng.standard_normal(shape)
+    # z_{-alpha} on the half spectrum: index j -> (N - j) mod N on every axis
+    neg = (grid.N - np.arange(grid.N)) % grid.N
+    modes = draw[(Ellipsis, *np.ix_(*(neg,) * (grid.n - 1), neg[: grid.N // 2 + 1]))]
+    np.conjugate(modes, out=modes)
+    modes += draw[..., : grid.N // 2 + 1]
+    del draw
+    modes *= 0.5
+    modes *= _band(grid, kmax) & (grid.alpha_sq() > 0)
+    field = SpectralField(grid, modes)
+    del modes
+    field = leray_project(field)
+    field = dealias(field)
     norm = sobolev_norm(field, 0.0)
     if norm == 0:
         raise ValueError("degenerate random field")

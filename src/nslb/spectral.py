@@ -8,9 +8,10 @@ so all 2*pi factors live in the mode formulas and the physical grid is
 the uniform lattice x_j = -0.5 + j/N.  Fields are real, f_{-alpha} =
 conj(f_alpha), so only the half spectrum is stored, last-axis wavenumbers
 0..N/2 (the real-to-complex layout; Canuto, Hussaini, Quarteroni & Zang,
-Spectral Methods, 2007): ``to_modes`` and ``to_grid`` are each one of
-scipy's compiled real pocketfft transforms (``_compiled``) times the
-(-1)^(alpha_1 + ... + alpha_n) phase of the -0.5 grid offset.  The
+Spectral Methods, 2007): ``to_modes`` and ``to_grid`` are scipy's
+compiled real pocketfft transforms (``_compiled``; ``to_grid`` runs one per
+component) times the (-1)^(alpha_1 + ... + alpha_n) phase of the -0.5
+grid offset.  The
 last-axis planes 0 and N/2 hold both alpha and -alpha; ``SpectralField``
 makes them their own conjugate mirror.  A full-lattice sum of a quantity
 even in alpha counts the planes between them twice (``_full_sum``).
@@ -148,6 +149,13 @@ def _band(grid, kmax):
     return keep
 
 
+def _abs_sq(modes):
+    """|modes|^2 as a new real array, squared in place (the bits of
+    ``np.abs(modes) ** 2``)."""
+    a = np.abs(modes)
+    return np.multiply(a, a, out=a)
+
+
 def _full_sum(a, N):
     """Full-lattice sum of a quantity even in alpha from its values ``a`` on
     the half lattice, or on a box of it whose last axis starts at 0: each
@@ -237,9 +245,15 @@ def to_modes(f: PhysicalField) -> SpectralField:
 
 
 def to_grid(v: SpectralField) -> PhysicalField:
-    """Inverse transform onto the lattice."""
+    """Inverse transform onto the lattice, one component at a time."""
     grid = v.grid
-    return PhysicalField(grid, irfftn_forward(v.modes * _mode_phase(grid), tuple(range(1, 1 + grid.n)), grid.N))
+    axes = tuple(range(grid.n))
+    values = np.empty((v.ncomp,) + grid.shape)
+    phased = np.empty(grid.half_shape, dtype=complex)
+    for modes, out in zip(v.modes, values):
+        np.multiply(modes, _mode_phase(grid), out=phased)
+        irfftn_forward(phased, axes, grid.N, out=out)
+    return PhysicalField(grid, values)
 
 
 def divergence(v: SpectralField) -> SpectralField:
@@ -256,8 +270,9 @@ def sobolev_norm(v: SpectralField, s: float) -> float:
     """sqrt( sum_i sum_alpha |v_{i,alpha}|^2 (1+|alpha|^2)^s ) over the full lattice."""
     if not np.isfinite(s):
         raise ValueError("Sobolev order must be finite")
-    weight = (1.0 + v.grid.alpha_sq()) ** s
-    return float(np.sqrt(_full_sum(np.abs(v.modes) ** 2 * weight, v.grid.N)))
+    weighted = _abs_sq(v.modes)
+    weighted *= (1.0 + v.grid.alpha_sq()) ** s
+    return float(np.sqrt(_full_sum(weighted, v.grid.N)))
 
 
 def dealias(v: SpectralField) -> SpectralField:

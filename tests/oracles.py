@@ -13,7 +13,11 @@ weak-strong uniqueness bound at the end, a diagnostic over ``simulate``
 trajectories: only the tests compute them.
 The one-call-per-point loops ``per_sample_smooth_field`` and
 ``per_index_hm_cm_proxy_norm`` share the point sampler and ``to_grid`` with
-the code under test on purpose: they pin its batching bit for bit.
+the code under test on purpose: they pin its batching bit for bit.  In the
+same way ``batched_nonlinear`` (every product in one forward transform)
+and ``rolled_random_divergence_free`` (the whole-lattice flip and roll)
+are earlier forms of the production code that pin its leaner evaluation
+bit for bit.
 """
 
 import itertools
@@ -25,9 +29,9 @@ import scipy.sparse
 
 from nslb._compiled import irfftn_forward, rfftn_forward
 from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
-from nslb.leray import _project_modes
+from nslb.leray import _project_modes, leray_project
 from nslb.singularity import TIP_EXCLUSION, _cone_sample_points
-from nslb.spectral import SpectralField, TorusGrid, _mode_phase, dealias_mask, sobolev_norm, to_grid
+from nslb.spectral import SpectralField, TorusGrid, _band, _mode_phase, dealias, dealias_mask, sobolev_norm, to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -218,6 +222,38 @@ class HalfLatticeOperator:
                 out[i] += k_i[p] * w[p]
         out *= -1j
         return out
+
+
+def batched_nonlinear(op: _HalfSpectrum, c):
+    """``op.nonlinear(c)`` with all n(n+1)/2 products v_i v_j held at once
+    and transformed in one batched call, then summed component by
+    component in ascending p."""
+    vel = irfftn_forward(op.scatter(c), op.axes, op.grid.N)
+    prods = np.stack([vel[i] * vel[j] for i, j in op.pairs])
+    w = op.gather(rfftn_forward(prods, op.axes), np.empty((len(op.pairs),) + op.shape, dtype=complex))
+    out = np.empty(c.shape, dtype=complex)
+    for i, k_i in enumerate(op.K):
+        out[i] = k_i[0] * w[0]
+        for p in range(1, len(op.pairs)):
+            out[i] += k_i[p] * w[p]
+    out *= -1j
+    return out
+
+
+def rolled_random_divergence_free(grid, rng, kmax=None, rms=1.0):
+    """``random_divergence_free`` from one complex full-lattice draw
+    a + 1j b, mirrored by a flip and a roll of the whole lattice."""
+    if kmax is None:
+        kmax = max(2, grid.N // 4)
+    shape = (grid.n,) + grid.shape
+    draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(1, 1 + grid.n))
+    mirrored = np.roll(np.flip(draw, axis=axes), 1, axis=axes)
+    half = (Ellipsis, slice(0, grid.N // 2 + 1))
+    modes = 0.5 * (draw[half] + np.conj(mirrored[half]))
+    band = _band(grid, kmax) & (grid.alpha_sq() > 0)
+    field = dealias(leray_project(SpectralField(grid, modes * band)))
+    return SpectralField(grid, field.modes * (rms / sobolev_norm(field, 0.0)))
 
 
 def box_of(op: _HalfSpectrum, modes):

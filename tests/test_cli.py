@@ -58,6 +58,21 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_snapshot_file_is_header_plus_payload_bytes(tmp_path):
+    # the payload is written from the array's buffer, row-major float64,
+    # and read back into an array the field owns
+    grid = TorusGrid(3, 8)
+    values = np.random.default_rng(1).standard_normal((3,) + grid.shape)
+    values[0, 0, 0, :3] = -0.0
+    path = tmp_path / "state.nslb"
+    write_snapshot(path, PhysicalField(grid, values), 0.25)
+    header = struct.pack("<4sIIIId", MAGIC, VERSION, 3, 8, 3, 0.25)
+    assert path.read_bytes() == header + values.tobytes()
+    back, _ = read_snapshot(path)
+    assert back.values.flags.owndata and back.values.flags.writeable
+    assert back.values.tobytes() == values.tobytes()
+
+
 def test_snapshot_truncation_rejected(tmp_path):
     grid = TorusGrid(2, 16)
     field = PhysicalField(grid, np.zeros((1,) + grid.shape))
@@ -151,6 +166,15 @@ def test_simulate_experiment_outputs(tmp_path):
     assert snaps
     field, t0 = read_snapshot(snaps[0])
     assert field.grid.N == 32 and t0 == 0.0
+
+
+def test_meta_records_peak_rss_and_report_does_not(tmp_path):
+    cfg = write_config(tmp_path, SIMULATE_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "report.meta.json").read_text())
+    assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
+    assert "rss" not in (out / "report.json").read_text()
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):

@@ -45,6 +45,10 @@ def test_irfftn_forward_matches_scipy_fft(n, N, batch, seed):
     axes = tuple(range(len(batch), c.ndim))
     want = scipy.fft.irfftn(c, s=(N,) * n, axes=axes, norm="forward")
     assert np.array_equal(irfftn_forward(c, axes, N), want)
+    # into a given array, also a row of a larger one, as to_grid calls it
+    out = np.full((2,) + want.shape, np.nan)
+    assert irfftn_forward(c, axes, N, out=out[1]).base is out
+    assert out[1].tobytes() == want.tobytes() and np.isnan(out[0]).all()
 
 
 @pytest.mark.parametrize("shape", [(3, 32, 32, 17), (2, 32, 17), (3, 12, 12, 7)])
@@ -129,6 +133,16 @@ def test_loader_rejects_changed_kernels():
     pocketfft.r2c = lambda x, axes, forward, norm, out, workers: scipy.fft.rfftn(x, axes=axes)
     with pytest.raises(ImportError, match="no longer give the forward-normalised"):
         _compiled._checked(pocketfft, sparsetools)
+    pocketfft.r2c = _compiled._r2c
+    # a c2r that ignores its output array, or hands it back unwritten
+    for ignores_out in (
+        lambda c, axes, n, forward, norm, out, workers: _compiled._c2r(c, axes, n, forward, norm, None, workers),
+        lambda c, axes, n, forward, norm, out, workers: _compiled._c2r(c, axes, n, forward, norm, None, workers) if out is None else out,
+    ):
+        pocketfft.c2r = ignores_out
+        with pytest.raises(ImportError, match="no longer give the forward-normalised"):
+            _compiled._checked(pocketfft, sparsetools)
+    pocketfft.c2r = _compiled._c2r
     pocketfft.r2c = lambda x, axes, forward: None
     with pytest.raises(ImportError, match="rejected nslb's call"):
         _compiled._checked(pocketfft, sparsetools)

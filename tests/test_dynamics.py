@@ -26,11 +26,14 @@ from nslb.spectral import (
     dealias,
     dealias_mask,
     divergence,
+    sobolev_norm,
+    to_grid,
     to_modes,
 )
 from oracles import (
     HalfLatticeOperator,
     advective_nonlinear_modes,
+    batched_nonlinear,
     box_of,
     full_lattice,
     full_random_divergence_free,
@@ -41,6 +44,7 @@ from oracles import (
     prefix_weak_strong_c,
     projected_divergence_modes,
     rhs,
+    rolled_random_divergence_free,
     taylor_green_values,
     weak_strong_bound,
 )
@@ -147,6 +151,37 @@ def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff,
         box = op.gather(c, np.empty((n,) + op.shape, dtype=complex))
         got = op.scatter(op.nonlinear(box))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    N=st.sampled_from([8, 10, 12, 16]),
+    advect_coeff=st.sampled_from([1.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nonlinear_matches_batched_oracle_bit_for_bit(n, N, advect_coeff, seed):
+    # one product transform at a time sums each mode's terms in the same
+    # order as the batched evaluation, so the bits agree; calling twice
+    # checks that the reused buffers carry nothing over
+    grid = TorusGrid(n, N)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff))
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        box = rng.standard_normal((n,) + op.shape) + 1j * rng.standard_normal((n,) + op.shape)
+        assert op.nonlinear(box).tobytes() == batched_nonlinear(op, box).tobytes()
+
+
+def test_recorded_field_leaves_the_scatter_buffer_zero_off_the_box():
+    # the phase is applied in the scatter buffer, which must read zero off
+    # the box (and +0.0, not -0.0) for the next inverse transform
+    grid = TorusGrid(3, 12)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
+    box = np.random.default_rng(3).standard_normal((3,) + op.shape) + 0j
+    f = op.field(box)
+    assert f.modes.tobytes() == SpectralField(grid, op.scatter(box) * _mode_phase(grid)).modes.tobytes()
+    op.field(box)
+    assert op._half.tobytes() == np.zeros_like(op._half).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -273,6 +308,51 @@ def test_streamed_run_memory_does_not_grow_with_step_count():
     assert abs(peak(40, ignore) - peak(5, ignore)) < snapshot
     # retained, the 35 more records are all still held at the end
     assert peak(40, None) - peak(5, None) >= 30 * snapshot
+
+
+def half_spectrum_field_bytes(grid):
+    """F: the bytes of one velocity field's half spectrum."""
+    return grid.n * grid.N ** (grid.n - 1) * (grid.N // 2 + 1) * 16
+
+
+def test_streamed_3d_run_rises_by_at_most_seven_fields():
+    # the run's operators and stage buffers, plus one record and its
+    # to_grid: no stage derivative is held across the record point and no
+    # full-field copy is made; warmed first so no per-grid cache counts
+    grid = TorusGrid(3, 32)
+    v0 = random_divergence_free(grid, np.random.default_rng(2))
+    cfg = SolverConfig(nu=0.05, dt=2e-3, t_end=8e-3)
+
+    def observe(t, f):
+        to_grid(f)
+        divergence(f)
+        sobolev_norm(f, 1.0)
+        sobolev_norm(f, 2.0)
+
+    simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=2e-3), observe)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        simulate(v0, cfg, observe)
+        rise = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rise <= 7 * half_spectrum_field_bytes(grid)
+
+
+def test_random_field_peak_is_at_most_seven_fields():
+    # one complex full-lattice draw (about 1.9 F) and one real draw, then
+    # the half-spectrum mirror; the draw is gone before the projection
+    grid = TorusGrid(3, 32)
+    random_divergence_free(grid, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        random_divergence_free(grid, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * half_spectrum_field_bytes(grid)
 
 
 @settings(max_examples=30, deadline=None)
@@ -602,3 +682,13 @@ def test_random_field_is_the_symmetric_part_of_the_full_lattice_draw(n, N, kmax)
         v = random_divergence_free(grid, np.random.default_rng(seed), kmax=kmax, rms=1.7)
         want = full_random_divergence_free(grid, np.random.default_rng(seed), kmax, 1.7)
         assert np.max(np.abs(full_lattice(v.modes, grid) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, N, kmax", [(2, 16, None), (2, 10, 5), (3, 8, 4), (3, 12, 4), (3, 16, None)])
+def test_random_field_matches_rolled_oracle_bit_for_bit(n, N, kmax):
+    # the same draws in the same order, mirrored on the half spectrum only
+    grid = TorusGrid(n, N)
+    for seed in (0, 1, 7, 12345):
+        got = random_divergence_free(grid, np.random.default_rng(seed), kmax=kmax, rms=1.3)
+        want = rolled_random_divergence_free(grid, np.random.default_rng(seed), kmax=kmax, rms=1.3)
+        assert got.modes.tobytes() == want.modes.tobytes()

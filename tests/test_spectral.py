@@ -10,6 +10,7 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    _full_sum,
     _mirror,
     _mode_phase,
     dealias,
@@ -324,3 +325,17 @@ def test_mirror_matches_reflect_oracle_bit_for_bit(n, N, lead, seed):
     assert to_grid(v).values.tobytes() == seen.tobytes()
     raw = scipy.fft.irfftn(half.reshape(v.modes.shape) * _mode_phase(grid), s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
     assert np.max(np.abs(to_grid(v).values - raw)) <= 1e-12 * np.max(np.abs(raw))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 16]), seed=st.integers(0, 2**32 - 1))
+def test_in_place_squares_match_out_of_place_bit_for_bit(n, N, seed):
+    # energy, gradient_energy and sobolev_norm square |modes| in place;
+    # the sums are those of the out-of-place expressions
+    grid = TorusGrid(n, N)
+    v = to_modes(random_field(grid, seed))
+    sq = np.abs(v.modes) ** 2
+    assert energy(v) == 0.5 * _full_sum(sq, N)
+    assert gradient_energy(v) == _full_sum(4 * np.pi**2 * grid.alpha_sq() * sq, N)
+    for s in (0.0, 1.0, 2.0, -0.5):
+        assert sobolev_norm(v, s) == float(np.sqrt(_full_sum(sq * (1.0 + grid.alpha_sq()) ** s, N)))

@@ -9,7 +9,9 @@ Runs, once on the source of REV and once on the working tree:
 - the 3D solver config of ``perfbench/child.py`` (``SOLVER_CONFIG``, every
   snapshot written) at seed 0.
 
-Both sides use the working tree's configs.  Every output file is then
+Both sides use the working tree's configs.  Each run's peak resident set
+size (from ``os.wait4``, in MB of 2^20 bytes) is printed for REV and for
+the working tree; it does not enter the exit status.  Every output file is then
 compared byte for byte, except ``report.meta.json``, whose wall times and
 timestamps differ on every run.  Each differing file is printed, and the
 exit status is 1 if any file or exit code differs, 0 otherwise.  For a
@@ -61,16 +63,28 @@ def experiment(config):
     return parser.get("experiment", "name", fallback=config.stem.replace("_", "-"))
 
 
+def run(argv, env):
+    """(exit code, peak RSS in MB of 2^20 bytes, stderr text) of one child,
+    its peak taken from ``os.wait4`` (``ru_maxrss`` counts KiB on Linux)."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        err.seek(0)
+        return proc.returncode, usage.ru_maxrss / 2**10, err.read().decode(errors="replace")
+
+
 def run_all(src, jobs, out):
-    """Run every job on the nslb package under ``src``; return {job name: exit code}."""
-    codes = {}
+    """Run every job on the nslb package under ``src``; return {job name:
+    (exit code, peak RSS in MB)}."""
+    results = {}
     for name, exp, config, seed in jobs:
         argv = [sys.executable, "-m", "nslb.cli", exp, "--config", str(config), "--out", str(out / name), "--seed", str(seed)]
-        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
-        codes[name] = done.returncode
-        if done.returncode != 0:
-            print(f"{name}: exit {done.returncode} on {src}\n{done.stderr.strip()}", file=sys.stderr)
-    return codes
+        code, peak, stderr = run(argv, {**os.environ, "PYTHONPATH": str(src)})
+        results[name] = code, peak
+        if code != 0:
+            print(f"{name}: exit {code} on {src}\n{stderr.strip()}", file=sys.stderr)
+    return results
 
 
 def compared_files(out):
@@ -160,7 +174,8 @@ def main(argv=None):
         jobs.append(("solver-3d-seed0", "simulate", solver, 0))
 
         sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
-        codes = {side: run_all(src, jobs, tmp / f"out-{side}") for side, src in sides.items()}
+        results = {side: run_all(src, jobs, tmp / f"out-{side}") for side, src in sides.items()}
+        codes = {side: {name: code for name, (code, _) in runs.items()} for side, runs in results.items()}
         files = {side: compared_files(tmp / f"out-{side}") for side in sides}
 
         differ = [f"{name}: exit {codes['rev'][name]} at {sha[:10]}, {codes['tree'][name]} in the working tree" for name, *_ in jobs if codes["rev"][name] != codes["tree"][name]]
@@ -173,6 +188,9 @@ def main(argv=None):
                 differ.append(f"{rel}: bytes differ" + (f"; {moves}" if moves else ""))
 
     print(f"{len(jobs)} runs, {len(files['rev'] | files['tree'])} files compared against {sha[:10]} ({', '.join(sorted(UNCOMPARED))} excluded)")
+    for name, *_ in jobs:
+        rev, tree = results["rev"][name][1], results["tree"][name][1]
+        print(f"peak RSS {name}: {rev:.2f} MB at {sha[:10]}, {tree:.2f} MB in the working tree ({tree - rev:+.2f} MB)")
     for line in differ:
         print(f"DIFFERS {line}")
     print(f"{len(differ)} differ" if differ else "all byte-identical")
