@@ -34,7 +34,7 @@ from ._compiled import KERNEL_FILES
 from .cone import ConeSpec, BallGrid, CylinderSpec, dtau_dt, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
 from .dynamics import SolverConfig, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
-from .kernels import KernelSpec, duhamel_residual, elliptic_integral_check, gaussian, kernel_bound_check
+from .kernels import KernelSpec, _gaussian_sq, duhamel_residual, elliptic_integral_check, kernel_bound_check
 from .rescale import S_MAX, RescaleParams, growth_exponent, increment_bound_check, mu_of_s, r_policy, s_of_t
 from .singularity import GRADIENT_LAMBDA_LIMIT, GRADIENT_MU_LIMIT, MIN_SAMPLES, VELOCITY_LAMBDA_LIMIT, VELOCITY_MU_LIMIT, ckn_gate
 from .singularity import fit_singularity_orders, sample_smooth_field, synthesize_singular_field
@@ -368,9 +368,9 @@ def run_verify_kernels(p, out: Path):
     spec = KernelSpec(nu_eff=p.nus[0], n=2)
     width = 8 * np.sqrt(2 * spec.nu_eff * 0.3)
     ax = (np.arange(256) + 0.5) / 256 * 2 * width - width
-    xg, yg = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=-1)
-    mass = float(np.sum(gaussian(0.3, pts, spec)) * (2 * width / 256) ** 2)
+    # |y|^2 on the 256 x 256 midpoint grid, row-major as a meshgrid's points
+    r_sq = np.add.outer(ax * ax, ax * ax).reshape(-1)
+    mass = float(np.sum(_gaussian_sq(0.3, r_sq, spec)) * (2 * width / 256) ** 2)
     mass_ok = abs(mass - 1.0) <= 1e-8
     elliptic = elliptic_integral_check(2.0, 0.5, 1.0, [0.05, 0.1, 0.2, 0.3, 0.5, 1.0])
     elliptic_ok = (

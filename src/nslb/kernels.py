@@ -48,12 +48,14 @@ class KernelSpec:
 
 
 def _split(y, n):
-    """|y|^2 over the last axis of y, which must have length n, and y as an array."""
+    """|y|^2 over the last axis of y, which must have length n, and y as an array.
+
+    A single point sums its squares as a row does, so it gets the same bits
+    as the same point in a one-row array.
+    """
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (n,):
         raise ValueError(f"points of shape {y.shape} need a last axis of length n = {n}")
-    if y.ndim == 1:
-        return float(np.dot(y, y)), y
     return np.sum(y**2, axis=-1), y
 
 

@@ -75,7 +75,11 @@ def _project_modes(modes, alphas, inv_asq):
     gradients).
     """
     dot = sum(a * m for a, m in zip(alphas, modes)) * inv_asq
-    return np.stack([m - a * dot for a, m in zip(alphas, modes)])
+    out = np.empty((len(alphas),) + dot.shape, dtype=dot.dtype)
+    for a, m, o in zip(alphas, modes, out):
+        np.multiply(a, dot, out=o)
+        np.subtract(m, o, out=o)
+    return out
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -87,4 +91,6 @@ def leray_project(f: SpectralField) -> SpectralField:
     alphas = [grid.alpha(k) for k in range(grid.n)]
     asq = sum(a**2 for a in alphas)
     inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
-    return SpectralField(grid, _project_modes(f.modes, alphas, inv_asq))
+    modes = _project_modes(f.modes, alphas, inv_asq)
+    del asq, inv_asq  # freed before SpectralField copies the modes
+    return SpectralField(grid, modes)

@@ -14,10 +14,12 @@ trajectories: only the tests compute them.
 The one-call-per-point loops ``per_sample_smooth_field`` and
 ``per_index_hm_cm_proxy_norm`` share the point sampler and ``to_grid`` with
 the code under test on purpose: they pin its batching bit for bit.  In the
-same way ``batched_nonlinear`` (every product in one forward transform)
-and ``rolled_random_divergence_free`` (the whole-lattice flip and roll)
-are earlier forms of the production code that pin its leaner evaluation
-bit for bit.
+same way ``batched_nonlinear`` (every product in one forward transform),
+``rolled_random_divergence_free`` (the whole-lattice flip and roll),
+``stacked_project_modes`` (the projected components stacked from a list)
+and ``kernel_mass_meshgrid`` (the kernel mass over meshgrid points) are
+earlier forms of the production code that pin its leaner evaluation bit
+for bit.
 """
 
 import itertools
@@ -29,6 +31,7 @@ import scipy.sparse
 
 from nslb._compiled import irfftn_forward, rfftn_forward
 from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
+from nslb.kernels import KernelSpec, gaussian
 from nslb.leray import _project_modes, leray_project
 from nslb.singularity import TIP_EXCLUSION, _cone_sample_points
 from nslb.spectral import SpectralField, TorusGrid, _band, _mode_phase, dealias, dealias_mask, sobolev_norm, to_grid
@@ -254,6 +257,25 @@ def rolled_random_divergence_free(grid, rng, kmax=None, rms=1.0):
     band = _band(grid, kmax) & (grid.alpha_sq() > 0)
     field = dealias(leray_project(SpectralField(grid, modes * band)))
     return SpectralField(grid, field.modes * (rms / sobolev_norm(field, 0.0)))
+
+
+def stacked_project_modes(modes, alphas, inv_asq):
+    """``leray._project_modes`` with the n projected components built as a
+    list and stacked."""
+    dot = sum(a * m for a, m in zip(alphas, modes)) * inv_asq
+    return np.stack([m - a * dot for a, m in zip(alphas, modes)])
+
+
+def kernel_mass_meshgrid(nu_eff):
+    """The ``verify-kernels`` kernel mass at diffusivity nu_eff: the 2D
+    kernel at t = 0.3 summed over the (65536, 2) points of a 256 x 256
+    midpoint meshgrid on [-w, w]^2, w = 8 sqrt(2 nu t), times the cell area."""
+    spec = KernelSpec(nu_eff=nu_eff, n=2)
+    width = 8 * np.sqrt(2 * spec.nu_eff * 0.3)
+    ax = (np.arange(256) + 0.5) / 256 * 2 * width - width
+    xg, yg = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.stack([xg.reshape(-1), yg.reshape(-1)], axis=-1)
+    return float(np.sum(gaussian(0.3, pts, spec)) * (2 * width / 256) ** 2)
 
 
 def box_of(op: _HalfSpectrum, modes):

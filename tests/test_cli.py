@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from nslb import cli
 from nslb.cli import EXPERIMENTS, SCHEMAS, ConfigError, _load, _u64, main
 from nslb.snapshots import MAGIC, VERSION, SnapshotError, read_snapshot, write_snapshot
 from nslb.spectral import PhysicalField, TorusGrid
+
+from oracles import kernel_mass_meshgrid
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -573,6 +576,30 @@ def test_same_outputs_tool_runs_what_the_benchmark_runs():
     tool = loaded["same_outputs"]
     assert tool.solver_config() == loaded["perfbench_child"].SOLVER_CONFIG
     assert {path.name: tool.experiment(path) for path in CONFIGS.glob("*.cfg")} == CONFIG_EXPERIMENTS
+
+
+@pytest.mark.parametrize("nus", ["0.01 0.1", "0.1 1.0", "1.0 0.01"])
+def test_kernel_mass_matches_meshgrid_oracle_bit_for_bit(tmp_path, nus):
+    # the mass is taken at the first diffusivity from squared radii alone
+    path = write_config(tmp_path, f"[kernels]\ndeltas = 0.5\nnus = {nus}\n")
+    assert main(["verify-kernels", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    mass = json.loads((tmp_path / "out" / "report.json").read_text())["kernel_mass"]["value"]
+    assert struct.pack("<d", mass) == struct.pack("<d", kernel_mass_meshgrid(float(nus.split()[0])))
+
+
+def test_verify_kernels_peaks_at_most_2_mb(tmp_path):
+    # the kernel-mass check holds 256^2 squared radii, one negated
+    # temporary and the kernel values (1.5 MiB), not a meshgrid and its
+    # (65536, 2) points as well (3.5 MiB)
+    argv = ["verify-kernels", "--config", str(CONFIGS / "verify_kernels.cfg"), "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2**20, peak
 
 
 def test_config_named_for_another_experiment_exits_2(tmp_path, capsys):

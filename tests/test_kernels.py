@@ -47,6 +47,25 @@ def test_gaussian_point_value_and_rejection():
     np.testing.assert_allclose(gaussian(0.1, [[0.1], [0.2], [0.3]], KernelSpec(nu_eff=0.5, n=1)), want, rtol=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    t=st.floats(1e-3, 10.0),
+    nu=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_point_and_one_row_agree_bit_for_bit(n, t, nu, seed):
+    # a single point once took |y|^2 from a BLAS dot product, whose bits
+    # differ from the row sum of squares in about one case in seven
+    spec = KernelSpec(nu_eff=nu, n=n)
+    ys = np.random.default_rng(seed).normal(size=(50, n)) * np.sqrt(4 * nu * t)
+    for y in ys:
+        assert np.asarray(gaussian(t, y, spec)).tobytes() == gaussian(t, y[None], spec)[0].tobytes()
+        for j in range(n):
+            one = gaussian_derivative(t, y, j, spec)
+            assert np.asarray(one).tobytes() == gaussian_derivative(t, y[None], j, spec)[0].tobytes()
+
+
 @pytest.mark.parametrize("n, y", [(2, [0.1, 0.2, 0.3]), (1, [0.1, 0.2, 0.3]), (3, [[0.1, 0.2]]), (2, 0.1)])
 def test_gaussian_rejects_points_of_the_wrong_dimension(n, y):
     # the last axis holds the coordinates; a flat (3,) once came back as a

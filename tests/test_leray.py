@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from nslb.dynamics import energy
 from nslb.flows import random_divergence_free, taylor_green
 from nslb.leray import (
+    _project_modes,
     leray_project,
     poisson_pressure,
     pressure_gradient_modes,
@@ -23,7 +26,7 @@ from nslb.spectral import (
     to_modes,
 )
 
-from oracles import brute_force_pressure_gradient, derivative, full_lattice, full_wavenumbers, reflect
+from oracles import brute_force_pressure_gradient, derivative, full_lattice, full_wavenumbers, reflect, stacked_project_modes
 
 
 def test_zero_field_zero_pressure():
@@ -196,3 +199,37 @@ def test_parseval_energy_matches_grid_mean(n, N, seed):
     v = _random_real_field(n, N, seed)
     grid_energy = 0.5 * float(np.mean(np.sum(to_grid(v).values ** 2, axis=0)))
     assert energy(v) == pytest.approx(grid_energy, rel=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
+def test_project_modes_matches_stacked_oracle_bit_for_bit(n, N, seed):
+    # complex field modes, and the real arrays the solver's advection
+    # operator projects
+    v = _random_real_field(n, N, seed)
+    grid = v.grid
+    alphas = [grid.alpha(k) for k in range(n)]
+    asq = sum(a**2 for a in alphas)
+    inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
+    for modes in (v.modes, v.modes.real.copy()):
+        got = _project_modes(modes, alphas, inv_asq)
+        want = stacked_project_modes(modes, alphas, inv_asq)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_leray_project_peak_is_at_most_2_6_fields():
+    # the projected modes, SpectralField's copy of them and its Nyquist-plane
+    # mirror (about 2.5 fields); no stacked list, and |alpha|^2 is freed
+    # before the copy (the stacked form peaked at 2.8)
+    grid = TorusGrid(3, 32)
+    v = random_divergence_free(grid, np.random.default_rng(0))
+    leray_project(v)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        leray_project(v)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * v.modes.nbytes, (peak, v.modes.nbytes)

@@ -11,7 +11,10 @@ Runs, once on the source of REV and once on the working tree:
 
 Both sides use the working tree's configs.  Each run's peak resident set
 size (from ``os.wait4``, in MB of 2^20 bytes) is printed for REV and for
-the working tree; it does not enter the exit status.  Every output file is then
+the working tree, and, for each seed, the largest peak over the committed
+configs' runs on each side with the run that set it: the figure the
+benchmark's ``lab-configs`` ``peak_rss_mb`` takes, one child per config.
+No peak enters the exit status.  Every output file is then
 compared byte for byte, except ``report.meta.json``, whose wall times and
 timestamps differ on every run.  Each differing file is printed, and the
 exit status is 1 if any file or exit code differs, 0 otherwise.  For a
@@ -171,6 +174,7 @@ def main(argv=None):
         solver.write_text(solver_config())
         configs = sorted((ROOT / "configs").glob("*.cfg"))
         jobs = [(f"{c.stem}-seed{s}", experiment(c), c, s) for c in configs for s in SEEDS]
+        lab = {s: [f"{c.stem}-seed{s}" for c in configs] for s in SEEDS}
         jobs.append(("solver-3d-seed0", "simulate", solver, 0))
 
         sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
@@ -191,6 +195,9 @@ def main(argv=None):
     for name, *_ in jobs:
         rev, tree = results["rev"][name][1], results["tree"][name][1]
         print(f"peak RSS {name}: {rev:.2f} MB at {sha[:10]}, {tree:.2f} MB in the working tree ({tree - rev:+.2f} MB)")
+    for seed, names in lab.items():
+        (rev, rev_name), (tree, tree_name) = (max((results[side][name][1], name) for name in names) for side in sides)
+        print(f"largest config peak RSS seed {seed}: {rev:.2f} MB ({rev_name}) at {sha[:10]}, {tree:.2f} MB ({tree_name}) in the working tree ({tree - rev:+.2f} MB)")
     for line in differ:
         print(f"DIFFERS {line}")
     print(f"{len(differ)} differ" if differ else "all byte-identical")
