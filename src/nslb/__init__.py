@@ -6,7 +6,7 @@ Subpackages by concern:
   spectral    -- fields on the n-torus in mode/grid form, divergence, norms
   leray       -- Fourier pressure gradient and divergence-free projection
   dynamics    -- projected Navier-Stokes integration plus energy diagnostics
-  cone        -- backward cones, the cone-to-cylinder map, comparison fields
+  cone        -- backward cones, the cone-to-cylinder map, the transformed equation
   kernels     -- Gaussian kernels, bound audits, boundary series, Duhamel residuals
   singularity -- exponent synthesis/fitting and exponent-window gates
   rescale     -- rescaled-window coefficient audits and increment checks

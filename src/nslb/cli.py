@@ -238,7 +238,7 @@ def run_transform_check(p, out: Path):
     div_norms, res = {}, {}
     for m in (17, 33):
         ball = BallGrid(cone.n, 0.8 * cyl.r_0, m)
-        div = sample_w_function(shear.velocity, cone, tau0, ball).divergence_fd()
+        div = ball.divergence(sample_w_function(shear.velocity, cone, tau0, ball))
         div_norms[m] = float(np.sqrt(np.mean(div[ball.interior] ** 2)))
         res[m] = transformed_residual(flow, cone, tau0, ball, dtau=ball.h).residual_l2
     div_order = float(np.log2(div_norms[17] / div_norms[33]))

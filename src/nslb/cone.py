@@ -1,5 +1,5 @@
 """Backward space-time cones, the cone-to-cylinder change of variables, and
-the comparison field living on the cylinder.
+the transformed equation for the comparison field on the cylinder.
 
 A cone with tip (t_s, x_s) and entry time t_1 maps to an infinite cylinder
 through
@@ -34,7 +34,6 @@ from ._compiled import CSRMatrix
 __all__ = [
     "ConeSpec",
     "CylinderSpec",
-    "ComparisonField",
     "BallGrid",
     "MuCoeffs",
     "tau_of_t",
@@ -237,27 +236,20 @@ class BallGrid:
     def laplacian(self, values):
         return sum(self.second_partial(values, axis) for axis in range(self.n))
 
-
-@dataclass(frozen=True)
-class ComparisonField:
-    """w sampled on a cylinder cross section: w(tau, z) = v(t(tau), x_s + (t_s - t) z)."""
-
-    tau: float
-    ball: BallGrid
-    values: np.ndarray  # (ncomp, m, ..., m), zero outside the mask
-
-    def divergence_fd(self):
-        """Finite-difference divergence in z over the mask."""
-        return sum(self.ball.partial(self.values[k], k) for k in range(self.ball.n))
+    def divergence(self, values):
+        """sum_k d values[k] / dz_k for a field of shape (n,) + mask.shape."""
+        return sum(self.partial(values[k], k) for k in range(self.n))
 
 
 def _cone_points(cone: ConeSpec, t, z_points):
     return np.asarray(cone.x_s) + (cone.t_s - t) * np.asarray(z_points)
 
 
-def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid) -> ComparisonField:
-    """Sample w from an analytic velocity callable velocity_fn(t, points)->(ncomp, m).
+def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid):
+    """w(tau, z) = v(t(tau), x_s + (t_s - t) z) on the ball's mask nodes, from an
+    analytic velocity callable velocity_fn(t, points) -> (ncomp, m_pts).
 
+    Returns an array of shape (ncomp,) + ball.mask.shape, zero off the mask.
     The ball may exceed the cylinder base radius by at most 5%.
     """
     cyl = CylinderSpec.from_cone(cone)
@@ -266,11 +258,9 @@ def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid) -> Compa
     t = float(t_of_tau(tau, cone))
     pts = ball.points("mask")
     vals = np.asarray(velocity_fn(t, _cone_points(cone, t, pts)))
-    ncomp = vals.shape[0]
-    out = np.zeros((ncomp,) + ball.mask.shape)
-    for c in range(ncomp):
-        out[c][ball.mask] = vals[c]
-    return ComparisonField(float(tau), ball, out)
+    out = np.zeros((vals.shape[0],) + ball.mask.shape)
+    out[:, ball.mask] = vals
+    return out
 
 
 def _poisson_system(ball: BallGrid, rhs, bvals):
@@ -384,59 +374,74 @@ def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
     return p
 
 
-@dataclass(frozen=True)
-class TransformedResidual:
-    tau: float
-    residual_l2: float
-    residual_max: float
-    components: np.ndarray
-    interior_count: int
+def _transformed_operator(w, p_bc, tau, nu, cone: ConeSpec, ball: BallGrid):
+    """Spatial operator of the transformed momentum equation on a cross section,
 
+        F(w, p_bc, tau) = mu2 nu Lap w - mu1 (w + z) . grad w - mu1 grad p_w,
 
-def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, dtau=None) -> TransformedResidual:
-    """Residual of the transformed momentum equation on the cross section.
-
-    Evaluates  dw/dtau - mu2 nu ... the full drift-diffusion balance
-    with the pressure gradient obtained from the cross-section Poisson
-    problem (Dirichlet data sampled from the outer pressure); the time
-    derivative uses a centered difference in tau.  ``sampler`` must expose
-    ``velocity(t, points)`` and ``pressure(t, points)`` plus a ``nu``
-    attribute.
+    with (mu1, mu2) = ``mu_coeffs(tau, cone)`` and p_w the solution of
+    Lap p_w = -sum_ij (d_j w_i)(d_i w_j) by ``poisson_dirichlet`` with
+    Dirichlet data ``p_bc`` on the boundary ring.  Returned as its three terms
+    (diffusion, drift, pressure), each shaped like w, which sum to F in that
+    order.
     """
-    if dtau is None:
-        dtau = ball.h
-    nu = sampler.nu
     mu1, mu2 = mu_coeffs(tau, cone)
-    w_minus = sample_w_function(sampler.velocity, cone, tau - dtau, ball).values
-    w = sample_w_function(sampler.velocity, cone, tau, ball).values
-    wdot = sample_w_function(sampler.velocity, cone, tau + dtau, ball).values
-    wdot -= w_minus
-    wdot /= 2 * dtau
-    del w_minus
-
-    t = float(t_of_tau(tau, cone))
     n = ball.n
-    # pressure on the cross section from the Poisson problem
+    diffusion = np.empty_like(w)
+    for i in range(n):
+        diffusion[i] = mu2 * nu * ball.laplacian(w[i])
+    drift = np.zeros_like(w)
     grad_w = np.empty((n, n) + ball.mask.shape)
     for i in range(n):
         for j in range(n):
             grad_w[i, j] = ball.partial(w[i], j)
-    rhs_p = -sum(grad_w[i][j] * grad_w[j][i] for i in range(n) for j in range(n))
-    p_bc = np.zeros(ball.mask.shape)
-    bpts = ball.points("boundary")
-    p_bc[ball.boundary] = sampler.pressure(t, _cone_points(cone, t, bpts))
-    p_w = poisson_dirichlet(ball, rhs_p, p_bc)
-
-    residual = np.zeros_like(w)
-    for i in range(n):
-        lap = ball.laplacian(w[i])
-        drift = np.zeros(ball.mask.shape)
         for j in range(n):
-            drift += (w[j] + ball.mesh[j]) * grad_w[i][j]
-        dp = ball.partial(p_w, i)
-        residual[i] = wdot[i] - mu2 * nu * lap + mu1 * drift + mu1 * dp
-    sel = ball.interior
-    comp = residual[:, sel]
-    count = int(np.sum(sel))
+            drift[i] += (w[j] + ball.mesh[j]) * grad_w[i][j]
+    drift *= -mu1
+    rhs_p = -sum(grad_w[i][j] * grad_w[j][i] for i in range(n) for j in range(n))
+    del grad_w  # freed before the pressure solve builds its system
+    p_w = poisson_dirichlet(ball, rhs_p, p_bc)
+    pressure = np.empty_like(w)
+    for i in range(n):
+        pressure[i] = -mu1 * ball.partial(p_w, i)
+    return diffusion, drift, pressure
+
+
+@dataclass(frozen=True)
+class TransformedResidual:
+    """Size of the residual over the interior nodes: the root mean square over
+    the nodes of its Euclidean norm, and its largest absolute component."""
+
+    residual_l2: float
+    residual_max: float
+
+
+def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, dtau=None) -> TransformedResidual:
+    """Residual dw/dtau - F(w, p_bc, tau) of the transformed momentum equation on
+    the cross section at tau, with F = mu2 nu Lap w - mu1 (w + z) . grad w -
+    mu1 grad p_w (``_transformed_operator``).
+
+    w is sampled from ``sampler.velocity(t, points)`` and dw/dtau is the
+    centered difference over tau +- dtau (``dtau`` defaults to the grid
+    step); the Dirichlet data p_bc of the cross-section pressure are sampled
+    from ``sampler.pressure(t, points)`` on the boundary ring, and
+    ``sampler.nu`` is the viscosity.
+    """
+    if dtau is None:
+        dtau = ball.h
+    w_minus = sample_w_function(sampler.velocity, cone, tau - dtau, ball)
+    w = sample_w_function(sampler.velocity, cone, tau, ball)
+    residual = sample_w_function(sampler.velocity, cone, tau + dtau, ball)
+    residual -= w_minus
+    residual /= 2 * dtau
+    del w_minus
+
+    t = float(t_of_tau(tau, cone))
+    p_bc = np.zeros(ball.mask.shape)
+    p_bc[ball.boundary] = sampler.pressure(t, _cone_points(cone, t, ball.points("boundary")))
+    # term by term: ((dw/dtau - diffusion) - drift) - pressure, rounded in that order
+    for term in _transformed_operator(w, p_bc, tau, sampler.nu, cone, ball):
+        residual -= term
+    comp = residual[:, ball.interior]
     res_l2 = float(np.sqrt(np.mean(np.sum(comp**2, axis=0))))
-    return TransformedResidual(float(tau), res_l2, float(np.max(np.abs(comp))), residual, count)
+    return TransformedResidual(res_l2, float(np.max(np.abs(comp))))

@@ -346,7 +346,6 @@ class HopfReport:
     max_violation: float
     tolerance: float
     passed: bool
-    initial_energy: float
 
 
 def hopf_energy_check(traj: Trajectory, cfg: SolverConfig, tol=1e-8) -> HopfReport:
@@ -362,4 +361,4 @@ def hopf_energy_check(traj: Trajectory, cfg: SolverConfig, tol=1e-8) -> HopfRepo
     kinetic = traj.energies
     dissip = np.concatenate(([0.0], _cumulative_trapezoid(traj.gradient_energies, traj.times)))
     max_violation = float(np.max(kinetic + cfg.nu * dissip - kinetic[0]))
-    return HopfReport(max_violation, tol, max_violation <= tol, float(kinetic[0]))
+    return HopfReport(max_violation, tol, max_violation <= tol)

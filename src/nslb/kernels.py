@@ -142,7 +142,6 @@ class EllipticIntegralReport:
     radius: float
     x_values: np.ndarray
     integrals: np.ndarray
-    value_at_origin: float
     small_x_slope: float
     predicted_slope: float
     calibrated_c: float
@@ -246,7 +245,7 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
     envelope = np.maximum(xs**predicted, 1.0)
     c = float(np.max(vals / envelope))
     holds = bool(np.all(vals <= c * envelope * (1 + 1e-9)))
-    return EllipticIntegralReport(a, b, radius, xs, vals, float(i0), slope, predicted, c, holds)
+    return EllipticIntegralReport(a, b, radius, xs, vals, slope, predicted, c, holds)
 
 
 class _CylinderLattice:
@@ -337,7 +336,6 @@ class _CylinderLattice:
 class BoundarySeriesResult:
     value: float
     terms: np.ndarray
-    tail_estimate: float
     tail_converged: bool
 
 
@@ -346,8 +344,8 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
 
     Term 1 is the free kernel G(tau - s, z - v); term k+1 composes the free
     kernel against term k over the base ball and the intermediate times
-    (midpoint rule in both).  The magnitude of the last term is reported as
-    a tail estimate; a non-decreasing tail is flagged, not rejected.
+    (midpoint rule in both).  A tail whose last three terms do not decrease
+    in magnitude is flagged, not rejected.
     """
     if K < 1:
         raise ValueError("need at least one term")
@@ -367,15 +365,13 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
         terms += [float(tw @ power) for power in lat.powers(state, K - 1)]
     terms = np.asarray(terms)
     converged = bool(terms.size < 3 or (abs(terms[-1]) <= abs(terms[-2]) <= abs(terms[-3])))
-    return BoundarySeriesResult(float(np.sum(terms)), terms, float(abs(terms[-1])), converged)
+    return BoundarySeriesResult(float(np.sum(terms)), terms, converged)
 
 
 @dataclass(frozen=True)
 class DuhamelReport:
     residual_max: float
     residual_l2: float
-    lhs: np.ndarray
-    rhs: np.ndarray
 
 
 def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_x, m_t, probes) -> DuhamelReport:
@@ -408,7 +404,7 @@ def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_
         rhs += [lat.target_weights(z) @ src for z in probes]
     lhs = np.asarray(state(tau, probes), dtype=float)
     diff = lhs - rhs
-    return DuhamelReport(float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff**2))), lhs, rhs)
+    return DuhamelReport(float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff**2))))
 
 
 def boundary_density(

@@ -162,7 +162,6 @@ def hm_cm_proxy_norm(v: SpectralField) -> float:
 @dataclass(frozen=True)
 class IncrementReport:
     deltas: np.ndarray
-    r_values: np.ndarray
     increment_norms: np.ndarray
     slope: float
     alpha0_predicted: float
@@ -188,10 +187,8 @@ def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementR
     deltas = np.array([0.02, 0.01, 0.005])
     margin = 0.2
     norms = []
-    r_values = []
     for d in deltas:
         r = d ** ((1.0 - p.eps0) / 2.0)
-        r_values.append(r)
         cfg = SolverConfig(
             nu=nu * r**2,
             dt=min(1e-3, d / 10.0),
@@ -212,4 +209,4 @@ def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementR
     else:
         slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
     alpha0 = growth_exponent(p.delta, p.eps0)
-    return IncrementReport(deltas, np.asarray(r_values), norms, slope, alpha0, bool(slope >= 1.0 + margin), margin)
+    return IncrementReport(deltas, norms, slope, alpha0, bool(slope >= 1.0 + margin), margin)

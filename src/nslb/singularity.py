@@ -111,7 +111,6 @@ class SingularityFit:
     mu: float
     c: float
     residual: float
-    sample_count: int
     clamped: bool = False
 
 
@@ -161,7 +160,7 @@ def fit_singularity_orders(samples: ConeSamples) -> SingularityFit:
         lam, clamped = 0.0, True
     resid = target - design @ np.array([log_c, mu, lam])
     rms = float(np.sqrt(np.mean(resid**2)))
-    return SingularityFit(float(lam), float(mu), float(np.exp(log_c)), rms, samples.count, clamped)
+    return SingularityFit(float(lam), float(mu), float(np.exp(log_c)), rms, clamped)
 
 
 def ckn_gate(fit: SingularityFit) -> CknVerdict:

@@ -198,19 +198,8 @@ class SpectralField:
     def ncomp(self):
         return self.modes.shape[0]
 
-    def component(self, i):
-        return SpectralField(self.grid, self.modes[i][None])
-
-    def __add__(self, other):
-        return SpectralField(self.grid, self.modes + other.modes)
-
     def __sub__(self, other):
         return SpectralField(self.grid, self.modes - other.modes)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.grid, self.modes * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

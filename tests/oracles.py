@@ -19,7 +19,8 @@ same way ``batched_nonlinear`` (every product in one forward transform),
 ``stacked_project_modes`` (the projected components stacked from a list)
 and ``kernel_mass_meshgrid`` (the kernel mass over meshgrid points) are
 earlier forms of the production code that pin its leaner evaluation bit
-for bit.
+for bit.  ``AbcFlow`` is an exact 3D Navier-Stokes solution with the
+``velocity``/``pressure``/``nu`` interface of the flows in ``nslb.flows``.
 """
 
 import itertools
@@ -610,6 +611,35 @@ def perturbed_taylor_green_values(x, y, amplitude, eps):
         ]
     ) / (4 * np.pi)
     return taylor_green_values(x, y, amplitude) + eps * amplitude * pert
+
+
+class AbcFlow:
+    """Decaying ABC (Beltrami) flow on the unit 3-torus.
+
+    curl v = 2 pi v, so the advection term is the gradient of |v|^2/2 and
+    v(t) = exp(-4 pi^2 nu t) v(0) with p = -|v|^2/2 solves Navier-Stokes
+    exactly.
+    """
+
+    def __init__(self, amplitudes, nu):
+        self.a, self.b, self.c = (float(x) for x in amplitudes)
+        self.nu = nu
+
+    def velocity(self, t, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        k = 2 * np.pi
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        decay = np.exp(-(k**2) * self.nu * t)
+        return decay * np.stack(
+            [
+                self.a * np.sin(k * z) + self.c * np.cos(k * y),
+                self.b * np.sin(k * x) + self.a * np.cos(k * z),
+                self.c * np.sin(k * y) + self.b * np.cos(k * x),
+            ]
+        )
+
+    def pressure(self, t, points):
+        return -0.5 * (self.velocity(t, points) ** 2).sum(axis=0)
 
 
 def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:

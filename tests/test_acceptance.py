@@ -96,7 +96,7 @@ def test_criterion_3_transformation_identities():
     errs = {}
     for m in (17, 33):
         ball = BallGrid(2, 0.8 * cyl.r_0, m)
-        div = sample_w_function(flow.velocity, cone, tau0, ball).divergence_fd()
+        div = ball.divergence(sample_w_function(flow.velocity, cone, tau0, ball))
         errs[m] = float(np.sqrt(np.mean(div[ball.interior] ** 2)))
     order = float(np.log2(errs[17] / errs[33]))
     assert order >= 1.8

@@ -7,9 +7,13 @@ Runs, once on the source of REV and once on the working tree:
 
 - every committed ``configs/*.cfg`` at seeds 0 and 7;
 - the 3D solver config of ``perfbench/child.py`` (``SOLVER_CONFIG``, every
-  snapshot written) at seed 0.
+  snapshot written) at seed 0;
+- the ``cone-kernel-3d`` workload of ``perfbench/child.py`` at seed 0: a
+  child calls that file's ``cone_kernel_3d`` and writes its outputs (the
+  3D residual, Poisson, series and density results) to
+  ``cone_kernel_3d.json``; it exits 1 if any of the four raised.
 
-Both sides use the working tree's configs.  Each run's peak resident set
+Both sides use the working tree's configs and ``perfbench/child.py``.  Each run's peak resident set
 size (from ``os.wait4``, in MB of 2^20 bytes) is printed for REV and for
 the working tree, and, for each seed, the largest peak over the committed
 configs' runs on each side with the run that set it: the figure the
@@ -48,6 +52,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
 UNCOMPARED = {"report.meta.json"}
+# python -c CONE_KERNEL_3D --out DIR
+CONE_KERNEL_3D = f"""\
+import importlib, json, sys
+from pathlib import Path
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import child
+nslb = {{name: importlib.import_module(f"nslb.{{name}}") for name in child.NSLB_MODULES}}
+ops = child.cone_kernel_3d({{"seed": 0}}, nslb)()["ops"]
+Path(sys.argv[-1]).mkdir(parents=True)
+(Path(sys.argv[-1]) / "cone_kernel_3d.json").write_text(json.dumps(ops, indent=1))
+sys.exit(1 if any("error" in result for result in ops.values()) else 0)
+"""
 
 
 def solver_config():
@@ -78,11 +94,12 @@ def run(argv, env):
 
 
 def run_all(src, jobs, out):
-    """Run every job on the nslb package under ``src``; return {job name:
-    (exit code, peak RSS in MB)}."""
+    """Run every job, (name, Python arguments), with ``--out`` its own
+    directory under ``out``, on the nslb package under ``src``; return {job
+    name: (exit code, peak RSS in MB)}."""
     results = {}
-    for name, exp, config, seed in jobs:
-        argv = [sys.executable, "-m", "nslb.cli", exp, "--config", str(config), "--out", str(out / name), "--seed", str(seed)]
+    for name, args in jobs:
+        argv = [sys.executable, *args, "--out", str(out / name)]
         code, peak, stderr = run(argv, {**os.environ, "PYTHONPATH": str(src)})
         results[name] = code, peak
         if code != 0:
@@ -173,16 +190,19 @@ def main(argv=None):
         solver = tmp / "solver.cfg"
         solver.write_text(solver_config())
         configs = sorted((ROOT / "configs").glob("*.cfg"))
-        jobs = [(f"{c.stem}-seed{s}", experiment(c), c, s) for c in configs for s in SEEDS]
+        def cli(exp, config, seed):
+            return ["-m", "nslb.cli", exp, "--config", str(config), "--seed", str(seed)]
+
+        jobs = [(f"{c.stem}-seed{s}", cli(experiment(c), c, s)) for c in configs for s in SEEDS]
         lab = {s: [f"{c.stem}-seed{s}" for c in configs] for s in SEEDS}
-        jobs.append(("solver-3d-seed0", "simulate", solver, 0))
+        jobs += [("solver-3d-seed0", cli("simulate", solver, 0)), ("cone-kernel-3d-seed0", ["-c", CONE_KERNEL_3D])]
 
         sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
         results = {side: run_all(src, jobs, tmp / f"out-{side}") for side, src in sides.items()}
         codes = {side: {name: code for name, (code, _) in runs.items()} for side, runs in results.items()}
         files = {side: compared_files(tmp / f"out-{side}") for side in sides}
 
-        differ = [f"{name}: exit {codes['rev'][name]} at {sha[:10]}, {codes['tree'][name]} in the working tree" for name, *_ in jobs if codes["rev"][name] != codes["tree"][name]]
+        differ = [f"{name}: exit {codes['rev'][name]} at {sha[:10]}, {codes['tree'][name]} in the working tree" for name, _ in jobs if codes["rev"][name] != codes["tree"][name]]
         for rel in sorted(files["rev"] | files["tree"]):
             a, b = tmp / "out-rev" / rel, tmp / "out-tree" / rel
             if not (a.is_file() and b.is_file()):
@@ -192,7 +212,7 @@ def main(argv=None):
                 differ.append(f"{rel}: bytes differ" + (f"; {moves}" if moves else ""))
 
     print(f"{len(jobs)} runs, {len(files['rev'] | files['tree'])} files compared against {sha[:10]} ({', '.join(sorted(UNCOMPARED))} excluded)")
-    for name, *_ in jobs:
+    for name, _ in jobs:
         rev, tree = results["rev"][name][1], results["tree"][name][1]
         print(f"peak RSS {name}: {rev:.2f} MB at {sha[:10]}, {tree:.2f} MB in the working tree ({tree - rev:+.2f} MB)")
     for seed, names in lab.items():
