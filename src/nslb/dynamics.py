@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import SpectralField, TorusGrid, _abs_sq, _full_sum, _mode_phase, dealias
-from .leray import _project_modes, leray_project
+from .spectral import SpectralField, TorusGrid, _abs_sq, _full_sum, _mode_phase
+from .leray import _project_modes
 
 __all__ = [
     "SolverConfig",
@@ -139,7 +139,10 @@ class _HalfSpectrum:
     recorded.  Box axes hold wavenumbers in FFT order: 0..k,
     then -k..-1 on each of the first n-1 axes (half-lattice indices 0..k
     and N-k..N-1), and 0..k on the last axis, which therefore has no
-    Nyquist plane (k < N/2).  ``scatter`` writes a box array into the
+    Nyquist plane (k < N/2).  The alpha_k and |alpha|^2 tables are the box
+    of ``spectral``'s ``grid.alpha`` and ``grid.alpha_sq``; ``alphas`` and
+    ``inv_asq`` (1/|alpha|^2, 0 at alpha = 0) also serve ``simulate``'s
+    entry projection.  ``scatter`` writes a box array into the
     half-lattice buffer the inverse transform reads; off the box only
     ``field`` writes it (the phase turns zeros into -0.0) and then zeroes
     it again, so it reads +0.0 there.  ``gather`` copies the box
@@ -168,12 +171,10 @@ class _HalfSpectrum:
             ((Ellipsis, *(box for box, _ in combo), last), (Ellipsis, *(lat for _, lat in combo), last))
             for combo in itertools.product(runs, repeat=n - 1)
         ]
-        waves = [np.concatenate([np.arange(k + 1), np.arange(-k, 0)])] * (n - 1) + [np.arange(k + 1)]
-        alphas = [w.astype(float).reshape([-1 if j == axis else 1 for j in range(n)]) for axis, w in enumerate(waves)]
-        asq = np.zeros(self.shape)
-        for alpha in alphas:
-            asq = asq + alpha**2
-        inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
+        # alpha_k and |alpha|^2 on the box: no Nyquist wavenumber lies in it
+        self.alphas = [self.gather(np.broadcast_to(grid.alpha(axis), grid.half_shape), np.empty(self.shape)) for axis in range(n)]
+        asq = self.gather(grid.alpha_sq(), np.empty(self.shape))
+        self.inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
         lin = -cfg.nu * 4 * np.pi**2 * asq
         self.e_full = np.exp(lin * cfg.dt)
         self.e_half = np.exp(lin * cfg.dt / 2)
@@ -182,10 +183,10 @@ class _HalfSpectrum:
         self.K = np.empty((n, len(self.pairs)) + self.shape)
         for p, (i, j) in enumerate(self.pairs):
             div = np.zeros((n,) + self.shape)
-            div[i] += alphas[j]
+            div[i] += self.alphas[j]
             if j != i:
-                div[j] += alphas[i]
-            self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
+                div[j] += self.alphas[i]
+            self.K[:, p] = scale * _project_modes(div, self.alphas, self.inv_asq)
         self._half = np.zeros((n,) + grid.half_shape, dtype=complex)
         self._prod = np.empty(grid.shape)
         self._w = np.empty(self.shape, dtype=complex)
@@ -244,11 +245,12 @@ class _HalfSpectrum:
 def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     """Integrate from v0 with integrating-factor RK4.
 
-    The field is projected and dealiased on entry (``SpectralField`` has
-    already rejected non-finite modes).  If the bound sum |v_alpha|
-    on the grid maximum exceeds ``cfg.blowup_threshold`` or is not finite,
-    the run stops and the partial trajectory is returned with ``blew_up``
-    set.
+    On entry the field is truncated to the 2/3 box and Leray-projected
+    there, the modes of ``dealias(leray_project(v0))`` bit for bit
+    (``SpectralField`` has already rejected non-finite modes).  If the
+    bound sum |v_alpha| on the grid maximum exceeds
+    ``cfg.blowup_threshold`` or is not finite, the run stops and the
+    partial trajectory is returned with ``blew_up`` set.
 
     The field is built at each record point: t = 0, every
     ``cfg.snapshot_stride`` steps and the last step.  Its ``energy`` and
@@ -258,12 +260,13 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     memory does not grow with the step count.
     """
     grid = v0.grid
-    # projected before the operators are built, so that the projection's
-    # temporaries and the operators are not held at once
-    start = dealias(leray_project(v0)).modes * _mode_phase(grid)
+    if v0.ncomp != grid.n:
+        raise ValueError("projection needs one component per spatial dimension")
     op = _HalfSpectrum(grid, cfg)
-    m = op.gather(start, np.empty((grid.n,) + op.shape, dtype=complex))
-    del start
+    # truncated to the box, then projected there: the projection acts on each
+    # mode alone, and the phase (+-1) commutes with it exactly
+    m = op.gather(v0.modes * _mode_phase(grid), np.empty((grid.n,) + op.shape, dtype=complex))
+    m = _project_modes(m, op.alphas, op.inv_asq)
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt

@@ -85,12 +85,9 @@ def gaussian_derivative(t, y, j, spec: KernelSpec):
 
 @dataclass(frozen=True)
 class BoundReport:
-    delta: float
-    kind: str
     c_observed: float
     c_predicted: float
     passed: bool
-    nu_eff: float
 
 
 def kernel_bound_check(delta, spec: KernelSpec, kind="derivative") -> BoundReport:
@@ -132,14 +129,13 @@ def kernel_bound_check(delta, spec: KernelSpec, kind="derivative") -> BoundRepor
     y[..., 0] = rads  # for the derivative, the axis direction maximizes |y_j| at fixed |y|
     weighted = gaussian(ts, y, spec) if kind == "kernel" else gaussian_derivative(ts, y, 0, spec) / np.pi
     c_obs = float(np.max(np.abs(weighted) * (4 * np.pi * nu * ts) ** delta * rads**power))
-    return BoundReport(float(delta), kind, c_obs, float(c_pred), c_obs <= c_pred * (1 + 1e-12), nu)
+    return BoundReport(c_obs, float(c_pred), c_obs <= c_pred * (1 + 1e-12))
 
 
 @dataclass(frozen=True)
 class EllipticIntegralReport:
     a: float
     b: float
-    radius: float
     x_values: np.ndarray
     integrals: np.ndarray
     small_x_slope: float
@@ -245,7 +241,7 @@ def elliptic_integral_check(a, b, radius, x_values) -> EllipticIntegralReport:
     envelope = np.maximum(xs**predicted, 1.0)
     c = float(np.max(vals / envelope))
     holds = bool(np.all(vals <= c * envelope * (1 + 1e-9)))
-    return EllipticIntegralReport(a, b, radius, xs, vals, slope, predicted, c, holds)
+    return EllipticIntegralReport(a, b, xs, vals, slope, predicted, c, holds)
 
 
 class _CylinderLattice:

@@ -166,7 +166,6 @@ class IncrementReport:
     slope: float
     alpha0_predicted: float
     passed: bool
-    margin: float
 
 
 def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementReport:
@@ -209,4 +208,4 @@ def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementR
     else:
         slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
     alpha0 = growth_exponent(p.delta, p.eps0)
-    return IncrementReport(deltas, norms, slope, alpha0, bool(slope >= 1.0 + margin), margin)
+    return IncrementReport(deltas, norms, slope, alpha0, bool(slope >= 1.0 + margin))

@@ -66,10 +66,6 @@ class TorusGrid:
         """Shape of one component's modes: the half spectrum, last axis 0..N/2."""
         return self.shape[:-1] + (self.N // 2 + 1,)
 
-    @property
-    def spacing(self):
-        return 1.0 / self.N
-
     def axis_coords(self):
         """Grid coordinates of one axis, x_j = -0.5 + j/N."""
         return -0.5 + np.arange(self.N) / self.N
@@ -220,9 +216,6 @@ class PhysicalField:
     @property
     def ncomp(self):
         return self.values.shape[0]
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values)))
 
 
 def to_modes(f: PhysicalField) -> SpectralField:

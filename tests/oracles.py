@@ -587,7 +587,7 @@ def per_index_hm_cm_proxy_norm(v: SpectralField):
                 else:
                     symbol = v.grid.alpha(ax)
                 modes = 2j * np.pi * symbol * modes
-            total += to_grid(SpectralField(v.grid, modes)).max_abs()
+            total += np.max(np.abs(to_grid(SpectralField(v.grid, modes)).values))
     return float(total)
 
 

@@ -197,14 +197,19 @@ def test_scattered_box_is_the_dealias_mask(n, N):
     assert np.array_equal(scattered, np.broadcast_to(keep, scattered.shape).astype(complex))
 
 
-@pytest.mark.parametrize("n, N", [(2, 32), (3, 12)])
+@pytest.mark.parametrize("n, N", [(2, 32), (3, 12), (2, 16), (3, 16), (2, 24), (3, 24)])
 def test_in_place_rk4_equals_out_of_place_update(n, N):
+    # v0 has modes off the 2/3 box and a gradient part, so the t = 0 record
+    # checks the entry projection on the box against the full-lattice one;
+    # at N = 24 the box edge lies exactly on N/3
     grid = TorusGrid(n, N)
     cfg = SolverConfig(nu=0.05, dt=2e-3, t_end=1e-2)
-    v0 = random_divergence_free(grid, np.random.default_rng(4), kmax=N // 3)
+    v0 = to_modes(PhysicalField(grid, np.random.default_rng(4).standard_normal((n,) + grid.shape)))
     traj = simulate(v0, cfg)
+    start = dealias(leray_project(v0)).modes
+    assert np.array_equal(traj.snapshots[0].modes, start)
     op = _HalfSpectrum(grid, cfg)
-    m0 = box_of(op, dealias(leray_project(v0)).modes)
+    m0 = box_of(op, start)
     # copied per call: the reference keeps four distinct stage values even
     # if ``nonlinear`` handed out a reused buffer
     states = out_of_place_if_rk4(lambda c: op.nonlinear(c).copy(), op.e_full, op.e_half, cfg.dt, m0, 5)
@@ -451,6 +456,15 @@ def test_simulate_rejects_non_finite_initial_field():
     modes[0][1, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         simulate(SpectralField(grid, modes), cfg)
+
+
+def test_simulate_rejects_a_field_without_one_component_per_axis():
+    # one scalar component would otherwise broadcast over the n velocity components
+    grid = TorusGrid(2, 16)
+    cfg = SolverConfig(nu=0.1, dt=1e-3, t_end=0.01)
+    scalar = SpectralField(grid, random_divergence_free(grid, np.random.default_rng(0)).modes[:1])
+    with pytest.raises(ValueError, match="one component per spatial dimension"):
+        simulate(scalar, cfg)
 
 
 def test_trajectory_validation():

@@ -8,6 +8,8 @@ Runs, once on the source of REV and once on the working tree:
 - every committed ``configs/*.cfg`` at seeds 0 and 7;
 - the 3D solver config of ``perfbench/child.py`` (``SOLVER_CONFIG``, every
   snapshot written) at seed 0;
+- a 2D ``random`` simulate run (``RANDOM_2D``: N = 24, so the 2/3 box edge
+  lies exactly at N/3; every tenth snapshot written) at seed 0;
 - the ``cone-kernel-3d`` workload of ``perfbench/child.py`` at seed 0: a
   child calls that file's ``cone_kernel_3d`` and writes its outputs (the
   3D residual, Poisson, series and density results) to
@@ -52,6 +54,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7)
 UNCOMPARED = {"report.meta.json"}
+RANDOM_2D = """\
+[grid]
+n = 2
+N = 24
+
+[physics]
+initial = random
+nu = 0.05
+dt = 0.002
+t_end = 0.2
+snapshot_stride = 10
+
+[output]
+snapshots = true
+"""
 # python -c CONE_KERNEL_3D --out DIR
 CONE_KERNEL_3D = f"""\
 import importlib, json, sys
@@ -189,13 +206,19 @@ def main(argv=None):
             tar.extractall(tmp / "rev", filter="data")
         solver = tmp / "solver.cfg"
         solver.write_text(solver_config())
+        random_2d = tmp / "random_2d.cfg"
+        random_2d.write_text(RANDOM_2D)
         configs = sorted((ROOT / "configs").glob("*.cfg"))
         def cli(exp, config, seed):
             return ["-m", "nslb.cli", exp, "--config", str(config), "--seed", str(seed)]
 
         jobs = [(f"{c.stem}-seed{s}", cli(experiment(c), c, s)) for c in configs for s in SEEDS]
         lab = {s: [f"{c.stem}-seed{s}" for c in configs] for s in SEEDS}
-        jobs += [("solver-3d-seed0", cli("simulate", solver, 0)), ("cone-kernel-3d-seed0", ["-c", CONE_KERNEL_3D])]
+        jobs += [
+            ("solver-3d-seed0", cli("simulate", solver, 0)),
+            ("random-2d-seed0", cli("simulate", random_2d, 0)),
+            ("cone-kernel-3d-seed0", ["-c", CONE_KERNEL_3D]),
+        ]
 
         sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
         results = {side: run_all(src, jobs, tmp / f"out-{side}") for side, src in sides.items()}
