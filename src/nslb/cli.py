@@ -186,7 +186,6 @@ def run_simulate(p, out: Path):
     monotone = bool(np.all(np.diff(traj.energies) <= 1e-10 * max(traj.energies[0], 1e-300)))
     div_ok = bool(max(r["divergence_max"] for r in rows) <= 1e-10)
     return {
-        "experiment": "simulate",
         "grid": {"n": p.n, "N": p.N},
         "solver": {
             "nu": p.nu,
@@ -233,7 +232,7 @@ def run_transform_check(p, out: Path):
     mu1_const = float(np.max(np.abs(mu_coeffs(taus, cone).mu1 * (1 + taus) - 1.0)))
 
     flow = TaylorGreenFlow(nu=p.nu, amplitude=1.0)
-    shear = StreamFlow(k1=1, k2=2)
+    shear = StreamFlow()
     tau0 = tau_of_t(0.5 * (p.t_1 + p.t_s), cone)
     div_norms, res = {}, {}
     for m in (17, 33):
@@ -245,7 +244,6 @@ def run_transform_check(p, out: Path):
     res_ratio = float(res[17] / res[33])
 
     return {
-        "experiment": "transform-check",
         "cone": {"t_s": p.t_s, "t_1": p.t_1, "t_in": cyl.t_in, "r_0": cyl.r_0},
         "identity_max_error": tagged(ident1, "measured"),
         "round_trip_max_relative": tagged(round_trip, "measured"),
@@ -312,7 +310,6 @@ def run_fit_singularity(p, out: Path):
     ok = ok and smooth_ok
 
     return {
-        "experiment": "fit-singularity",
         "noise": p.noise,
         "tolerance": tol,
         "gates": {
@@ -379,7 +376,6 @@ def run_verify_kernels(p, out: Path):
     )
     ok = ok and mass_ok and elliptic_ok
     return {
-        "experiment": "verify-kernels",
         "dimension": p.n,
         "bounds": results,
         "kernel_mass": tagged(mass, "measured"),
@@ -429,7 +425,6 @@ def run_rescale_audit(p, out: Path):
     inc = increment_bound_check(v0, p.nu, params)
 
     return {
-        "experiment": "rescale-audit",
         "mu_audits": mu_audits,
         "s_of_half_window": tagged(s_half, "measured"),
         "r_policy_default": tagged(r_policy(params), "calibrated"),
@@ -484,7 +479,6 @@ def run_duhamel(p, out: Path):
     forced_dec = all(f2 < f1 for f1, f2 in zip(forced_res, forced_res[1:]))
     order = float(np.log(forced_res[0] / forced_res[-1]) / np.log(resolutions[-1] / resolutions[0]))
     return {
-        "experiment": "duhamel-residual",
         "nu_eff": nu_eff,
         "resolutions": resolutions,
         "pure_heat_residual_max": [tagged(float(r), "measured") for r in heat_res],
@@ -594,7 +588,7 @@ def main(argv=None):
     try:
         out.mkdir(parents=True, exist_ok=True)
         report = EXPERIMENTS[args.experiment](p, out)
-        report.update(seed=args.seed, version=__version__)
+        report.update(experiment=args.experiment, seed=args.seed, version=__version__)
         report_path.write_text(json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n")
         meta = {
             "wall_seconds": _time.time() - started,

@@ -50,14 +50,13 @@ __all__ = [
 class ConeSpec:
     """Backward cone {(t, x): t_1 < t < t_s, |x - x_s| < t_s - t}.
 
-    Only the non-degenerate scaling exponent 1 is supported; other values
-    change the character of the transformed diffusion coefficient.
+    The scaling exponent is fixed at 1, the non-degenerate case; other
+    values change the character of the transformed diffusion coefficient.
     """
 
     t_s: float
     x_s: tuple
     t_1: float
-    rho: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "x_s", tuple(float(c) for c in self.x_s))
@@ -65,8 +64,6 @@ class ConeSpec:
             raise ValueError("the tip (t_s, x_s) must be finite, with t_s > 0")
         if not 0 < self.t_1 < self.t_s:
             raise ValueError("entry time must satisfy 0 < t_1 < t_s")
-        if self.rho != 1.0:
-            raise ValueError("only scaling exponent rho = 1 is supported")
 
     @property
     def n(self):

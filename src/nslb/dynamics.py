@@ -347,7 +347,6 @@ def _cumulative_trapezoid(y, x):
 @dataclass(frozen=True)
 class HopfReport:
     max_violation: float
-    tolerance: float
     passed: bool
 
 
@@ -364,4 +363,4 @@ def hopf_energy_check(traj: Trajectory, cfg: SolverConfig, tol=1e-8) -> HopfRepo
     kinetic = traj.energies
     dissip = np.concatenate(([0.0], _cumulative_trapezoid(traj.gradient_energies, traj.times)))
     max_violation = float(np.max(kinetic + cfg.nu * dissip - kinetic[0]))
-    return HopfReport(max_violation, tol, max_violation <= tol)
+    return HopfReport(max_violation, max_violation <= tol)

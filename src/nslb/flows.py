@@ -73,25 +73,20 @@ def taylor_green(grid: TorusGrid, amplitude=1.0) -> SpectralField:
 @dataclass(frozen=True)
 class StreamFlow:
     """Steady anisotropic solenoidal field from the stream function
-    psi = sin(2 pi k1 x1) sin(2 pi k2 x2); v = (d psi/dx2, -d psi/dx1).
+    psi = sin(2 pi x1) sin(4 pi x2); v = (d psi/dx2, -d psi/dx1).
 
     Unlike the symmetric vortex pair, its odd finite-difference error terms
     do not cancel, so it gives sampled-divergence checks a genuine O(h^2)
     signal.
     """
 
-    k1: int = 1
-    k2: int = 2
-    amplitude: float = 1.0
-
     def velocity(self, t, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = pts[:, 0], pts[:, 1]
-        a = self.amplitude
         return np.stack(
             [
-                a * 2 * np.pi * self.k2 * np.sin(2 * np.pi * self.k1 * x) * np.cos(2 * np.pi * self.k2 * y),
-                -a * 2 * np.pi * self.k1 * np.cos(2 * np.pi * self.k1 * x) * np.sin(2 * np.pi * self.k2 * y),
+                4 * np.pi * np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y),
+                -2 * np.pi * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y),
             ]
         )
 
@@ -106,7 +101,7 @@ def perturbed_taylor_green(grid: TorusGrid, amplitude=1.0, eps=0.1) -> SpectralF
     if grid.n != 2:
         raise ValueError("perturbed Taylor-Green is two-dimensional")
     base = _on_grid(TaylorGreenFlow(nu=0.0, amplitude=amplitude).velocity, grid)
-    pert = _on_grid(StreamFlow(k1=1, k2=2).velocity, grid) / (4 * np.pi)
+    pert = _on_grid(StreamFlow().velocity, grid) / (4 * np.pi)
     return to_modes(PhysicalField(grid, base + eps * amplitude * pert))
 
 

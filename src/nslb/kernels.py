@@ -370,6 +370,22 @@ class DuhamelReport:
     residual_l2: float
 
 
+def _target_points(tau, points, cyl: CylinderSpec, spec: KernelSpec):
+    """The points as an (m, n) array; ValueError unless tau > t_in and every
+    point is finite, has n coordinates and lies in the closed base ball."""
+    if not tau > cyl.t_in:
+        raise ValueError(f"tau must exceed the cylinder entry time {cyl.t_in}, got {tau}")
+    probes = np.atleast_2d(np.asarray(points, dtype=float))
+    if probes.ndim != 2 or probes.shape[-1] != spec.n:
+        raise ValueError(f"probes of shape {probes.shape} need {spec.n} coordinates each")
+    for k, z in enumerate(probes):
+        if not np.all(np.isfinite(z)):
+            raise ValueError(f"probe {k} at {z.tolist()} is not finite")
+        if np.sum(z**2) > cyl.r_0**2 + 1e-12:  # the closed ball of BallGrid's mask
+            raise ValueError(f"probe {k} at {z.tolist()} lies off the base ball of radius {cyl.r_0}")
+    return probes
+
+
 def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_x, m_t, probes) -> DuhamelReport:
     """Mismatch at the probes z between state(tau, z) and the heat representation
 
@@ -382,16 +398,7 @@ def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_
     lateral-boundary layer term.  ValueError unless tau > t_in and every
     probe is finite, has n coordinates and lies in the closed base ball.
     """
-    if not tau > cyl.t_in:
-        raise ValueError(f"tau must exceed the cylinder entry time {cyl.t_in}, got {tau}")
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if probes.ndim != 2 or probes.shape[-1] != spec.n:
-        raise ValueError(f"probes of shape {probes.shape} need {spec.n} coordinates each")
-    for k, z in enumerate(probes):
-        if not np.all(np.isfinite(z)):
-            raise ValueError(f"probe {k} at {z.tolist()} is not finite")
-        if np.sum(z**2) > cyl.r_0**2 + 1e-12:  # the closed ball of BallGrid's mask
-            raise ValueError(f"probe {k} at {z.tolist()} lies off the base ball of radius {cyl.r_0}")
+    probes = _target_points(tau, probes, cyl, spec)
     lat = _CylinderLattice(cyl, spec, cyl.t_in, tau, m_x, m_t)
     w0 = np.asarray(state(cyl.t_in, lat.pts), dtype=float)
     rhs = np.array([np.sum(w0 * gaussian(tau - cyl.t_in, z - lat.pts, spec)) * lat.cell for z in probes])
@@ -427,15 +434,14 @@ def boundary_density(
     formulas; ``n_term_sign`` selects the variant.  Nothing arbitrates
     between the two yet: ``duhamel_residual`` has no lateral-boundary term,
     and no experiment calls this function.  All three ingredients are
-    callables (s, points) -> values.
+    callables (s, points) -> values; tau and the points z are checked as
+    in ``duhamel_residual``.
     """
     if n_term_sign not in (-1, 1):
         raise ValueError("n_term_sign must be +1 or -1")
     if series_order < 0:
         raise ValueError(f"series_order must be at least 0, got {series_order}")
-    if not tau > cyl.t_in:
-        raise ValueError(f"tau must exceed the cylinder entry time {cyl.t_in}, got {tau}")
-    z_points = np.atleast_2d(np.asarray(z_points, dtype=float))
+    z_points = _target_points(tau, z_points, cyl, spec)
     lat = _CylinderLattice(cyl, spec, cyl.t_in, tau, m_x, m_t)
 
     def bracket(s, xi):

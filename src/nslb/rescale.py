@@ -27,31 +27,26 @@ __all__ = [
 ]
 
 S_MAX = 1.0 / np.sqrt(3.0)  # image of the half-unit window t - t0 = 0.5
+C_M = 1.0  # norm bound of the data in the order-2 norm
+DELTA = 0.5  # kernel exponent, in (0, 1)
+EPS0 = 0.1  # step-size margin, in [0, 1/2)
 
 
 @dataclass(frozen=True)
 class RescaleParams:
     """Window and scaling parameters.
 
-    r is the spatial contraction, [t0, t0 + 0.5] the time window, T the
-    global horizon, C_m the norm bound of the data in the order-2 norm,
-    delta the kernel exponent and eps0 the step-size margin.
+    r is the spatial contraction, [t0, t0 + 0.5] the time window and T the
+    global horizon.
     """
 
     r: float
     t0: float
     T: float
-    C_m: float = 1.0
-    delta: float = 0.5
-    eps0: float = 0.1
 
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("spatial scale r must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("kernel exponent must lie in (0, 1)")
-        if not 0 <= self.eps0 < 0.5:
-            raise ValueError("eps0 must lie in [0, 0.5)")
         if self.T < self.t0:
             raise ValueError("horizon must not precede the window start")
 
@@ -114,12 +109,12 @@ def mu_of_s(s, p: RescaleParams) -> CoeffAudit:
 
 
 def r_policy(p: RescaleParams) -> float:
-    """Spatial scale r = 1/(c(n,m) (C_m + 1)^2 (1 + T)) with c(n,m) = 32.
+    """Spatial scale r = 1/(c(n,m) (C_M + 1)^2 (1 + T)) with c(n,m) = 32.
 
     The constant c(n,m) is calibrated, not derived; callers report it with
     a 'calibrated' provenance tag.
     """
-    return 1.0 / (32.0 * (p.C_m + 1.0) ** 2 * (1.0 + p.T))
+    return 1.0 / (32.0 * (C_M + 1.0) ** 2 * (1.0 + p.T))
 
 
 def growth_exponent(delta, eps0):
@@ -172,7 +167,7 @@ def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementR
     """Measured growth order of the heat-compensated solution increment.
 
     For each step size Delta in (0.02, 0.01, 0.005) the spatial scale is
-    tied to the window by r = Delta^{(1 - eps0)/2}; the rescaled system
+    tied to the window by r = Delta^{(1 - EPS0)/2}; the rescaled system
     (viscosity nu r^2, advection coefficient r, time step
     min(1e-3, Delta/10)) is integrated over [0, Delta] from v0, and
 
@@ -181,13 +176,13 @@ def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementR
     is measured in the H^2 cap C^2 proxy norm.  The increment is produced
     by the r-damped nonlinearity alone, so its log-log slope against Delta
     is superlinear; the check asserts slope >= 1 + margin with margin 0.2
-    and reports the predicted exponent alpha0(delta, eps0) next to it.
+    and reports the predicted exponent alpha0(DELTA, EPS0) next to it.
     """
     deltas = np.array([0.02, 0.01, 0.005])
     margin = 0.2
     norms = []
     for d in deltas:
-        r = d ** ((1.0 - p.eps0) / 2.0)
+        r = d ** ((1.0 - EPS0) / 2.0)
         cfg = SolverConfig(
             nu=nu * r**2,
             dt=min(1e-3, d / 10.0),
@@ -207,5 +202,5 @@ def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementR
         slope = float("inf")  # increment identically zero: bound holds trivially
     else:
         slope = float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])
-    alpha0 = growth_exponent(p.delta, p.eps0)
+    alpha0 = growth_exponent(DELTA, EPS0)
     return IncrementReport(deltas, norms, slope, alpha0, bool(slope >= 1.0 + margin))

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy 2 imports it on first attribute use, which would fall inside a run
 
 from .cone import ConeSpec
 
@@ -54,18 +53,19 @@ class ConeSamples:
         return self.values.size
 
 
-def _cone_sample_points(cone: ConeSpec, n_samples, rng, dt_range, r_floor):
-    """Log-uniform (t_s - t, r) pairs inside the cone, away from the tip."""
-    lo, hi = dt_range
-    lo = max(lo, r_floor / 0.9)  # leave room for r in [r_floor, 0.95 dt]
-    if not r_floor <= lo < hi:
+def _cone_sample_points(cone: ConeSpec, n_samples, rng, dt_range=None):
+    """Log-uniform (t_s - t, r) pairs inside the cone, away from the tip, with
+    t_s - t in ``dt_range``, by default (TIP_EXCLUSION, min(0.05, t_s - t_1))."""
+    lo, hi = (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1)) if dt_range is None else dt_range
+    lo = max(lo, TIP_EXCLUSION / 0.9)  # leave room for r in [TIP_EXCLUSION, 0.95 dt]
+    if not TIP_EXCLUSION <= lo < hi:
         raise ValueError("dt_range must sit above the tip exclusion radius")
     dts = np.exp(rng.uniform(np.log(lo), np.log(hi), n_samples))
-    rs = np.exp(rng.uniform(np.log(r_floor), np.log(dts * 0.95)))
+    rs = np.exp(rng.uniform(np.log(TIP_EXCLUSION), np.log(dts * 0.95)))
     return dts, rs
 
 
-def synthesize_singular_field(c, lam, mu, cone: ConeSpec, n_samples=200, noise=0.0, rng=None, dt_range=None) -> ConeSamples:
+def synthesize_singular_field(c, lam, mu, cone: ConeSpec, *, n_samples, rng, noise=0.0, dt_range=None) -> ConeSamples:
     """Samples of c / ((t_s - t)^mu r^lam), optionally with multiplicative noise.
 
     Noise is lognormal: values are multiplied by exp(noise * g), g standard
@@ -75,17 +75,14 @@ def synthesize_singular_field(c, lam, mu, cone: ConeSpec, n_samples=200, noise=0
         raise ValueError("exponents must be nonnegative")
     if c <= 0:
         raise ValueError("amplitude must be positive")
-    rng = rng or np.random.default_rng(0)
-    if dt_range is None:
-        dt_range = (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1))
-    dts, rs = _cone_sample_points(cone, n_samples, rng, dt_range, TIP_EXCLUSION)
+    dts, rs = _cone_sample_points(cone, n_samples, rng, dt_range)
     vals = c / (dts**mu * rs**lam)
     if noise > 0:
         vals = vals * np.exp(noise * rng.standard_normal(n_samples))
     return ConeSamples(cone, dts, rs, vals)
 
 
-def sample_smooth_field(velocity_fn, cone: ConeSpec, n_samples=200, rng=None, dt_range=None) -> ConeSamples:
+def sample_smooth_field(velocity_fn, cone: ConeSpec, *, n_samples, rng) -> ConeSamples:
     """Samples |v| of a smooth field on the cone (control experiment input).
 
     Points are drawn in the same near-tip window the synthetic generator
@@ -94,10 +91,7 @@ def sample_smooth_field(velocity_fn, cone: ConeSpec, n_samples=200, rng=None, dt
     of per-point times aligned with the (n_samples, n) points, and it
     returns the (n, n_samples) components.
     """
-    rng = rng or np.random.default_rng(0)
-    if dt_range is None:
-        dt_range = (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1))
-    dts, rs = _cone_sample_points(cone, n_samples, rng, dt_range, TIP_EXCLUSION)
+    dts, rs = _cone_sample_points(cone, n_samples, rng)
     dirs = rng.standard_normal((n_samples, cone.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = np.asarray(cone.x_s) + rs[:, None] * dirs

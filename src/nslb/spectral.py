@@ -177,8 +177,6 @@ class SpectralField:
     def __post_init__(self):
         grid = self.grid
         m = np.array(self.modes, dtype=complex)
-        if m.ndim == grid.n:
-            m = m[None]
         if m.shape[1:] != grid.half_shape:
             raise ValueError(
                 f"mode array shape {m.shape} is not (ncomp,) + {grid.half_shape}, the half spectrum of grid {grid.shape}"
@@ -207,10 +205,8 @@ class PhysicalField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim == self.grid.n:
-            v = v[None]
         if v.shape[1:] != self.grid.shape:
-            raise ValueError(f"value array shape {v.shape} does not match grid {self.grid.shape}")
+            raise ValueError(f"value array shape {v.shape} is not (ncomp,) + {self.grid.shape}")
         object.__setattr__(self, "values", v)
 
     @property

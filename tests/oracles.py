@@ -34,7 +34,7 @@ from nslb._compiled import irfftn_forward, rfftn_forward
 from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, energy
 from nslb.kernels import KernelSpec, gaussian
 from nslb.leray import _project_modes, leray_project
-from nslb.singularity import TIP_EXCLUSION, _cone_sample_points
+from nslb.singularity import _cone_sample_points
 from nslb.spectral import SpectralField, TorusGrid, _band, _mode_phase, dealias, dealias_mask, sobolev_norm, to_grid
 
 
@@ -561,7 +561,7 @@ def roll_interior(mask):
 def per_sample_smooth_field(velocity_fn, cone, n_samples, rng):
     """(dt_vals, r_vals, |v|) drawn as ``sample_smooth_field`` draws them,
     with the velocity evaluated one sample per call, at a scalar time."""
-    dts, rs = _cone_sample_points(cone, n_samples, rng, (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1)), TIP_EXCLUSION)
+    dts, rs = _cone_sample_points(cone, n_samples, rng)
     dirs = rng.standard_normal((n_samples, cone.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = np.asarray(cone.x_s) + rs[:, None] * dirs

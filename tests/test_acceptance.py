@@ -90,7 +90,7 @@ def test_criterion_3_transformation_identities():
     fd_err = float(np.max(np.abs(fd - analytic) / analytic))
     assert fd_err <= 1e-6
     # incompressibility of the sampled comparison field at order >= 1.8
-    flow = StreamFlow(k1=1, k2=2)
+    flow = StreamFlow()
     cyl = CylinderSpec.from_cone(cone)
     tau0 = tau_of_t(0.75, cone)
     errs = {}
@@ -190,7 +190,7 @@ def test_criterion_7_rescale_audits():
             assert growth_exponent(delta, eps0) > 1.0
     grid = TorusGrid(2, 32)
     v0 = perturbed_taylor_green(grid, 1.0, eps=0.2)
-    inc = increment_bound_check(v0, 0.05, RescaleParams(r=1.0 / 16, t0=0.0, T=1.0, delta=0.5, eps0=0.1))
+    inc = increment_bound_check(v0, 0.05, RescaleParams(r=1.0 / 16, t0=0.0, T=1.0))
     assert inc.slope >= 1.2
     report(
         7,

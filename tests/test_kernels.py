@@ -521,6 +521,18 @@ def test_boundary_density_rejects_negative_series_order_and_early_tau():
     np.testing.assert_array_equal(boundary_density(_zero, _one, _zero, cyl, spec, 1.05, z_pts, series_order=0), [2.0])
 
 
+@pytest.mark.parametrize("point", [[0.5], [np.nan, 0.0, 0.0]])
+def test_boundary_density_checks_its_points_as_duhamel_checks_probes(point):
+    # in 3D a one-coordinate point was broadcast against every lattice node,
+    # and a nan point gave a nan density
+    spec = KernelSpec(nu_eff=0.5, n=3)
+    cyl = CylinderSpec(t_in=1.0, r_0=0.5)
+    with pytest.raises(ValueError, match="probes of shape|probe 0 .*not finite"):
+        boundary_density(_one, _one, _one, cyl, spec, 1.05, [point])
+    # a lateral point r_0 e_i lies in the closed base ball
+    assert np.all(np.isfinite(boundary_density(_one, _one, _one, cyl, spec, 1.05, [[0.0, 0.0, cyl.r_0]])))
+
+
 def test_duhamel_pure_heat_residual():
     spec = KernelSpec(nu_eff=0.5, n=2)
     cyl = CylinderSpec(t_in=1.0, r_0=0.5)

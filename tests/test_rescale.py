@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import nslb.rescale
 from nslb.flows import perturbed_taylor_green, random_divergence_free, taylor_green
 from nslb.rescale import (
+    DELTA,
+    EPS0,
     RescaleParams,
     S_MAX,
     growth_exponent,
@@ -24,7 +26,7 @@ from oracles import per_index_hm_cm_proxy_norm
 
 
 def params(**kw):
-    base = dict(r=1.0 / 16, t0=0.0, T=1.0, C_m=1.0, delta=0.5, eps0=0.1)
+    base = dict(r=1.0 / 16, t0=0.0, T=1.0)
     base.update(kw)
     return RescaleParams(**base)
 
@@ -32,10 +34,6 @@ def params(**kw):
 def test_params_validation():
     with pytest.raises(ValueError):
         params(r=-1.0)
-    with pytest.raises(ValueError):
-        params(delta=1.0)
-    with pytest.raises(ValueError):
-        params(eps0=0.5)
 
 
 def test_s_map_values():
@@ -107,11 +105,10 @@ def test_bounds_hold_checks_every_point(order, index):
 
 
 def test_r_policy_values():
-    p = params(C_m=1.0, T=1.0)
+    p = params(T=1.0)
     assert r_policy(p) == pytest.approx(1.0 / 256.0)
-    # monotone decreasing in horizon and data norm; halving under (1+T) doubling
+    # monotone decreasing in horizon; halving under (1+T) doubling
     assert r_policy(params(T=2.0)) < r_policy(params(T=1.0))
-    assert r_policy(params(C_m=2.0)) < r_policy(params(C_m=1.0))
     assert r_policy(params(T=3.0)) == pytest.approx(r_policy(params(T=1.0)) / 2.0)
 
 
@@ -163,7 +160,7 @@ def test_hm_cm_proxy_norm_second_derivative_keeps_the_nyquist_mode(n, axis):
     # cos(pi N x_a) has zero first derivatives on the grid (alpha reads
     # Nyquist as 0), but d_a^2 of it is -(pi N)^2 times it, as alpha_sq says
     grid, amplitude = TorusGrid(n, 8), 0.7
-    v = to_modes(PhysicalField(grid, amplitude * np.cos(np.pi * grid.N * grid.meshes()[axis])))
+    v = to_modes(PhysicalField(grid, amplitude * np.cos(np.pi * grid.N * grid.meshes()[axis])[None]))
     second = hm_cm_proxy_norm(v) - sobolev_norm(v, 2) - amplitude
     assert second == pytest.approx((np.pi * grid.N) ** 2 * amplitude, rel=1e-12)
 
@@ -192,13 +189,12 @@ def test_increment_zero_data():
 def test_increment_slope_superlinear():
     grid = TorusGrid(2, 32)
     v0 = perturbed_taylor_green(grid, 1.0, eps=0.2)
-    p = params(eps0=0.1, delta=0.5)
-    rep = increment_bound_check(v0, 0.05, p)
+    rep = increment_bound_check(v0, 0.05, params())
     assert rep.passed
     assert rep.slope >= 1.2
     # the scaling ties r to the step: slope tracks 1 + (1 - eps0)/2
-    assert rep.slope == pytest.approx(1.0 + (1.0 - p.eps0) / 2.0, abs=0.1)
-    assert rep.alpha0_predicted == pytest.approx(growth_exponent(p.delta, p.eps0))
+    assert rep.slope == pytest.approx(1.0 + (1.0 - EPS0) / 2.0, abs=0.1)
+    assert rep.alpha0_predicted == pytest.approx(growth_exponent(DELTA, EPS0))
 
 
 def test_increment_pure_vortex_is_roundoff():

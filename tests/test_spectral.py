@@ -118,6 +118,16 @@ def test_spectral_field_rejects_the_full_lattice(n, N):
             SpectralField(grid, np.zeros(shape, dtype=complex))
 
 
+@pytest.mark.parametrize("n, N", [(2, 8), (3, 8)])
+def test_fields_reject_component_less_arrays(n, N):
+    # a scalar field carries its component axis too: (1,) + shape
+    grid = TorusGrid(n, N)
+    with pytest.raises(ValueError, match=re.escape(f"value array shape {grid.shape} is not (ncomp,) + {grid.shape}")):
+        PhysicalField(grid, np.zeros(grid.shape))
+    with pytest.raises(ValueError, match=re.escape(f"mode array shape {grid.half_shape} is not (ncomp,) + {grid.half_shape}")):
+        SpectralField(grid, np.zeros(grid.half_shape, dtype=complex))
+
+
 def test_derivative_analytic():
     grid = TorusGrid(2, 32)
     x, y = grid.meshes()
@@ -245,7 +255,7 @@ def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
     for k in range(n):
         d = derivative(full[0], grid, k)[None]
         assert not np.allclose(d, reflect(np.conj(d), tuple(range(1, n + 1))))
-        fields.append((SpectralField(grid, 2j * np.pi * grid.alpha(k) * v.modes[0]), d))
+        fields.append((SpectralField(grid, 2j * np.pi * grid.alpha(k) * v.modes[:1]), d))
     v0 = random_divergence_free(grid, np.random.default_rng(6), kmax=N // 3)
     records = simulate(v0, SolverConfig(nu=0.05, dt=2e-3, t_end=6e-3)).snapshots
     fields += [(r, full_lattice(r.modes, grid)) for r in records]
@@ -269,9 +279,9 @@ def test_odd_derivatives_read_the_nyquist_wavenumber_as_zero(n, N):
     assert all(grid.alpha(k)[(0,) * k + (N // 2,)] == 0.0 for k in range(n - 1))
     assert grid.alpha(n - 1)[(0,) * (n - 1) + (N // 2,)] == 0.0
     want = full_to_grid(derivative(full_modes(values[None], grid)[0], grid, 0)[None], grid)
-    got = to_grid(SpectralField(grid, 2j * np.pi * grid.alpha(0) * v.modes[0])).values
+    got = to_grid(SpectralField(grid, 2j * np.pi * grid.alpha(0) * v.modes[:1])).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    naive = 2j * np.pi * grid.wavenumbers().reshape([-1] + [1] * (n - 1)) * v.modes[0]
+    naive = 2j * np.pi * grid.wavenumbers().reshape([-1] + [1] * (n - 1)) * v.modes[:1]
     assert np.max(np.abs(to_grid(SpectralField(grid, naive)).values - want)) > 0.1 * np.max(np.abs(want))
     # divergence uses the same symbol
     vel = np.stack([values] + [np.zeros(grid.shape)] * (n - 1))

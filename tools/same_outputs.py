@@ -10,6 +10,9 @@ Runs, once on the source of REV and once on the working tree:
   snapshot written) at seed 0;
 - a 2D ``random`` simulate run (``RANDOM_2D``: N = 24, so the 2/3 box edge
   lies exactly at N/3; every tenth snapshot written) at seed 0;
+- a noisy ``fit-singularity`` run (``NOISY_FIT``: noise = 0.05, 960
+  samples, so the sampler's lognormal noise draw is covered too) at seeds
+  0 and 7;
 - the ``cone-kernel-3d`` workload of ``perfbench/child.py`` at seed 0: a
   child calls that file's ``cone_kernel_3d`` and writes its outputs (the
   3D residual, Poisson, series and density results) to
@@ -68,6 +71,11 @@ snapshot_stride = 10
 
 [output]
 snapshots = true
+"""
+NOISY_FIT = """\
+[fitting]
+noise = 0.05
+samples = 960
 """
 # python -c CONE_KERNEL_3D --out DIR
 CONE_KERNEL_3D = f"""\
@@ -208,6 +216,8 @@ def main(argv=None):
         solver.write_text(solver_config())
         random_2d = tmp / "random_2d.cfg"
         random_2d.write_text(RANDOM_2D)
+        noisy_fit = tmp / "noisy_fit.cfg"
+        noisy_fit.write_text(NOISY_FIT)
         configs = sorted((ROOT / "configs").glob("*.cfg"))
         def cli(exp, config, seed):
             return ["-m", "nslb.cli", exp, "--config", str(config), "--seed", str(seed)]
@@ -217,6 +227,7 @@ def main(argv=None):
         jobs += [
             ("solver-3d-seed0", cli("simulate", solver, 0)),
             ("random-2d-seed0", cli("simulate", random_2d, 0)),
+            *((f"fit-singularity-noisy-seed{s}", cli("fit-singularity", noisy_fit, s)) for s in SEEDS),
             ("cone-kernel-3d-seed0", ["-c", CONE_KERNEL_3D]),
         ]
 
