@@ -4,7 +4,7 @@ singularity diagnostics on the torus.
 Subpackages by concern:
 
   spectral    -- fields on the n-torus in mode/grid form, divergence, norms
-  leray       -- Fourier pressure gradient and divergence-free projection
+  leray       -- Fourier-mode pressure and divergence-free projection
   dynamics    -- projected Navier-Stokes integration plus energy diagnostics
   cone        -- backward cones, the cone-to-cylinder map, the transformed equation
   kernels     -- Gaussian kernels, bound audits, boundary series, Duhamel residuals
@@ -12,17 +12,6 @@ Subpackages by concern:
   rescale     -- rescaled-window coefficient audits and increment checks
   snapshots   -- binary field snapshots
   cli         -- batch experiments with deterministic JSON/CSV reports
-
-NSLB_THREADS, when set, becomes the default of the OpenMP, OpenBLAS and MKL
-thread caps.  It is applied here, before any submodule imports numpy,
-because the BLAS reads its cap once, when numpy loads it.
 """
-
-import os
-
-_threads = os.environ.get("NSLB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
 
 __version__ = "0.1.0"

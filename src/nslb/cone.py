@@ -413,19 +413,16 @@ class TransformedResidual:
     residual_max: float
 
 
-def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, dtau=None) -> TransformedResidual:
+def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, *, dtau) -> TransformedResidual:
     """Residual dw/dtau - F(w, p_bc, tau) of the transformed momentum equation on
     the cross section at tau, with F = mu2 nu Lap w - mu1 (w + z) . grad w -
     mu1 grad p_w (``_transformed_operator``).
 
     w is sampled from ``sampler.velocity(t, points)`` and dw/dtau is the
-    centered difference over tau +- dtau (``dtau`` defaults to the grid
-    step); the Dirichlet data p_bc of the cross-section pressure are sampled
-    from ``sampler.pressure(t, points)`` on the boundary ring, and
-    ``sampler.nu`` is the viscosity.
+    centered difference over tau +- dtau; the Dirichlet data p_bc of the
+    cross-section pressure are sampled from ``sampler.pressure(t, points)``
+    on the boundary ring, and ``sampler.nu`` is the viscosity.
     """
-    if dtau is None:
-        dtau = ball.h
     w_minus = sample_w_function(sampler.velocity, cone, tau - dtau, ball)
     w = sample_w_function(sampler.velocity, cone, tau, ball)
     residual = sample_w_function(sampler.velocity, cone, tau + dtau, ball)

@@ -78,7 +78,7 @@ def gaussian_derivative(t, y, j, spec: KernelSpec):
     if np.any(np.asarray(t) <= 0):
         raise ValueError("kernel time must be positive")
     r_sq, ya = _split(y, spec.n)
-    yj = ya[..., j] if ya.ndim > 1 else ya[j]
+    yj = ya[..., j]
     denom = 4.0 * spec.nu_eff * np.asarray(t, dtype=float)
     return (-2.0 * yj / denom) * (np.pi * denom) ** (-spec.n / 2.0) * np.exp(-r_sq / denom)
 
@@ -364,12 +364,6 @@ def boundary_kernel_series(K, cyl: CylinderSpec, spec: KernelSpec, target, sourc
     return BoundarySeriesResult(float(np.sum(terms)), terms, converged)
 
 
-@dataclass(frozen=True)
-class DuhamelReport:
-    residual_max: float
-    residual_l2: float
-
-
 def _target_points(tau, points, cyl: CylinderSpec, spec: KernelSpec):
     """The points as an (m, n) array; ValueError unless tau > t_in and every
     point is finite, has n coordinates and lies in the closed base ball."""
@@ -386,8 +380,8 @@ def _target_points(tau, points, cyl: CylinderSpec, spec: KernelSpec):
     return probes
 
 
-def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_x, m_t, probes) -> DuhamelReport:
-    """Mismatch at the probes z between state(tau, z) and the heat representation
+def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_x, m_t, probes) -> float:
+    """Largest mismatch over the probes z between state(tau, z) and the heat representation
 
       sum_y state(t_in, y) G(tau - t_in, z - y) cell + sum_{(s, y)} source(s, y) G(tau - s, z - y) cell dt
 
@@ -406,8 +400,7 @@ def duhamel_residual(state, source, cyl: CylinderSpec, spec: KernelSpec, tau, m_
         src = np.concatenate([source(s, lat.pts) for s in lat.mids])
         rhs += [lat.target_weights(z) @ src for z in probes]
     lhs = np.asarray(state(tau, probes), dtype=float)
-    diff = lhs - rhs
-    return DuhamelReport(float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff**2))))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def boundary_density(

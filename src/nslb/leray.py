@@ -1,26 +1,21 @@
-"""Pressure elimination on the torus: Fourier-mode pressure gradient and the
+"""Pressure elimination on the torus: the Fourier-mode pressure and the
 divergence-free (Leray) projection.
 
 The pressure solves  Delta p = -sum_{i,j} v_{i,j} v_{j,i}  with zero-mean
-gauge; its gradient modes are
-
-    p_{,i alpha} = 2 pi i alpha_i p_alpha,
-    p_alpha     = G_alpha / (4 pi^2 |alpha|^2),   alpha != 0,
-
-where G is the mode array of sum_{i,j} v_{i,j} v_{j,i}.  The quadratic term
-is evaluated pseudo-spectrally (grid product + 2/3 dealiasing); a direct
-double-sum oracle over mode pairs lives in the test suite.
+gauge: p_alpha = G_alpha / (4 pi^2 |alpha|^2) for alpha != 0, where G is the
+mode array of sum_{i,j} v_{i,j} v_{j,i}; its gradient modes are
+2 pi i alpha_i p_alpha.  The quadratic term is evaluated pseudo-spectrally
+(grid product + 2/3 dealiasing); a direct double-sum oracle over mode pairs
+lives in the test suite.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .spectral import PhysicalField, SpectralField, dealias, divergence, to_grid, to_modes
+from .spectral import PhysicalField, SpectralField, dealias, to_grid, to_modes
 
-__all__ = ["leray_project", "poisson_pressure", "pressure_gradient_modes", "velocity_gradient_contraction"]
+__all__ = ["leray_project", "poisson_pressure", "velocity_gradient_contraction"]
 
 
 def velocity_gradient_contraction(v: SpectralField) -> SpectralField:
@@ -46,23 +41,6 @@ def poisson_pressure(v: SpectralField) -> SpectralField:
     p = g / denom_safe
     p = np.where(denom == 0, 0.0, p)
     return SpectralField(grid, p[None])
-
-
-def pressure_gradient_modes(v: SpectralField, i: int) -> SpectralField:
-    """Mode array of d p / d x_i for the velocity field v.
-
-    Warns (does not reject) when v is visibly not divergence-free (a
-    divergence mode above 1e-8 times the largest velocity mode), since the
-    pressure formula presumes a solenoidal field.
-    """
-    div_max = np.max(np.abs(divergence(v).modes))
-    scale = max(np.max(np.abs(v.modes)), 1e-300)
-    if div_max > 1e-8 * scale:
-        warnings.warn(f"pressure gradient of a non-solenoidal field (max divergence mode {div_max:.3e})")
-    grid = v.grid
-    p = poisson_pressure(v).modes[0]
-    out = 2j * np.pi * grid.alpha(i) * p
-    return SpectralField(grid, out[None])
 
 
 def _project_modes(modes, alphas, inv_asq):

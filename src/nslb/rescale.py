@@ -163,7 +163,7 @@ class IncrementReport:
     passed: bool
 
 
-def increment_bound_check(v0: SpectralField, nu, p: RescaleParams) -> IncrementReport:
+def increment_bound_check(v0: SpectralField, nu) -> IncrementReport:
     """Measured growth order of the heat-compensated solution increment.
 
     For each step size Delta in (0.02, 0.01, 0.005) the spatial scale is

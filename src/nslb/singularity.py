@@ -30,7 +30,8 @@ class ConeSamples:
     """Scattered samples of |f| on a backward cone.
 
     ``dt_vals`` holds t_s - t, ``r_vals`` the distance to the tip axis; all
-    samples satisfy r < t_s - t (inside the cone) and the tip exclusion.
+    samples satisfy r < t_s - t (inside the cone), t_s - t <= t_s - t_1 (not
+    before the cone's entry time) and the tip exclusion.
     """
 
     cone: ConeSpec
@@ -45,6 +46,8 @@ class ConeSamples:
             raise ValueError("sample arrays must share a shape")
         if np.any(self.r_vals >= self.dt_vals):
             raise ValueError("samples must lie strictly inside the cone (r < t_s - t)")
+        if np.any(self.dt_vals > self.cone.t_s - self.cone.t_1):
+            raise ValueError("samples must not precede the cone's entry time (t_s - t <= t_s - t_1)")
         if np.any(self.dt_vals < TIP_EXCLUSION) or np.any(self.r_vals < TIP_EXCLUSION):
             raise ValueError(f"samples must keep a distance {TIP_EXCLUSION} from the tip")
 
@@ -58,8 +61,8 @@ def _cone_sample_points(cone: ConeSpec, n_samples, rng, dt_range=None):
     t_s - t in ``dt_range``, by default (TIP_EXCLUSION, min(0.05, t_s - t_1))."""
     lo, hi = (TIP_EXCLUSION, min(0.05, cone.t_s - cone.t_1)) if dt_range is None else dt_range
     lo = max(lo, TIP_EXCLUSION / 0.9)  # leave room for r in [TIP_EXCLUSION, 0.95 dt]
-    if not TIP_EXCLUSION <= lo < hi:
-        raise ValueError("dt_range must sit above the tip exclusion radius")
+    if not lo < hi <= cone.t_s - cone.t_1:
+        raise ValueError("dt_range must sit above the tip exclusion radius and within t_s - t_1")
     dts = np.exp(rng.uniform(np.log(lo), np.log(hi), n_samples))
     rs = np.exp(rng.uniform(np.log(TIP_EXCLUSION), np.log(dts * 0.95)))
     return dts, rs

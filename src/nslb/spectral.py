@@ -66,13 +66,9 @@ class TorusGrid:
         """Shape of one component's modes: the half spectrum, last axis 0..N/2."""
         return self.shape[:-1] + (self.N // 2 + 1,)
 
-    def axis_coords(self):
-        """Grid coordinates of one axis, x_j = -0.5 + j/N."""
-        return -0.5 + np.arange(self.N) / self.N
-
     def meshes(self):
-        """List of n coordinate arrays of shape N^n (ij indexing)."""
-        return np.meshgrid(*(self.axis_coords(),) * self.n, indexing="ij")
+        """List of n coordinate arrays of shape N^n (ij indexing), x_j = -0.5 + j/N on each axis."""
+        return np.meshgrid(*(-0.5 + np.arange(self.N) / self.N,) * self.n, indexing="ij")
 
     def wavenumbers(self):
         """Integer wavenumbers of one axis in FFT order (Nyquist stored as -N/2)."""

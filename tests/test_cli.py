@@ -587,6 +587,17 @@ def test_kernel_mass_matches_meshgrid_oracle_bit_for_bit(tmp_path, nus):
     assert struct.pack("<d", mass) == struct.pack("<d", kernel_mass_meshgrid(float(nus.split()[0])))
 
 
+def test_verify_kernels_kernel_mass_failure_names_only_its_check(tmp_path, capsys, monkeypatch):
+    # a doubled kernel fails the mass check alone; the bound scans still pass
+    gaussian_sq = cli._gaussian_sq
+    monkeypatch.setattr(cli, "_gaussian_sq", lambda t, r_sq, spec: 2.0 * gaussian_sq(t, r_sq, spec))
+    out = tmp_path / "out"
+    assert main(["verify-kernels", "--config", str(CONFIGS / "verify_kernels.cfg"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "nslb: assertion failed: mass_1e-8"
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [name for name, passed in checks.items() if not passed] == ["mass_1e-8"]
+
+
 def test_verify_kernels_peaks_at_most_2_mb(tmp_path):
     # the kernel-mass check holds 256^2 squared radii, one negated
     # temporary and the kernel values (1.5 MiB), not a meshgrid and its
@@ -622,26 +633,38 @@ def test_config_named_for_its_experiment_runs_and_sidecar_records_environment(tm
     assert kernels[0].startswith("_sparsetools") and kernels[1].startswith("pypocketfft")
 
 
-def test_nslb_threads_applied_before_numpy_loads():
-    # the BLAS reads its thread cap once, when numpy first loads it
-    env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["NSLB_THREADS"] = "1"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def _run_with_perfbench(code, argv=()):
+    """Run ``code`` in a child Python that imports nslb and the benchmark's
+    modules, so the tracer's rebinding does not leak into this process."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    paths = [str(root / "src"), str(root / "perfbench")]
+    env["PYTHONPATH"] = os.pathsep.join(paths + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_benchmark_per_layer_metrics_name_traced_functions():
+    # a traced benchmark run rejects a per-layer metric that names no traced
+    # nslb function; an untraced run never looks, so a removed or renamed
+    # function would go unnoticed without this check
     code = (
-        "import os, sys, nslb; "
-        "assert 'numpy' not in sys.modules; "
-        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"
+        "import importlib, json\n"
+        "import run\n"
+        "from child import NSLB_MODULES\n"
+        "from tracing import Tracer, instrument\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer, [importlib.import_module('nslb.' + name) for name in NSLB_MODULES])\n"
+        "empty = {'import_s': 0.0, 'spans': [], 'counters': {}, 'traced': sorted(tracer.names)}\n"
+        "print(json.dumps(sorted(run.layer_metrics([empty]))))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = _run_with_perfbench(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "1", "1"]
+    declared = json.loads((CONFIGS.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert json.loads(done.stdout.splitlines()[-1]) == sorted(metric["name"] for metric in declared)
 
 
 def test_traced_simulate_keeps_no_snapshots_and_computes_gradient_energy_once_per_record(tmp_path):
-    # the benchmark tracer wraps nslb from outside; it runs in a child so
-    # the rebinding does not leak into this process
-    root = Path(__file__).resolve().parent.parent
+    # the benchmark tracer wraps nslb from outside
     cfg = write_config(
         tmp_path,
         """
@@ -672,11 +695,7 @@ snapshots = true
         "calls = sum(span[0] == 'dynamics.gradient_energy' for span in tracer.finish())\n"
         "print(json.dumps({'exit': status, 'counters': tracer.counters, 'gradient_energy_calls': calls}))\n"
     )
-    env = dict(os.environ)
-    paths = [str(root / "src"), str(root / "perfbench")]
-    env["PYTHONPATH"] = os.pathsep.join(paths + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
-    done = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True, timeout=120)
+    done = _run_with_perfbench(code, ["simulate", "--config", str(cfg), "--out", str(out)])
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0

@@ -378,7 +378,7 @@ def test_poisson_reproduces_quadratics(n, m, radius, seed):
 
 
 def _run_python(code, **env_vars):
-    env = {k: v for k, v in os.environ.items() if k not in ("NSLB_THREADS", "OPENBLAS_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     env.update(env_vars)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -436,13 +436,15 @@ def _constant_sampler(velocity, pressure):
 
 def test_transformed_residual_rejects_non_finite_pressure():
     for n, spec in CONES.items():
+        ball = BallGrid(n, 0.4, 17)
         with pytest.raises(ValueError, match="boundary_values"):
-            transformed_residual(_constant_sampler([0.0] * n, np.nan), spec, 2.0, BallGrid(n, 0.4, 17))
+            transformed_residual(_constant_sampler([0.0] * n, np.nan), spec, 2.0, ball, dtau=ball.h)
 
 
 def test_transformed_residual_zero_field():
     for n, spec in CONES.items():
-        rep = transformed_residual(_constant_sampler([0.0] * n, 0.0), spec, 2.0, BallGrid(n, 0.4, 17))
+        ball = BallGrid(n, 0.4, 17)
+        rep = transformed_residual(_constant_sampler([0.0] * n, 0.0), spec, 2.0, ball, dtau=ball.h)
         assert rep.residual_l2 == 0.0
 
 
@@ -450,7 +452,8 @@ def test_transformed_residual_constant_field_steady():
     # constants are steady states of the transformed system: the drift sees
     # zero gradients and the pressure gradient vanishes
     for n, spec in CONES.items():
-        rep = transformed_residual(_constant_sampler([0.7, -0.3, 0.45][:n], 0.9), spec, 2.0, BallGrid(n, 0.4, 17))
+        ball = BallGrid(n, 0.4, 17)
+        rep = transformed_residual(_constant_sampler([0.7, -0.3, 0.45][:n], 0.9), spec, 2.0, ball, dtau=ball.h)
         assert rep.residual_max < 1e-11, n
 
 

@@ -11,7 +11,6 @@ from nslb.leray import (
     _project_modes,
     leray_project,
     poisson_pressure,
-    pressure_gradient_modes,
     velocity_gradient_contraction,
 )
 from nslb.spectral import (
@@ -26,13 +25,18 @@ from nslb.spectral import (
     to_modes,
 )
 
-from oracles import brute_force_pressure_gradient, derivative, full_lattice, full_wavenumbers, reflect, stacked_project_modes
+from oracles import brute_force_pressure_gradient, full_wavenumbers, reflect, stacked_project_modes
+
+
+def pressure_gradient(v, i):
+    """Modes of d p / d x_i: 2 pi i alpha_i p_alpha."""
+    return 2j * np.pi * v.grid.alpha(i) * poisson_pressure(v).modes[0]
 
 
 def test_zero_field_zero_pressure():
     grid = TorusGrid(2, 16)
     v = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
-    assert np.max(np.abs(pressure_gradient_modes(v, 0).modes)) == 0.0
+    assert np.max(np.abs(pressure_gradient(v, 0))) == 0.0
     assert np.max(np.abs(poisson_pressure(v).modes)) == 0.0
 
 
@@ -44,7 +48,7 @@ def test_taylor_green_pressure_analytic():
     x, y = grid.meshes()
     exact = -(amp**2) / 4.0 * (np.cos(4 * np.pi * x) + np.cos(4 * np.pi * y))
     assert np.max(np.abs(p.values[0] - exact)) < 1e-8
-    dp = to_grid(pressure_gradient_modes(v, 0))
+    dp = to_grid(SpectralField(grid, pressure_gradient(v, 0)[None]))
     exact_dx = amp**2 * np.pi * np.sin(4 * np.pi * x)
     assert np.max(np.abs(dp.values[0] - exact_dx)) < 1e-8
 
@@ -54,7 +58,7 @@ def test_pressure_zero_mean_gauge():
     v = random_divergence_free(grid, np.random.default_rng(0))
     p = poisson_pressure(v)
     assert p.modes[0][0, 0] == 0.0
-    assert np.max(np.abs(pressure_gradient_modes(v, 0).modes[0][0, 0])) == 0.0
+    assert np.max(np.abs(pressure_gradient(v, 0)[0, 0])) == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -69,7 +73,7 @@ def test_brute_force_oracle_single_mode_pair(seed):
         modes[c][1, 2] = amp * perp[c]  # and conj(amp) perp[c] at -alpha
     v = dealias(SpectralField(grid, modes))
     for i in range(2):
-        fast = pressure_gradient_modes(v, i).modes[0]
+        fast = pressure_gradient(v, i)
         slow = brute_force_pressure_gradient(v, i)
         keep = dealias_mask(grid)
         assert np.max(np.abs((fast - slow)[keep])) < 1e-12
@@ -80,7 +84,7 @@ def test_brute_force_oracle_random_field():
     v = dealias(random_divergence_free(grid, np.random.default_rng(3), kmax=5, rms=1.0))
     keep = dealias_mask(grid)
     for i in range(2):
-        fast = pressure_gradient_modes(v, i).modes[0]
+        fast = pressure_gradient(v, i)
         slow = brute_force_pressure_gradient(v, i)
         assert np.max(np.abs((fast - slow)[keep])) < 1e-10
 
@@ -95,24 +99,6 @@ def test_poisson_residual():
     resid = lap_p + g
     resid[0, 0] = 0.0  # gauge mode carries the (zero-mean) source mean
     assert np.sqrt(np.sum(np.abs(resid) ** 2)) < 1e-10
-
-
-def test_gradient_of_pressure_consistency():
-    grid = TorusGrid(2, 16)
-    rng = np.random.default_rng(5)
-    # a single solenoidal mode pair and a full random field
-    single = np.zeros((2,) + grid.half_shape, dtype=complex)
-    single[0][1, 2], single[1][1, 2] = 2.0, -1.0  # perpendicular to alpha=(1,2)
-    fields = [
-        dealias(SpectralField(grid, single)),
-        random_divergence_free(grid, rng),
-    ]
-    for v in fields:
-        p = poisson_pressure(v)
-        for i in range(2):
-            via_p = derivative(full_lattice(p.modes, grid), grid, i)[..., : grid.N // 2 + 1]
-            direct = pressure_gradient_modes(v, i).modes
-            assert np.max(np.abs(via_p - direct)) < 1e-10
 
 
 def test_projection_properties():
@@ -141,14 +127,6 @@ def test_projection_3d():
     assert np.max(np.abs(divergence(pf).modes)) < 1e-12
 
 
-def test_non_solenoidal_warning():
-    grid = TorusGrid(2, 16)
-    x, _ = grid.meshes()
-    v = to_modes(PhysicalField(grid, np.stack([np.sin(2 * np.pi * x), np.zeros(grid.shape)])))
-    with pytest.warns(UserWarning):
-        pressure_gradient_modes(v, 0)
-
-
 @pytest.mark.parametrize("n,decay", [(2, 1.05), (3, 3.0)])
 def test_pressure_mode_square_summability(n, decay):
     # low-regularity velocity data still give square-summable
@@ -167,7 +145,7 @@ def test_pressure_mode_square_summability(n, decay):
     v = SpectralField(grid, v.modes / sobolev_norm(v, 1.0))
     shells = np.sqrt(grid.alpha_sq())
     for i in range(n):
-        dp = pressure_gradient_modes(v, i).modes[0]
+        dp = pressure_gradient(v, i)
         power = np.abs(dp) ** 2
         radii = np.arange(1, int(np.max(shells)) + 1)
         partial = np.array([np.sum(power[shells <= r]) for r in radii])

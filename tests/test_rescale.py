@@ -181,7 +181,7 @@ def test_hm_cm_proxy_norm_transforms_once(monkeypatch):
 def test_increment_zero_data():
     grid = TorusGrid(2, 16)
     zero = SpectralField(grid, np.zeros((2,) + grid.half_shape, dtype=complex))
-    rep = increment_bound_check(zero, 0.05, params())
+    rep = increment_bound_check(zero, 0.05)
     assert np.all(rep.increment_norms == 0.0)
     assert rep.passed  # trivially bounded
 
@@ -189,7 +189,7 @@ def test_increment_zero_data():
 def test_increment_slope_superlinear():
     grid = TorusGrid(2, 32)
     v0 = perturbed_taylor_green(grid, 1.0, eps=0.2)
-    rep = increment_bound_check(v0, 0.05, params())
+    rep = increment_bound_check(v0, 0.05)
     assert rep.passed
     assert rep.slope >= 1.2
     # the scaling ties r to the step: slope tracks 1 + (1 - eps0)/2
@@ -202,5 +202,5 @@ def test_increment_pure_vortex_is_roundoff():
     # increment is numerically zero at every step size
     grid = TorusGrid(2, 32)
     v0 = taylor_green(grid, 1.0)
-    rep = increment_bound_check(v0, 0.05, params())
+    rep = increment_bound_check(v0, 0.05)
     assert np.all(rep.increment_norms < 1e-10)

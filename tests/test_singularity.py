@@ -56,6 +56,18 @@ def test_samples_respect_cone_and_tip_exclusion():
         ConeSamples(CONE, np.array([0.01]), np.array([0.02]), np.array([1.0]))  # r >= dt
 
 
+def test_samples_stay_after_the_cone_entry_time():
+    # t_s - t_1 = 0.3 on CONE: t_s - t up to 5 would put samples before t_1 and at t < 0
+    with pytest.raises(ValueError, match="t_s - t_1"):
+        synthesize_singular_field(3.0, 0.5, 0.2, CONE, n_samples=100, rng=np.random.default_rng(0), dt_range=(0.01, 5.0))
+    with pytest.raises(ValueError, match="entry time"):
+        ConeSamples(CONE, np.array([0.01, 0.35]), np.array([0.005, 0.02]), np.array([1.0, 1.0]))
+    lifetime = CONE.t_s - CONE.t_1
+    s = synthesize_singular_field(3.0, 0.5, 0.2, CONE, n_samples=100, rng=np.random.default_rng(0), dt_range=(0.01, lifetime))
+    assert np.all(s.dt_vals <= lifetime)
+    ConeSamples(CONE, np.array([lifetime]), np.array([0.02]), np.array([1.0]))  # the entry time itself
+
+
 def test_fit_recovers_exact_orders():
     rng = np.random.default_rng(3)
     s = synthesize_singular_field(3.0, 0.5, 0.3, CONE, n_samples=200, rng=rng)
@@ -70,6 +82,16 @@ def test_fit_constant_field_clamps_to_zero():
     s = synthesize_singular_field(2.0, 0.0, 0.0, CONE, n_samples=100, rng=np.random.default_rng(4))
     fit = fit_singularity_orders(s)
     assert fit.lam <= 1e-12 and fit.mu <= 1e-12
+
+
+def test_fit_flags_clamped_exponents():
+    # |f| = (t_s - t)^0.3 r^0.2 fits negative exponents, clamped to zero and flagged
+    s = synthesize_singular_field(1.0, 0.0, 0.0, CONE, n_samples=200, rng=np.random.default_rng(9))
+    growing = fit_singularity_orders(ConeSamples(CONE, s.dt_vals, s.r_vals, s.dt_vals**0.3 * s.r_vals**0.2))
+    assert growing.lam == 0.0 and growing.mu == 0.0 and growing.clamped
+    in_model = fit_singularity_orders(synthesize_singular_field(3.0, 0.7, 0.3, CONE, n_samples=200, rng=np.random.default_rng(10)))
+    assert in_model.lam == pytest.approx(0.7, rel=0.02) and in_model.mu == pytest.approx(0.3, rel=0.02)
+    assert not in_model.clamped
 
 
 def test_fit_with_noise():

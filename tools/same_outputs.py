@@ -13,6 +13,8 @@ Runs, once on the source of REV and once on the working tree:
 - a noisy ``fit-singularity`` run (``NOISY_FIT``: noise = 0.05, 960
   samples, so the sampler's lognormal noise draw is covered too) at seeds
   0 and 7;
+- a 2D ``verify-kernels`` run (``KERNELS_2D``: ``[grid] n = 2``, the
+  config's one other accepted dimension, default deltas and nus) at seed 0;
 - the ``cone-kernel-3d`` workload of ``perfbench/child.py`` at seed 0: a
   child calls that file's ``cone_kernel_3d`` and writes its outputs (the
   3D residual, Poisson, series and density results) to
@@ -76,6 +78,10 @@ NOISY_FIT = """\
 [fitting]
 noise = 0.05
 samples = 960
+"""
+KERNELS_2D = """\
+[grid]
+n = 2
 """
 # python -c CONE_KERNEL_3D --out DIR
 CONE_KERNEL_3D = f"""\
@@ -218,6 +224,8 @@ def main(argv=None):
         random_2d.write_text(RANDOM_2D)
         noisy_fit = tmp / "noisy_fit.cfg"
         noisy_fit.write_text(NOISY_FIT)
+        kernels_2d = tmp / "kernels_2d.cfg"
+        kernels_2d.write_text(KERNELS_2D)
         configs = sorted((ROOT / "configs").glob("*.cfg"))
         def cli(exp, config, seed):
             return ["-m", "nslb.cli", exp, "--config", str(config), "--seed", str(seed)]
@@ -228,6 +236,7 @@ def main(argv=None):
             ("solver-3d-seed0", cli("simulate", solver, 0)),
             ("random-2d-seed0", cli("simulate", random_2d, 0)),
             *((f"fit-singularity-noisy-seed{s}", cli("fit-singularity", noisy_fit, s)) for s in SEEDS),
+            ("verify-kernels-2d-seed0", cli("verify-kernels", kernels_2d, 0)),
             ("cone-kernel-3d-seed0", ["-c", CONE_KERNEL_3D]),
         ]
 
