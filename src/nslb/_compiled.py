@@ -10,7 +10,9 @@ themselves.  This module loads ``fft/_pocketfft/pypocketfft`` and
 ``sparse/_sparsetools`` from scipy's install directory by path, under
 scipy's own module names, so those packages reuse them if the same process
 imports them later.  Finding the directory with ``importlib.util.find_spec``
-imports nothing.
+imports nothing, and the installed version string is read from scipy's
+``version.py`` in the same directory, loaded by path without entering
+``sys.modules``, so no scipy package is imported.
 
 The interface is private to scipy, so it is checked when loaded: a missing
 file or function, or a call that no longer gives the known result for the
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["KERNEL_FILES", "CSRMatrix", "rfftn_forward", "irfftn_forward"]
+__all__ = ["KERNEL_FILES", "SCIPY_VERSION", "CSRMatrix", "rfftn_forward", "irfftn_forward"]
 
 # scipy's own arguments for norm="forward": forward, then pocketfft's
 # normalisation code (2 scales by 1/size, 0 does not); the output array
@@ -113,7 +115,19 @@ def _load_kernels(scipy_dir: Path):
     return (fft_path, sparse_path), *_checked(pocketfft, sparsetools)
 
 
-KERNEL_FILES, _r2c, _c2r, _csr_matvec = _load_kernels(_scipy_dir())
+def _scipy_version(scipy_dir: Path) -> str:
+    """``scipy.__version__``: the ``version`` of scipy_dir/version.py."""
+    path = scipy_dir / "version.py"
+    if not path.is_file():
+        raise _unusable(f"missing file version.py in {scipy_dir}")
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location("scipy.version", path))
+    module.__spec__.loader.exec_module(module)
+    return module.version
+
+
+_SCIPY_DIR = _scipy_dir()
+KERNEL_FILES, _r2c, _c2r, _csr_matvec = _load_kernels(_SCIPY_DIR)
+SCIPY_VERSION = _scipy_version(_SCIPY_DIR)
 
 
 def rfftn_forward(x, axes):

@@ -26,10 +26,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import numpy.random  # numpy 2 imports it on first attribute use, which would fall inside a run
-import scipy
 
 from . import __version__
-from ._compiled import KERNEL_FILES
+from ._compiled import KERNEL_FILES, SCIPY_VERSION
 from .cone import ConeSpec, BallGrid, CylinderSpec, dtau_dt, mu_coeffs, sample_w_function, t_of_tau, tau_of_t, transformed_residual
 from .dynamics import SolverConfig, hopf_energy_check, simulate
 from .flows import StreamFlow, TaylorGreenFlow, perturbed_taylor_green, random_divergence_free, taylor_green
@@ -545,7 +544,7 @@ def _environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": SCIPY_VERSION,
         "scipy_kernels": sorted(path.name for path in KERNEL_FILES),
     }
 

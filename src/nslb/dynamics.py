@@ -24,8 +24,8 @@ linear in the product transforms, so they are folded into one real tensor
 K[i, p] per box mode, built once per run; the RK4 stages are combined in
 place in two preallocated buffers, and the four stage derivatives are
 released at the end of each step.  At record points the box is scattered
-onto the half lattice and phased in place as a ``SpectralField``, which is
-either kept or handed to an observer.
+onto the half lattice as a ``SpectralField``, which is either kept or
+handed to an observer.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import SpectralField, TorusGrid, _abs_sq, _full_sum, _mode_phase
+from .spectral import SpectralField, TorusGrid, _abs_sq, _full_sum
 from .leray import _project_modes
 
 __all__ = [
@@ -131,22 +131,16 @@ class _HalfSpectrum:
     """Per-run operators of the IF-RK4 loop on the 2/3 box of the ``rfftn``
     half lattice.
 
-    The loop state is the raw half spectrum c = phase * modes on the box
-    |alpha_k| <= k = N // 3: unphased coefficients, so that the real
-    transforms map them straight to grid values.  The
-    (-1)^(alpha_1+...+alpha_n) phase (``spectral._mode_phase``) commutes with
-    every diagonal operator here and is applied only when a field is
-    recorded.  Box axes hold wavenumbers in FFT order: 0..k,
-    then -k..-1 on each of the first n-1 axes (half-lattice indices 0..k
-    and N-k..N-1), and 0..k on the last axis, which therefore has no
-    Nyquist plane (k < N/2).  The alpha_k and |alpha|^2 tables are the box
-    of ``spectral``'s ``grid.alpha`` and ``grid.alpha_sq``; ``alphas`` and
-    ``inv_asq`` (1/|alpha|^2, 0 at alpha = 0) also serve ``simulate``'s
-    entry projection.  ``scatter`` writes a box array into the
-    half-lattice buffer the inverse transform reads; off the box only
-    ``field`` writes it (the phase turns zeros into -0.0) and then zeroes
-    it again, so it reads +0.0 there.  ``gather`` copies the box
-    out of a half-lattice array.
+    The loop state is the field's modes on the box |alpha_k| <= k = N // 3.
+    Box axes hold wavenumbers in FFT order: 0..k, then -k..-1 on each of the
+    first n-1 axes (half-lattice indices 0..k and N-k..N-1), and 0..k on the
+    last axis, which therefore has no Nyquist plane (k < N/2).  The alpha_k
+    and |alpha|^2 tables are the box of ``spectral``'s ``grid.alpha`` and
+    ``grid.alpha_sq``; ``alphas`` and ``inv_asq`` (1/|alpha|^2, 0 at
+    alpha = 0) also serve ``simulate``'s entry projection.  ``scatter``
+    writes a box array into the half-lattice buffer the inverse transform
+    reads, which stays zero off the box.  ``gather`` copies the box out of
+    a half-lattice array.
 
     The advection term -c * P[div(v (x) v)] on the box is linear in the
     product transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is
@@ -211,14 +205,8 @@ class _HalfSpectrum:
         return _full_sum(np.abs(c), self.grid.N)
 
     def field(self, c):
-        """The recorded field of the box array c: its half spectrum times the
-        mode phase, formed in the scatter buffer, which is zeroed again once
-        ``SpectralField`` has copied it."""
-        half = self.scatter(c)
-        half *= _mode_phase(self.grid)
-        f = SpectralField(self.grid, half)
-        half.fill(0)
-        return f
+        """The recorded field of the box array c (a copy of the scatter buffer)."""
+        return SpectralField(self.grid, self.scatter(c))
 
     def nonlinear(self, c):
         """-advect_coeff * P[div(v (x) v)] of the box array c on the box, as a
@@ -263,9 +251,8 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
     if v0.ncomp != grid.n:
         raise ValueError("projection needs one component per spatial dimension")
     op = _HalfSpectrum(grid, cfg)
-    # truncated to the box, then projected there: the projection acts on each
-    # mode alone, and the phase (+-1) commutes with it exactly
-    m = op.gather(v0.modes * _mode_phase(grid), np.empty((grid.n,) + op.shape, dtype=complex))
+    # truncated to the box, then projected there: the projection acts on each mode alone
+    m = op.gather(v0.modes, np.empty((grid.n,) + op.shape, dtype=complex))
     m = _project_modes(m, op.alphas, op.inv_asq)
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear

@@ -125,6 +125,10 @@ def random_divergence_free(grid: TorusGrid, rng, kmax=None, rms=1.0) -> Spectral
     del draw
     modes *= 0.5
     modes *= _band(grid, kmax) & (grid.alpha_sq() > 0)
+    # the draw holds the coefficients of the series in x; the modes of the
+    # series in x + 0.5 are those times (-1)^(alpha_1 + ... + alpha_n), and
+    # for even N the parity of alpha is that of its lattice index
+    modes *= (-1.0) ** sum(np.indices(grid.half_shape, sparse=True))
     field = SpectralField(grid, modes)
     del modes
     field = leray_project(field)

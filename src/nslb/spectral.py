@@ -1,20 +1,20 @@
 """Fourier-space fields on the unit torus [-0.5, 0.5]^n.
 
-A field is stored as a truncated Fourier series
+A field is stored as a truncated Fourier series in x + 0.5,
 
-    f(x) = sum_alpha  f_alpha exp(2 pi i alpha . x),    |alpha_k| <= N/2,
+    f(x) = sum_alpha  f_alpha exp(2 pi i alpha . (x + 0.5)),    |alpha_k| <= N/2,
 
-so all 2*pi factors live in the mode formulas and the physical grid is
-the uniform lattice x_j = -0.5 + j/N.  Fields are real, f_{-alpha} =
-conj(f_alpha), so only the half spectrum is stored, last-axis wavenumbers
-0..N/2 (the real-to-complex layout; Canuto, Hussaini, Quarteroni & Zang,
-Spectral Methods, 2007): ``to_modes`` and ``to_grid`` are scipy's
-compiled real pocketfft transforms (``_compiled``; ``to_grid`` runs one per
-component) times the (-1)^(alpha_1 + ... + alpha_n) phase of the -0.5
-grid offset.  The
-last-axis planes 0 and N/2 hold both alpha and -alpha; ``SpectralField``
-makes them their own conjugate mirror.  A full-lattice sum of a quantity
-even in alpha counts the planes between them twice (``_full_sum``).
+so all 2*pi factors live in the mode formulas.  On the uniform lattice
+x_j = -0.5 + j/N the exponentials are exp(2 pi i alpha . j / N), so the
+modes are the forward-normalised DFT of the grid samples.  Fields are
+real, f_{-alpha} = conj(f_alpha), so only the half spectrum is stored,
+last-axis wavenumbers 0..N/2 (the real-to-complex layout; Canuto,
+Hussaini, Quarteroni & Zang, Spectral Methods, 2007): ``to_modes`` and
+``to_grid`` are scipy's compiled real pocketfft transforms (``_compiled``;
+``to_grid`` runs one per component).  The last-axis planes 0 and N/2 hold
+both alpha and -alpha; ``SpectralField`` makes them their own conjugate
+mirror.  A full-lattice sum of a quantity even in alpha counts the planes
+between them twice (``_full_sum``).
 
 The Nyquist wavenumber N/2 of an axis carries the one grid mode
 cos(pi N x_k), whose first derivative vanishes on the grid: ``alpha``, the
@@ -112,17 +112,6 @@ def _alpha_sq(grid):
 
 
 @functools.cache
-def _mode_phase(grid):
-    """(-1)^(alpha_1 + ... + alpha_n), the exact phase of the -0.5 grid offset
-    (built once per grid, read-only)."""
-    phase = np.ones(grid.half_shape)
-    for axis in range(grid.n):
-        k = _on_axis(grid, grid.wavenumbers(), axis).astype(int)
-        phase = phase * np.where(k % 2 == 0, 1.0, -1.0)
-    return _read_only(phase)
-
-
-@functools.cache
 def _mirror(grid):
     """Flat index, within one last-axis plane (the first n-1 axes), of
     -alpha for every alpha: storage index j -> (N - j) mod N on every axis
@@ -180,8 +169,12 @@ class SpectralField:
         if not np.all(np.isfinite(m)):
             raise ValueError("mode array contains non-finite values")
         planes = m[..., :: grid.N // 2]
+        # 0.5 * (planes + conj(mirrored)), formed in the ``take`` output
         mirrored = np.take(planes.reshape(m.shape[0], -1, 2), _mirror(grid), axis=1)
-        m[..., :: grid.N // 2] = 0.5 * (planes + np.conj(mirrored))
+        np.conjugate(mirrored, out=mirrored)
+        mirrored += planes
+        mirrored *= 0.5
+        m[..., :: grid.N // 2] = mirrored
         object.__setattr__(self, "modes", m)
 
     @property
@@ -215,7 +208,7 @@ def to_modes(f: PhysicalField) -> SpectralField:
     if not np.all(np.isfinite(f.values)):
         raise ValueError("physical field contains non-finite values")
     grid = f.grid
-    return SpectralField(grid, rfftn_forward(f.values, tuple(range(1, 1 + grid.n))) * _mode_phase(grid))
+    return SpectralField(grid, rfftn_forward(f.values, tuple(range(1, 1 + grid.n))))
 
 
 def to_grid(v: SpectralField) -> PhysicalField:
@@ -223,10 +216,8 @@ def to_grid(v: SpectralField) -> PhysicalField:
     grid = v.grid
     axes = tuple(range(grid.n))
     values = np.empty((v.ncomp,) + grid.shape)
-    phased = np.empty(grid.half_shape, dtype=complex)
     for modes, out in zip(v.modes, values):
-        np.multiply(modes, _mode_phase(grid), out=phased)
-        irfftn_forward(phased, axes, grid.N, out=out)
+        irfftn_forward(modes, axes, grid.N, out=out)
     return PhysicalField(grid, values)
 
 

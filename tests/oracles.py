@@ -35,7 +35,7 @@ from nslb.dynamics import SolverConfig, _HalfSpectrum, _cumulative_trapezoid, en
 from nslb.kernels import KernelSpec, gaussian
 from nslb.leray import _project_modes, leray_project
 from nslb.singularity import _cone_sample_points
-from nslb.spectral import SpectralField, TorusGrid, _band, _mode_phase, dealias, dealias_mask, sobolev_norm, to_grid
+from nslb.spectral import SpectralField, TorusGrid, _band, dealias, dealias_mask, sobolev_norm, to_grid
 
 
 def brute_force_pressure_gradient(v, i):
@@ -103,8 +103,7 @@ def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
     The advective form, evaluated with complex FFTs over the whole lattice:
     grid values of v and of every partial d_j v_i, their pointwise products
     summed over j, then the forward transform, the 2/3 mask and the mode-wise
-    Leray projection.  ``modes`` has shape (n, N, ..., N) in FFT order with
-    the (-1)^(alpha_1+...+alpha_n) phase of the -0.5 grid offset.
+    Leray projection.  ``modes`` has shape (n, N, ..., N) in FFT order.
     """
     axes = tuple(range(1, 1 + n))
     wave = np.fft.fftfreq(N, 1.0 / N)
@@ -113,20 +112,18 @@ def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
         shape = [1] * n
         shape[k] = N
         alphas.append(wave.reshape(shape))
-    phase = np.ones((N,) * n)
     keep = np.ones((N,) * n, dtype=bool)
     asq = np.zeros((N,) * n)
     for a in alphas:
-        phase = phase * np.where(a.astype(int) % 2 == 0, 1.0, -1.0)
         keep &= np.abs(a) <= N / 3.0
         asq = asq + a**2
-    vel = np.fft.ifftn(modes * phase, axes=axes).real * N**n
+    vel = np.fft.ifftn(modes, axes=axes).real * N**n
     adv = np.zeros((n,) + (N,) * n)
     for i in range(n):
         for j in range(n):
-            dgrid = np.fft.ifftn(2j * np.pi * alphas[j] * modes[i] * phase).real * N**n
+            dgrid = np.fft.ifftn(2j * np.pi * alphas[j] * modes[i]).real * N**n
             adv[i] += vel[j] * dgrid
-    adv_modes = np.fft.fftn(adv, axes=axes) / N**n * phase * keep
+    adv_modes = np.fft.fftn(adv, axes=axes) / N**n * keep
     dot = sum(alphas[k] * adv_modes[k] for k in range(n))
     for k in range(n):
         adv_modes[k] -= np.where(asq == 0, 0.0, alphas[k] * dot / np.where(asq == 0, 1.0, asq))
@@ -138,7 +135,7 @@ def projected_divergence_modes(c, n, N, advect_coeff=1.0):
     unfused: divergence sums, then the Leray projection, then the
     coefficient.
 
-    ``c`` is the raw (unphased) half spectrum, shape (n, N, ..., N/2+1):
+    ``c`` is a half spectrum, shape (n, N, ..., N/2+1):
     grid values by the inverse real transform, every product v_i v_j, one
     forward transform each, div_i = sum_j 2 pi i alpha_j (v_i v_j)_alpha,
     then div - alpha (alpha . div) / |alpha|^2 (mean mode kept) and the 2/3
@@ -189,7 +186,7 @@ class HalfLatticeOperator:
     2/3 mask folded into K: the reference the box operators of
     ``dynamics._HalfSpectrum`` must reproduce bit for bit on the box.
 
-    ``nonlinear`` takes and returns raw half spectra of shape
+    ``nonlinear`` takes and returns half spectra of shape
     (n, N, ..., N/2+1); K is zero off the 2/3 box.
     """
 
@@ -215,7 +212,7 @@ class HalfLatticeOperator:
             self.K[:, p] = scale * _project_modes(div, alphas, inv_asq)
 
     def nonlinear(self, c):
-        """-advect_coeff * mask * P[div(v (x) v)] of the raw half spectrum c."""
+        """-advect_coeff * mask * P[div(v (x) v)] of the half spectrum c."""
         vel = irfftn_forward(c, self.axes, self.grid.N)
         prods = np.stack([vel[i] * vel[j] for i, j in self.pairs])
         w = rfftn_forward(prods, self.axes)
@@ -256,7 +253,7 @@ def rolled_random_divergence_free(grid, rng, kmax=None, rms=1.0):
     half = (Ellipsis, slice(0, grid.N // 2 + 1))
     modes = 0.5 * (draw[half] + np.conj(mirrored[half]))
     band = _band(grid, kmax) & (grid.alpha_sq() > 0)
-    field = dealias(leray_project(SpectralField(grid, modes * band)))
+    field = dealias(leray_project(SpectralField(grid, modes * band * full_phase(grid)[half])))
     return SpectralField(grid, field.modes * (rms / sobolev_norm(field, 0.0)))
 
 
@@ -280,9 +277,8 @@ def kernel_mass_meshgrid(nu_eff):
 
 
 def box_of(op: _HalfSpectrum, modes):
-    """The 2/3 box of the raw (unphased) half spectrum of a field's modes, as
-    the loop of ``simulate`` stores it."""
-    return op.gather(modes * _mode_phase(op.grid), np.empty((modes.shape[0],) + op.shape, dtype=complex))
+    """The 2/3 box of a field's modes, as the loop of ``simulate`` stores it."""
+    return op.gather(modes, np.empty((modes.shape[0],) + op.shape, dtype=complex))
 
 
 def loop_poisson_system(ball, rhs_values, boundary_values):
@@ -445,7 +441,8 @@ def full_wavenumbers(grid):
 
 
 def full_phase(grid):
-    """(-1)^(alpha_1 + ... + alpha_n) on the full lattice."""
+    """(-1)^(alpha_1 + ... + alpha_n) on the full lattice: the coefficients
+    of a series in x + 0.5 over those of the same field's series in x."""
     return (-1.0) ** sum(a.astype(int) for a in full_wavenumbers(grid))
 
 
@@ -453,14 +450,14 @@ def full_modes(values, grid):
     """Full-lattice modes of real grid values (ncomp, N, ..., N), by numpy's
     complex FFT."""
     axes = tuple(range(1, 1 + grid.n))
-    return np.fft.fftn(values, axes=axes) / grid.N**grid.n * full_phase(grid)
+    return np.fft.fftn(values, axes=axes) / grid.N**grid.n
 
 
 def full_to_grid(modes, grid):
     """Grid values of full-lattice modes: the real part of the complex
     inverse transform, which is the field of their conjugate-symmetric part."""
     axes = tuple(range(1, 1 + grid.n))
-    return (np.fft.ifftn(modes * full_phase(grid), axes=axes) * grid.N**grid.n).real
+    return (np.fft.ifftn(modes, axes=axes) * grid.N**grid.n).real
 
 
 def full_energy(modes):
@@ -487,8 +484,9 @@ def full_divergence(modes, grid):
 
 def full_random_divergence_free(grid, rng, kmax, rms):
     """Full-lattice modes of ``random_divergence_free``: the same draws,
-    band and conjugate-symmetric part, the Leray projection with Nyquist
-    read as -N/2, the 2/3 mask and the L2 normalisation."""
+    band and conjugate-symmetric part as coefficients of the series in x,
+    the Leray projection with Nyquist read as -N/2, the 2/3 mask and the L2
+    normalisation."""
     shape = (grid.n,) + grid.shape
     modes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     alphas = full_wavenumbers(grid)
@@ -498,7 +496,7 @@ def full_random_divergence_free(grid, rng, kmax, rms):
         band &= np.abs(a) <= kmax
         keep &= np.abs(a) <= grid.N / 3.0
     modes = modes * band
-    modes = 0.5 * (modes + reflect(np.conj(modes), tuple(range(1, grid.n + 1))))
+    modes = 0.5 * (modes + reflect(np.conj(modes), tuple(range(1, grid.n + 1)))) * full_phase(grid)
     dot = sum(a * m for a, m in zip(alphas, modes)) / np.where(asq == 0, 1.0, asq)
     modes = np.stack([m - a * dot for a, m in zip(alphas, modes)]) * keep
     return modes * (rms / np.sqrt(np.sum(np.abs(modes) ** 2)))
@@ -651,7 +649,7 @@ def rhs(v: SpectralField, cfg: SolverConfig) -> SpectralField:
     """
     op = _HalfSpectrum(v.grid, cfg)
     lin = -cfg.nu * 4 * np.pi**2 * v.grid.alpha_sq()
-    advection = op.scatter(op.nonlinear(box_of(op, v.modes))) * _mode_phase(v.grid)
+    advection = op.scatter(op.nonlinear(box_of(op, v.modes)))
     return SpectralField(v.grid, lin * v.modes + advection)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -627,7 +628,7 @@ def test_config_named_for_its_experiment_runs_and_sidecar_records_environment(tm
     assert json.loads((out / "report.json").read_text())["experiment"] == "simulate"
     env = json.loads((out / "report.meta.json").read_text())["environment"]
     assert set(env) == {"python", "numpy", "scipy", "scipy_kernels"}
-    assert env["numpy"] == np.__version__
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     kernels = env["scipy_kernels"]
     assert kernels == sorted(kernels) and len(kernels) == 2
     assert kernels[0].startswith("_sparsetools") and kernels[1].startswith("pypocketfft")

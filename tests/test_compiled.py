@@ -121,6 +121,8 @@ def test_loader_names_scipy_version_and_missing_file(tmp_path):
     message = str(err.value)
     assert f"scipy {scipy.__version__}" in message
     assert "fft/_pocketfft/pypocketfft" in message and str(tmp_path) in message
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}: missing file version.py in {tmp_path}"):
+        _compiled._scipy_version(tmp_path)
 
 
 def test_loader_rejects_changed_kernels():

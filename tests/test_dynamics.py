@@ -22,7 +22,6 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    _mode_phase,
     dealias,
     dealias_mask,
     divergence,
@@ -145,7 +144,7 @@ def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff,
     keep = dealias_mask(grid)
     for c in (
         keep * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
-        random_divergence_free(grid, rng, kmax=N // 3).modes * _mode_phase(grid),
+        random_divergence_free(grid, rng, kmax=N // 3).modes,
     ):
         expected = projected_divergence_modes(c, n, N, advect_coeff)
         box = op.gather(c, np.empty((n,) + op.shape, dtype=complex))
@@ -173,15 +172,18 @@ def test_nonlinear_matches_batched_oracle_bit_for_bit(n, N, advect_coeff, seed):
 
 
 def test_recorded_field_leaves_the_scatter_buffer_zero_off_the_box():
-    # the phase is applied in the scatter buffer, which must read zero off
-    # the box (and +0.0, not -0.0) for the next inverse transform
+    # the recorded field is a copy of the scatter buffer, which must still
+    # read zero off the box (and +0.0, not -0.0) for the next inverse
+    # transform
     grid = TorusGrid(3, 12)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
     box = np.random.default_rng(3).standard_normal((3,) + op.shape) + 0j
     f = op.field(box)
-    assert f.modes.tobytes() == SpectralField(grid, op.scatter(box) * _mode_phase(grid)).modes.tobytes()
+    assert not np.shares_memory(f.modes, op._half)
+    assert f.modes.tobytes() == SpectralField(grid, op.scatter(box)).modes.tobytes()
     op.field(box)
-    assert op._half.tobytes() == np.zeros_like(op._half).tobytes()
+    off = op._half[:, ~dealias_mask(grid)]
+    assert off.tobytes() == np.zeros_like(off).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -215,7 +217,7 @@ def test_in_place_rk4_equals_out_of_place_update(n, N):
     states = out_of_place_if_rk4(lambda c: op.nonlinear(c).copy(), op.e_full, op.e_half, cfg.dt, m0, 5)
     assert len(traj.snapshots) == 6
     for f, m in zip(traj.snapshots[1:], states):
-        assert np.array_equal(f.modes, SpectralField(grid, op.scatter(m) * _mode_phase(grid)).modes)
+        assert np.array_equal(f.modes, SpectralField(grid, op.scatter(m)).modes)
 
 
 @settings(max_examples=20, deadline=None)
@@ -234,11 +236,11 @@ def test_box_loop_equals_half_lattice_reference(n, N, advect_coeff, seed):
     v0 = random_divergence_free(grid, np.random.default_rng(seed), kmax=N // 3, rms=3.0)
     traj = simulate(v0, cfg)
     ref = HalfLatticeOperator(grid, cfg)
-    m0 = dealias(leray_project(v0)).modes * _mode_phase(grid)
+    m0 = dealias(leray_project(v0)).modes
     states = out_of_place_if_rk4(ref.nonlinear, ref.e_full, ref.e_half, cfg.dt, m0, 3)
     assert len(traj.snapshots) == 4
     for f, m in zip(traj.snapshots[1:], states):
-        assert np.array_equal(f.modes, SpectralField(grid, m * _mode_phase(grid)).modes)
+        assert np.array_equal(f.modes, SpectralField(grid, m).modes)
 
 
 def test_recorded_snapshots_do_not_alias_the_loop_state():
@@ -358,6 +360,22 @@ def test_random_field_peak_is_at_most_seven_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * half_spectrum_field_bytes(grid)
+
+
+def test_spectral_field_peak_is_its_copy_and_two_planes():
+    # the copy of the modes (F), then the mirror of last-axis planes 0 and
+    # N/2 formed in place in the ``take`` output: two planes, 2/17 F at N = 32
+    grid = TorusGrid(3, 32)
+    modes = random_divergence_free(grid, np.random.default_rng(0)).modes
+    SpectralField(grid, modes)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        SpectralField(grid, modes)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * half_spectrum_field_bytes(grid)
 
 
 @settings(max_examples=30, deadline=None)

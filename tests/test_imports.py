@@ -16,6 +16,7 @@ SRC = ROOT / "src" / "nslb"
 # scipy's Python packages, and what their init imports: nslb loads only the
 # compiled kernels it calls (nslb._compiled), which are also its only FFT
 UNLOADED = (
+    "scipy",
     "scipy.fft",
     "scipy.sparse",
     "scipy.special",

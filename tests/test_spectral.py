@@ -12,7 +12,6 @@ from nslb.spectral import (
     TorusGrid,
     _full_sum,
     _mirror,
-    _mode_phase,
     dealias,
     divergence,
     sobolev_norm,
@@ -66,9 +65,10 @@ def test_sine_mode_coefficients():
     grid = TorusGrid(2, 16)
     x, _ = grid.meshes()
     v = to_modes(PhysicalField(grid, np.sin(2 * np.pi * x)[None]))
-    # sin(2 pi x1) = -i/2 e^{2 pi i x1} + i/2 e^{-2 pi i x1}
-    assert abs(v.modes[0][1, 0] - (-0.5j)) < 1e-14
-    assert abs(v.modes[0][-1, 0] - 0.5j) < 1e-14
+    # the series is in x1 + 1/2: sin(2 pi x1) = -sin(2 pi (x1 + 1/2))
+    # = i/2 e^{2 pi i (x1 + 1/2)} - i/2 e^{-2 pi i (x1 + 1/2)}
+    assert abs(v.modes[0][1, 0] - 0.5j) < 1e-14
+    assert abs(v.modes[0][-1, 0] - (-0.5j)) < 1e-14
     rest = v.modes[0].copy()
     rest[1, 0] = 0
     rest[-1, 0] = 0
@@ -220,25 +220,24 @@ def test_wavenumbers_are_fft_order_integers(N):
 @pytest.mark.parametrize("n, N", [(2, 10), (3, 8)])
 def test_per_grid_constants_built_once_and_read_only(n, N):
     grid = TorusGrid(n, N)
-    asq, phase, mirror = grid.alpha_sq(), _mode_phase(grid), _mirror(grid)
-    assert TorusGrid(n, N).alpha_sq() is asq and _mode_phase(TorusGrid(n, N)) is phase
+    asq, mirror = grid.alpha_sq(), _mirror(grid)
+    assert TorusGrid(n, N).alpha_sq() is asq
     assert _mirror(TorusGrid(n, N)) is mirror
     wave = grid.wavenumbers()
     mesh = np.meshgrid(*(wave,) * (n - 1), wave[: N // 2 + 1], indexing="ij")
     assert np.array_equal(asq, sum(k**2 for k in mesh))
-    assert np.array_equal(phase, (-1.0) ** sum(k.astype(int) for k in mesh))
     # the mirror holds the flat index of -alpha (mod N) within a last-axis
     # plane, and is an involution
     plane = grid.shape[:-1]
     for k, neg in zip(np.meshgrid(*(wave,) * (n - 1), indexing="ij"), np.unravel_index(mirror, plane)):
         assert np.all((k + wave[neg]) % N == 0)
     assert np.array_equal(mirror.ravel()[mirror], np.arange(N ** (n - 1)).reshape(plane))
-    for shared in (asq, phase, mirror):
+    for shared in (asq, mirror):
         with pytest.raises(ValueError, match="read-only"):
             shared[(0,) * shared.ndim] = 7.0
         with pytest.raises(ValueError, match="read-only"):
             shared *= 2.0
-    assert asq[(0,) * n] == 0.0 and phase[(0,) * n] == 1.0
+    assert asq[(0,) * n] == 0.0
 
 
 @pytest.mark.parametrize("n, N", [(2, 16), (2, 32), (3, 8), (3, 12), (3, 16)])
@@ -261,7 +260,10 @@ def test_to_grid_keeps_real_part_of_non_hermitian_modes(n, N):
     fields += [(r, full_lattice(r.modes, grid)) for r in records]
     for field, modes in fields:
         want = full_to_grid(modes, grid)
+        before = field.modes.tobytes()
         got = to_grid(field).values
+        # the inverse transform reads the modes in place and leaves them
+        assert field.modes.tobytes() == before
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -288,6 +290,17 @@ def test_odd_derivatives_read_the_nyquist_wavenumber_as_zero(n, N):
     want = full_to_grid(full_divergence(full_modes(vel, grid), grid), grid)
     got = to_grid(divergence(to_modes(PhysicalField(grid, vel)))).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3]), N=st.sampled_from(range(8, 25, 2)), seed=st.integers(0, 2**32 - 1))
+def test_modes_are_the_forward_normalised_dft_of_the_samples(n, N, seed):
+    # the series is in x + 0.5, so the modes are scipy's real DFT of the
+    # grid values, bit for bit, with no phase
+    grid = TorusGrid(n, N)
+    f = random_field(grid, seed)
+    want = SpectralField(grid, scipy.fft.rfftn(f.values, axes=tuple(range(1, n + 1)), norm="forward"))
+    assert to_modes(f).modes.tobytes() == want.modes.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -331,9 +344,9 @@ def test_mirror_matches_reflect_oracle_bit_for_bit(n, N, lead, seed):
     want[..., :: N // 2] = 0.5 * (planes + reflect(np.conj(planes), tuple(range(len(lead), len(lead) + n - 1))))
     v = SpectralField(grid, half.reshape((-1,) + grid.half_shape))
     assert v.modes.tobytes() == want.tobytes()
-    seen = scipy.fft.irfftn(v.modes * _mode_phase(grid), s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
+    seen = scipy.fft.irfftn(v.modes, s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
     assert to_grid(v).values.tobytes() == seen.tobytes()
-    raw = scipy.fft.irfftn(half.reshape(v.modes.shape) * _mode_phase(grid), s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
+    raw = scipy.fft.irfftn(half.reshape(v.modes.shape), s=grid.shape, axes=tuple(range(1, n + 1)), norm="forward")
     assert np.max(np.abs(to_grid(v).values - raw)) <= 1e-12 * np.max(np.abs(raw))
 
 

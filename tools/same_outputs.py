@@ -10,6 +10,9 @@ Runs, once on the source of REV and once on the working tree:
   snapshot written) at seed 0;
 - a 2D ``random`` simulate run (``RANDOM_2D``: N = 24, so the 2/3 box edge
   lies exactly at N/3; every tenth snapshot written) at seed 0;
+- a 3D ``random`` simulate run (``RANDOM_3D``: N = 24, the 2/3 box edge at
+  N/3 on all three axes; every snapshot written) at seed 0, so the random
+  draw's mode parity is covered in 3D too;
 - a noisy ``fit-singularity`` run (``NOISY_FIT``: noise = 0.05, 960
   samples, so the sampler's lognormal noise draw is covered too) at seeds
   0 and 7;
@@ -70,6 +73,21 @@ nu = 0.05
 dt = 0.002
 t_end = 0.2
 snapshot_stride = 10
+
+[output]
+snapshots = true
+"""
+RANDOM_3D = """\
+[grid]
+n = 3
+N = 24
+
+[physics]
+initial = random
+nu = 0.05
+dt = 0.002
+t_end = 0.02
+snapshot_stride = 1
 
 [output]
 snapshots = true
@@ -222,6 +240,8 @@ def main(argv=None):
         solver.write_text(solver_config())
         random_2d = tmp / "random_2d.cfg"
         random_2d.write_text(RANDOM_2D)
+        random_3d = tmp / "random_3d.cfg"
+        random_3d.write_text(RANDOM_3D)
         noisy_fit = tmp / "noisy_fit.cfg"
         noisy_fit.write_text(NOISY_FIT)
         kernels_2d = tmp / "kernels_2d.cfg"
@@ -235,6 +255,7 @@ def main(argv=None):
         jobs += [
             ("solver-3d-seed0", cli("simulate", solver, 0)),
             ("random-2d-seed0", cli("simulate", random_2d, 0)),
+            ("random-3d-seed0", cli("simulate", random_3d, 0)),
             *((f"fit-singularity-noisy-seed{s}", cli("fit-singularity", noisy_fit, s)) for s in SEEDS),
             ("verify-kernels-2d-seed0", cli("verify-kernels", kernels_2d, 0)),
             ("cone-kernel-3d-seed0", ["-c", CONE_KERNEL_3D]),
