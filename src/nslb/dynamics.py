@@ -7,36 +7,26 @@ RK4 handles only the projected advection term.
 
 The loop runs on the half spectrum that ``SpectralField`` stores (last-axis
 wavenumbers 0..N/2) through scipy's compiled pocketfft transforms
-(``_compiled``), and it stores only the 2/3 box of it: the modes with every
-|alpha_k| <= N/3, the only ones the 2/3 rule keeps nonzero.
-The advection term is evaluated in divergence form, P[div(v (x) v)]:
-the box is scattered into a zeroed half-lattice buffer, one batched
-inverse transform gives the n velocity components, and each of the
-n(n+1)/2 products v_i v_j is formed, transformed and its box gathered
-back in turn, so only one product lives on the grid at a time.
-On each axis the box is one or two runs of lattice indices, so scatter
-and gather are 2^(n-1) block copies by basic slices.  For a solenoidal
-state kept inside the box this equals the advective form P[(v . grad) v]
-restricted to the box: when 3 does not divide N, the products alias only
-onto modes outside it (Orszag 1971; Canuto, Hussaini, Quarteroni & Zang,
-Spectral Methods, 2007).  Divergence, projection and coefficient are
-linear in the product transforms, so they are folded into one real tensor
-K[i, p] per box mode, built once per run; the RK4 stages are combined in
-place in two preallocated buffers, and the four stage derivatives are
-released at the end of each step.  At record points the box is scattered
-onto the half lattice as a ``SpectralField``, which is either kept or
-handed to an observer.
+(``_compiled``), and it stores only the 2/3 box of it (``spectral._Box``).
+The advection term is evaluated in divergence form, P[div(v (x) v)], one
+product v_i v_j on the grid at a time (``_HalfSpectrum``).  For a
+solenoidal state kept inside the box this equals the advective form
+P[(v . grad) v] restricted to the box, since the products alias only onto
+modes outside it.  The RK4 stages are combined in place in two
+preallocated buffers, and the four stage derivatives are released at the
+end of each step.  At record points the box is scattered onto the half
+lattice as a ``SpectralField``, which is either kept or handed to an
+observer.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._compiled import irfftn_forward, rfftn_forward
-from .spectral import SpectralField, TorusGrid, _abs_sq, _full_sum
+from .spectral import SpectralField, TorusGrid, _Box, _abs_sq, _full_sum
 from .leray import _project_modes
 
 __all__ = [
@@ -128,19 +118,7 @@ def gradient_energy(v: SpectralField) -> float:
 
 
 class _HalfSpectrum:
-    """Per-run operators of the IF-RK4 loop on the 2/3 box of the ``rfftn``
-    half lattice.
-
-    The loop state is the field's modes on the box |alpha_k| <= k = N // 3.
-    Box axes hold wavenumbers in FFT order: 0..k, then -k..-1 on each of the
-    first n-1 axes (half-lattice indices 0..k and N-k..N-1), and 0..k on the
-    last axis, which therefore has no Nyquist plane (k < N/2).  The alpha_k
-    and |alpha|^2 tables are the box of ``spectral``'s ``grid.alpha`` and
-    ``grid.alpha_sq``; ``alphas`` and ``inv_asq`` (1/|alpha|^2, 0 at
-    alpha = 0) also serve ``simulate``'s entry projection.  ``scatter``
-    writes a box array into the half-lattice buffer the inverse transform
-    reads, which stays zero off the box.  ``gather`` copies the box out of
-    a half-lattice array.
+    """Per-run operators of the IF-RK4 loop on the grid's 2/3 box ``box``.
 
     The advection term -c * P[div(v (x) v)] on the box is linear in the
     product transforms w_p of v_i v_j, p over ``pairs`` (i <= j), and is
@@ -151,58 +129,32 @@ class _HalfSpectrum:
     """
 
     def __init__(self, grid: TorusGrid, cfg: SolverConfig):
-        n, N = grid.n, grid.N
-        k = N // 3
+        n = grid.n
         self.grid = grid
+        self.box = box = _Box(grid)
         self.axes = tuple(range(1, 1 + n))
         self._prod_axes = tuple(range(n))
-        self.shape = (2 * k + 1,) * (n - 1) + (k + 1,)
-        # (box slice, half-lattice slice) of the nonnegative and the
-        # negative wavenumbers of a full axis
-        runs = ((slice(0, k + 1), slice(0, k + 1)), (slice(k + 1, 2 * k + 1), slice(N - k, N)))
-        last = slice(0, k + 1)
-        self._blocks = [
-            ((Ellipsis, *(box for box, _ in combo), last), (Ellipsis, *(lat for _, lat in combo), last))
-            for combo in itertools.product(runs, repeat=n - 1)
-        ]
-        # alpha_k and |alpha|^2 on the box: no Nyquist wavenumber lies in it
-        self.alphas = [self.gather(np.broadcast_to(grid.alpha(axis), grid.half_shape), np.empty(self.shape)) for axis in range(n)]
-        asq = self.gather(grid.alpha_sq(), np.empty(self.shape))
-        self.inv_asq = np.divide(1.0, asq, out=np.zeros_like(asq), where=asq != 0)
-        lin = -cfg.nu * 4 * np.pi**2 * asq
+        lin = -cfg.nu * 4 * np.pi**2 * box.asq
         self.e_full = np.exp(lin * cfg.dt)
         self.e_half = np.exp(lin * cfg.dt / 2)
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
         scale = 2 * np.pi * cfg.advect_coeff
-        self.K = np.empty((n, len(self.pairs)) + self.shape)
+        self.K = np.empty((n, len(self.pairs)) + box.shape)
         for p, (i, j) in enumerate(self.pairs):
-            div = np.zeros((n,) + self.shape)
-            div[i] += self.alphas[j]
+            div = np.zeros((n,) + box.shape)
+            div[i] += box.alphas[j]
             if j != i:
-                div[j] += self.alphas[i]
-            self.K[:, p] = scale * _project_modes(div, self.alphas, self.inv_asq)
+                div[j] += box.alphas[i]
+            self.K[:, p] = scale * _project_modes(div, box.alphas, box.inv_asq)
         self._half = np.zeros((n,) + grid.half_shape, dtype=complex)
         self._prod = np.empty(grid.shape)
-        self._w = np.empty(self.shape, dtype=complex)
-        self._term = np.empty((n,) + self.shape, dtype=complex)
+        self._w = np.empty(box.shape, dtype=complex)
+        self._term = np.empty((n,) + box.shape, dtype=complex)
 
     def scatter(self, c):
         """The half-lattice buffer holding the box array c, zero off the box
         (reused: valid until the next ``scatter`` or ``nonlinear``)."""
-        half = self._half
-        for box, lat in self._blocks:
-            half[lat] = c[box]
-        return half
-
-    def gather(self, h, out):
-        """Copy the box of the half-lattice array h into ``out``."""
-        for box, lat in self._blocks:
-            out[box] = h[lat]
-        return out
-
-    def abs_sum(self, c):
-        """sum |v_alpha| over the full lattice: last-axis box planes 1..k count twice."""
-        return _full_sum(np.abs(c), self.grid.N)
+        return self.box.scatter(c, self._half)
 
     def field(self, c):
         """The recorded field of the box array c (a copy of the scatter buffer)."""
@@ -220,7 +172,7 @@ class _HalfSpectrum:
         out = np.empty(c.shape, dtype=complex)
         for p, (i, j) in enumerate(self.pairs):
             np.multiply(vel[i], vel[j], out=prod)
-            self.gather(rfftn_forward(prod, self._prod_axes), w)
+            self.box.gather(rfftn_forward(prod, self._prod_axes), w)
             if p == 0:
                 np.multiply(self.K[:, 0], w, out=out)
             else:
@@ -252,8 +204,8 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
         raise ValueError("projection needs one component per spatial dimension")
     op = _HalfSpectrum(grid, cfg)
     # truncated to the box, then projected there: the projection acts on each mode alone
-    m = op.gather(v0.modes, np.empty((grid.n,) + op.shape, dtype=complex))
-    m = _project_modes(m, op.alphas, op.inv_asq)
+    m = op.box.gather(v0.modes, np.empty((grid.n,) + op.box.shape, dtype=complex))
+    m = _project_modes(m, op.box.alphas, op.box.inv_asq)
     e_full, e_half = op.e_full, op.e_half
     nl = op.nonlinear
     dt = cfg.dt
@@ -310,7 +262,7 @@ def simulate(v0: SpectralField, cfg: SolverConfig, observe=None) -> Trajectory:
         del n1, n2, n3, n4  # not held across the record point
         t = (step + 1) * dt
         # sup |v| <= sum |v_alpha|: cheap overflow guard without a transform
-        bound = op.abs_sum(m)
+        bound = _full_sum(np.abs(m), grid.N)
         if not np.isfinite(bound) or bound > cfg.blowup_threshold:
             blew_up = True
             if np.isfinite(bound):

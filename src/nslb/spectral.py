@@ -25,6 +25,7 @@ it as 0, and ``alpha_sq``, the symbol of the Laplacian, as (N/2)^2.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,11 +241,58 @@ def sobolev_norm(v: SpectralField, s: float) -> float:
     return float(np.sqrt(_full_sum(weighted, v.grid.N)))
 
 
+@functools.cache
+class _Box:
+    """The 2/3 box of the half lattice, one per grid: the modes with every
+    |alpha_k| <= k = (N - 1) // 3, that is |alpha_k| < N/3, the only ones the
+    2/3 rule keeps.  A product of two box fields reaches |alpha_k| = 2k,
+    which on N points aliases to 2k - N, outside the box since 3k < N
+    (Orszag 1971; Canuto, Hussaini, Quarteroni & Zang, Spectral Methods, 2007).
+
+    Box axes hold wavenumbers in FFT order: 0..k, then -k..-1 on each of the
+    first n-1 axes (half-lattice indices 0..k and N-k..N-1), and 0..k on the
+    last axis, which therefore has no Nyquist plane (k < N/2).  On each axis
+    the box is one or two runs of lattice indices, so ``gather`` and
+    ``scatter`` are 2^(n-1) block copies by basic slices.  The read-only
+    tables are the box of ``grid.alpha`` and ``grid.alpha_sq``, 1/|alpha|^2
+    (0 at alpha = 0) and the box's half-lattice ``mask``.
+    """
+
+    def __init__(self, grid):
+        n, N = grid.n, grid.N
+        k = (N - 1) // 3
+        self.shape = (2 * k + 1,) * (n - 1) + (k + 1,)
+        # (box slice, half-lattice slice) of the nonnegative and the
+        # negative wavenumbers of a full axis
+        runs = ((slice(0, k + 1), slice(0, k + 1)), (slice(k + 1, 2 * k + 1), slice(N - k, N)))
+        last = slice(0, k + 1)
+        self._blocks = [
+            ((Ellipsis, *(box for box, _ in combo), last), (Ellipsis, *(lat for _, lat in combo), last))
+            for combo in itertools.product(runs, repeat=n - 1)
+        ]
+        self.alphas = [_read_only(self.gather(np.broadcast_to(grid.alpha(axis), grid.half_shape), np.empty(self.shape))) for axis in range(n)]
+        self.asq = _read_only(self.gather(grid.alpha_sq(), np.empty(self.shape)))
+        self.inv_asq = _read_only(np.divide(1.0, self.asq, out=np.zeros(self.shape), where=self.asq != 0))
+        self.mask = _read_only(self.scatter(np.ones(self.shape, dtype=bool), np.zeros(grid.half_shape, dtype=bool)))
+
+    def gather(self, h, out):
+        """Copy the box of the half-lattice array h into ``out``."""
+        for box, lat in self._blocks:
+            out[box] = h[lat]
+        return out
+
+    def scatter(self, c, out):
+        """Copy the box array c into the half-lattice array ``out`` (unchanged off the box)."""
+        for box, lat in self._blocks:
+            out[lat] = c[box]
+        return out
+
+
 def dealias(v: SpectralField) -> SpectralField:
-    """2/3-rule truncation: zero every mode with some |alpha_k| > N/3."""
+    """2/3-rule truncation: zero every mode with some |alpha_k| >= N/3."""
     return SpectralField(v.grid, v.modes * dealias_mask(v.grid))
 
 
 def dealias_mask(grid: TorusGrid):
-    """Boolean mode mask of the 2/3 rule: True where every |alpha_k| <= N/3."""
-    return _band(grid, grid.N / 3.0)
+    """Read-only boolean mode mask of the 2/3 rule: True where every |alpha_k| < N/3."""
+    return _Box(grid).mask

@@ -115,7 +115,7 @@ def advective_nonlinear_modes(modes, n, N, advect_coeff=1.0):
     keep = np.ones((N,) * n, dtype=bool)
     asq = np.zeros((N,) * n)
     for a in alphas:
-        keep &= np.abs(a) <= N / 3.0
+        keep &= 3 * np.abs(a) < N
         asq = asq + a**2
     vel = np.fft.ifftn(modes, axes=axes).real * N**n
     adv = np.zeros((n,) + (N,) * n)
@@ -149,7 +149,7 @@ def projected_divergence_modes(c, n, N, advect_coeff=1.0):
         a = np.broadcast_to(wave.reshape([N if j == k else 1 for j in range(n)]), shape)
         alphas.append(a[..., : N // 2 + 1])
     asq = sum(a**2 for a in alphas)
-    keep = np.all([np.abs(a) <= N / 3.0 for a in alphas], axis=0)
+    keep = np.all([3 * np.abs(a) < N for a in alphas], axis=0)
     vel = scipy.fft.irfftn(c, s=shape, axes=axes, norm="forward")
     prod = {}
     for i in range(n):
@@ -162,6 +162,33 @@ def projected_divergence_modes(c, n, N, advect_coeff=1.0):
         proj = np.where(asq == 0, 0.0, alphas[k] * dot / np.where(asq == 0, 1.0, asq))
         out[k] = -advect_coeff * keep * (div[k] - proj)
     return out
+
+
+def padded_nonlinear_modes(modes, n, N, advect_coeff=1.0):
+    """-advect_coeff * P[div(v (x) v)] cut to the modes with every
+    3 |alpha_k| < N, the products formed alias-free on a 2N grid.
+
+    ``modes`` is a full lattice (n, N, ..., N) in FFT order, zero on its
+    Nyquist planes.  The modes are zero-padded onto the 2N lattice, every
+    product v_i v_j is formed on the 2N grid and transformed back, and its
+    modes at the N-lattice wavenumbers are kept; the divergence, the
+    mode-wise Leray projection and the cut follow on the N lattice.
+    """
+    axes = tuple(range(1, 1 + n))
+    alphas = [a.astype(int) for a in full_wavenumbers(TorusGrid(n, N))]
+    on_padded = (Ellipsis, *np.ix_(*(np.fft.fftfreq(N, 1.0 / N).astype(int) % (2 * N),) * n))
+    padded = np.zeros((n,) + (2 * N,) * n, dtype=complex)
+    padded[on_padded] = modes
+    vel = np.fft.ifftn(padded, axes=axes).real * (2 * N) ** n
+    div = np.zeros(modes.shape, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            w = np.fft.fftn(vel[i] * vel[j]) / (2 * N) ** n
+            div[i] += 2j * np.pi * alphas[j] * w[on_padded[1:]]
+    asq = sum(a**2 for a in alphas)
+    dot = sum(a * d for a, d in zip(alphas, div)) / np.where(asq == 0, 1, asq)
+    keep = np.all([3 * np.abs(a) < N for a in np.broadcast_arrays(*alphas)], axis=0)
+    return -advect_coeff * keep * np.stack([d - a * dot for a, d in zip(alphas, div)])
 
 
 def out_of_place_if_rk4(nonlinear, e_full, e_half, dt, m, steps):
@@ -231,7 +258,7 @@ def batched_nonlinear(op: _HalfSpectrum, c):
     component in ascending p."""
     vel = irfftn_forward(op.scatter(c), op.axes, op.grid.N)
     prods = np.stack([vel[i] * vel[j] for i, j in op.pairs])
-    w = op.gather(rfftn_forward(prods, op.axes), np.empty((len(op.pairs),) + op.shape, dtype=complex))
+    w = op.box.gather(rfftn_forward(prods, op.axes), np.empty((len(op.pairs),) + op.box.shape, dtype=complex))
     out = np.empty(c.shape, dtype=complex)
     for i, k_i in enumerate(op.K):
         out[i] = k_i[0] * w[0]
@@ -278,7 +305,7 @@ def kernel_mass_meshgrid(nu_eff):
 
 def box_of(op: _HalfSpectrum, modes):
     """The 2/3 box of a field's modes, as the loop of ``simulate`` stores it."""
-    return op.gather(modes, np.empty((modes.shape[0],) + op.shape, dtype=complex))
+    return op.box.gather(modes, np.empty((modes.shape[0],) + op.box.shape, dtype=complex))
 
 
 def loop_poisson_system(ball, rhs_values, boundary_values):
@@ -494,7 +521,7 @@ def full_random_divergence_free(grid, rng, kmax, rms):
     band, keep = asq > 0, np.ones(grid.shape, dtype=bool)
     for a in alphas:
         band &= np.abs(a) <= kmax
-        keep &= np.abs(a) <= grid.N / 3.0
+        keep &= 3 * np.abs(a) < grid.N
     modes = modes * band
     modes = 0.5 * (modes + reflect(np.conj(modes), tuple(range(1, grid.n + 1)))) * full_phase(grid)
     dot = sum(a * m for a, m in zip(alphas, modes)) / np.where(asq == 0, 1.0, asq)

@@ -22,6 +22,7 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    _full_sum,
     dealias,
     dealias_mask,
     divergence,
@@ -38,6 +39,7 @@ from oracles import (
     full_random_divergence_free,
     l4_norm,
     out_of_place_if_rk4,
+    padded_nonlinear_modes,
     perturbed_taylor_green_values,
     prefix_hopf_max_violation,
     prefix_weak_strong_c,
@@ -134,9 +136,9 @@ def test_rhs_matches_advective_oracle(n, N, advect_coeff):
 )
 def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff, seed):
     # the per-run tensor K is the divergence, projection and coefficient of
-    # the unfused evaluation on the 2/3 box; N = 12 puts modes on the N/3
-    # shell.  The box holds no mode outside the mask, so the random input
-    # is masked.
+    # the unfused evaluation on the 2/3 box; at N = 12 its outermost shell
+    # is |alpha_k| = 3, next to the excluded N/3 shell.  The box holds no
+    # mode outside the mask, so the random input is masked.
     grid = TorusGrid(n, N)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff))
     rng = np.random.default_rng(seed)
@@ -147,7 +149,7 @@ def test_fused_operator_matches_unfused_projected_divergence(n, N, advect_coeff,
         random_divergence_free(grid, rng, kmax=N // 3).modes,
     ):
         expected = projected_divergence_modes(c, n, N, advect_coeff)
-        box = op.gather(c, np.empty((n,) + op.shape, dtype=complex))
+        box = op.box.gather(c, np.empty((n,) + op.box.shape, dtype=complex))
         got = op.scatter(op.nonlinear(box))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -167,7 +169,7 @@ def test_nonlinear_matches_batched_oracle_bit_for_bit(n, N, advect_coeff, seed):
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=advect_coeff))
     rng = np.random.default_rng(seed)
     for _ in range(2):
-        box = rng.standard_normal((n,) + op.shape) + 1j * rng.standard_normal((n,) + op.shape)
+        box = rng.standard_normal((n,) + op.box.shape) + 1j * rng.standard_normal((n,) + op.box.shape)
         assert op.nonlinear(box).tobytes() == batched_nonlinear(op, box).tobytes()
 
 
@@ -177,7 +179,7 @@ def test_recorded_field_leaves_the_scatter_buffer_zero_off_the_box():
     # transform
     grid = TorusGrid(3, 12)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
-    box = np.random.default_rng(3).standard_normal((3,) + op.shape) + 0j
+    box = np.random.default_rng(3).standard_normal((3,) + op.box.shape) + 0j
     f = op.field(box)
     assert not np.shares_memory(f.modes, op._half)
     assert f.modes.tobytes() == SpectralField(grid, op.scatter(box)).modes.tobytes()
@@ -187,23 +189,54 @@ def test_recorded_field_leaves_the_scatter_buffer_zero_off_the_box():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("N", [8, 10, 12, 16, 30])
+@pytest.mark.parametrize("N", [8, 10, 12, 16, 24, 30])
 def test_scattered_box_is_the_dealias_mask(n, N):
-    # the 2/3 set has one definition: the box scatters onto exactly the
-    # half-lattice modes ``dealias_mask`` keeps
+    # the box scatters onto exactly the half-lattice modes of the per-mode
+    # rule: every 3 |alpha_k| < N, the Nyquist wavenumber counted as N/2;
+    # ``dealias_mask`` keeps the same modes
     grid = TorusGrid(n, N)
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
-    assert op.K.shape[2:] == op.e_full.shape == op.e_half.shape == op.shape
-    scattered = op.scatter(np.ones((n,) + op.shape, dtype=complex))
-    keep = dealias_mask(grid)
+    assert op.K.shape[2:] == op.e_full.shape == op.e_half.shape == op.box.shape
+    scattered = op.scatter(np.ones((n,) + op.box.shape, dtype=complex))
+    wave = np.abs(grid.wavenumbers())
+    keep = 3 * np.maximum.reduce(np.broadcast_arrays(*np.ix_(*(wave,) * (n - 1), wave[: N // 2 + 1]))) < N
     assert np.array_equal(scattered, np.broadcast_to(keep, scattered.shape).astype(complex))
+    assert np.array_equal(dealias_mask(grid), keep)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [24, 30, 32])
+def test_nonlinear_matches_zero_padded_products(n, N):
+    # the box is alias-free: its products equal those formed on a 2N grid
+    # and cut to the box, also where 3 divides N
+    grid = TorusGrid(n, N)
+    op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1, advect_coeff=0.7))
+    v = random_divergence_free(grid, np.random.default_rng(N), kmax=N // 2)
+    expected = padded_nonlinear_modes(full_lattice(v.modes, grid), n, N, 0.7)[..., : N // 2 + 1]
+    got = op.scatter(op.nonlinear(box_of(op, v.modes)))
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, t_end", [(2, 1.0), (3, 0.2)])
+def test_truncated_euler_energy_drift_falls_with_dt_at_n24(n, t_end):
+    # the alias-free truncated Euler system conserves energy, so what drifts
+    # is RK4's error, which falls with dt (about 32x per halving); an
+    # aliased box drifts by the same amount at every dt
+    grid = TorusGrid(n, 24)
+    v0 = random_divergence_free(grid, np.random.default_rng(0))
+    drift = []
+    for dt in (0.002, 0.001):
+        e = simulate(v0, SolverConfig(nu=1e-300, dt=dt, t_end=t_end), observe=lambda t, f: None).energies
+        drift.append(np.max(np.abs(e - e[0])) / e[0])
+    assert drift[1] * 12 <= drift[0]
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (3, 12), (2, 16), (3, 16), (2, 24), (3, 24)])
 def test_in_place_rk4_equals_out_of_place_update(n, N):
     # v0 has modes off the 2/3 box and a gradient part, so the t = 0 record
     # checks the entry projection on the box against the full-lattice one;
-    # at N = 24 the box edge lies exactly on N/3
+    # at N = 24 the box edge is the shell |alpha_k| = 7, next to the
+    # excluded N/3 shell
     grid = TorusGrid(n, N)
     cfg = SolverConfig(nu=0.05, dt=2e-3, t_end=1e-2)
     v0 = to_modes(PhysicalField(grid, np.random.default_rng(4).standard_normal((n,) + grid.shape)))
@@ -230,7 +263,8 @@ def test_in_place_rk4_equals_out_of_place_update(n, N):
 def test_box_loop_equals_half_lattice_reference(n, N, advect_coeff, seed):
     # the loop on the 2/3 box is the half-lattice loop with the mask folded
     # into K, bit for bit: every box mode sees the same operations, and
-    # every mode off the box is zero in both.  N = 12 puts modes on the N/3 shell.
+    # every mode off the box is zero in both.  At N = 12 the box's outermost
+    # shell is |alpha_k| = 3, next to the excluded N/3 shell.
     grid = TorusGrid(n, N)
     cfg = SolverConfig(nu=0.03, dt=2e-3, t_end=6e-3, advect_coeff=advect_coeff)
     v0 = random_divergence_free(grid, np.random.default_rng(seed), kmax=N // 3, rms=3.0)
@@ -381,13 +415,14 @@ def test_spectral_field_peak_is_its_copy_and_two_planes():
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([2, 3]), N=st.sampled_from([8, 10, 12, 16]), seed=st.integers(0, 2**32 - 1))
 def test_half_spectrum_abs_sum_is_full_lattice_sum(n, N, seed):
-    # on the 2/3 box, the field the loop can hold: dealiased modes
+    # simulate's blow-up bound: sum |v_alpha| from the 2/3 box, the field
+    # the loop can hold (dealiased modes)
     grid = TorusGrid(n, N)
     rng = np.random.default_rng(seed)
     v = dealias(to_modes(PhysicalField(grid, rng.standard_normal((n,) + grid.shape))))
     op = _HalfSpectrum(grid, SolverConfig(nu=0.1, dt=1e-3, t_end=0.1))
     full_sum = float(np.sum(np.abs(full_lattice(v.modes, grid))))
-    assert op.abs_sum(box_of(op, v.modes)) == pytest.approx(full_sum, rel=1e-13)
+    assert _full_sum(np.abs(box_of(op, v.modes)), N) == pytest.approx(full_sum, rel=1e-13)
 
 
 def test_simulate_zero_initial_data():

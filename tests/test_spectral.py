@@ -10,6 +10,7 @@ from nslb.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    _Box,
     _full_sum,
     _mirror,
     dealias,
@@ -220,9 +221,10 @@ def test_wavenumbers_are_fft_order_integers(N):
 @pytest.mark.parametrize("n, N", [(2, 10), (3, 8)])
 def test_per_grid_constants_built_once_and_read_only(n, N):
     grid = TorusGrid(n, N)
-    asq, mirror = grid.alpha_sq(), _mirror(grid)
+    asq, mirror, box = grid.alpha_sq(), _mirror(grid), _Box(grid)
     assert TorusGrid(n, N).alpha_sq() is asq
     assert _mirror(TorusGrid(n, N)) is mirror
+    assert _Box(TorusGrid(n, N)) is box
     wave = grid.wavenumbers()
     mesh = np.meshgrid(*(wave,) * (n - 1), wave[: N // 2 + 1], indexing="ij")
     assert np.array_equal(asq, sum(k**2 for k in mesh))
@@ -232,7 +234,7 @@ def test_per_grid_constants_built_once_and_read_only(n, N):
     for k, neg in zip(np.meshgrid(*(wave,) * (n - 1), indexing="ij"), np.unravel_index(mirror, plane)):
         assert np.all((k + wave[neg]) % N == 0)
     assert np.array_equal(mirror.ravel()[mirror], np.arange(N ** (n - 1)).reshape(plane))
-    for shared in (asq, mirror):
+    for shared in (asq, mirror, *box.alphas, box.asq, box.inv_asq, box.mask):
         with pytest.raises(ValueError, match="read-only"):
             shared[(0,) * shared.ndim] = 7.0
         with pytest.raises(ValueError, match="read-only"):

@@ -8,11 +8,12 @@ Runs, once on the source of REV and once on the working tree:
 - every committed ``configs/*.cfg`` at seeds 0 and 7;
 - the 3D solver config of ``perfbench/child.py`` (``SOLVER_CONFIG``, every
   snapshot written) at seed 0;
-- a 2D ``random`` simulate run (``RANDOM_2D``: N = 24, so the 2/3 box edge
-  lies exactly at N/3; every tenth snapshot written) at seed 0;
-- a 3D ``random`` simulate run (``RANDOM_3D``: N = 24, the 2/3 box edge at
-  N/3 on all three axes; every snapshot written) at seed 0, so the random
-  draw's mode parity is covered in 3D too;
+- a 2D ``random`` simulate run (``RANDOM_2D``: N = 24, a multiple of 3, so
+  the 2/3 box edge |alpha_k| = 7 lies just inside N/3; every tenth snapshot
+  written) at seed 0;
+- a 3D ``random`` simulate run (``RANDOM_3D``: N = 24, the same box edge on
+  all three axes; every snapshot written) at seed 0, so the random draw's
+  mode parity is covered in 3D too;
 - a noisy ``fit-singularity`` run (``NOISY_FIT``: noise = 0.05, 960
   samples, so the sampler's lognormal noise draw is covered too) at seeds
   0 and 7;
