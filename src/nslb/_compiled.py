@@ -98,13 +98,16 @@ def _checked(pocketfft, sparsetools):
         raise _unusable(f"pocketfft r2c/c2r rejected nslb's call: {exc!r}") from None
     if not ok:
         raise _unusable("pocketfft r2c/c2r no longer give the forward-normalised transform pair")
-    y = np.zeros(2)
-    try:
-        matvec(2, 2, np.array([0, 1, 3]), np.array([1, 0, 1]), np.array([2.0, 3.0, 4.0]), np.array([5.0, 7.0]), y)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise _unusable(f"sparsetools csr_matvec rejected nslb's call: {exc!r}") from None
-    if not np.array_equal(y, [14.0, 43.0]):
-        raise _unusable("sparsetools csr_matvec no longer computes y += A x")
+    # index arrays of either width: the ball Poisson system passes int32
+    for index_type in (np.intp, np.int32):
+        y = np.zeros(2)
+        indptr, indices = np.array([0, 1, 3], dtype=index_type), np.array([1, 0, 1], dtype=index_type)
+        try:
+            matvec(2, 2, indptr, indices, np.array([2.0, 3.0, 4.0]), np.array([5.0, 7.0]), y)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise _unusable(f"sparsetools csr_matvec rejected nslb's call with {indptr.dtype} indices: {exc!r}") from None
+        if not np.array_equal(y, [14.0, 43.0]):
+            raise _unusable("sparsetools csr_matvec no longer computes y += A x")
     return r2c, c2r, matvec
 
 

@@ -18,8 +18,8 @@ mask node the first row that fits the mask: centered, one-sided second-order
 forward and backward, lower-order fallback forward and backward.  Each ball
 finds the nodes of every row once per (axis, order) and keeps its arrays
 read-only, so a stencil is a gather of flat indices.  The ball Dirichlet
-Poisson problem is assembled straight into CSR as the symmetric positive
-definite -A p = -b and solved by conjugate gradients.
+Poisson problem is assembled straight into CSR, with int32 indices, as the
+symmetric positive definite -A p = -b and solved by conjugate gradients.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ class BallGrid:
 
     Nodes are uniformly spaced with the endpoints included; ``mask`` marks
     nodes inside the ball, ``interior`` those whose axis neighbours are all
-    masked (the rest form the numeric boundary ring).  These arrays, ``axis``
-    and ``mesh`` are read-only.
+    masked (the rest form the numeric boundary ring).  ``mesh`` holds the n
+    coordinate arrays (ij indexing) as full-shape broadcast views of
+    ``axis``.  All of these arrays are read-only.
     """
 
     def __init__(self, n, radius, m):
@@ -154,15 +155,16 @@ class BallGrid:
         self.m = int(m)
         self.axis = np.linspace(-radius, radius, m)
         self.h = self.axis[1] - self.axis[0]
-        self.mesh = np.meshgrid(*(self.axis,) * n, indexing="ij")
-        r_sq = sum(c**2 for c in self.mesh)
+        coords = np.meshgrid(*(self.axis,) * n, indexing="ij", sparse=True, copy=False)  # views of axis
+        self.mesh = tuple(np.broadcast_to(c, (self.m,) * n) for c in coords)
+        r_sq = sum(c**2 for c in coords)
         self.mask = r_sq <= radius**2 + 1e-12
         self.interior = self.mask.copy()
         for axis in range(n):
             self.interior &= self._shifted(self.mask, 1, axis) & self._shifted(self.mask, -1, axis)
         self.boundary = self.mask & ~self.interior
         # the stencil rows are found from the mask once, so it must not change
-        for arr in (self.axis, *self.mesh, self.mask, self.interior, self.boundary):
+        for arr in (self.axis, self.mask, self.interior, self.boundary):
             arr.flags.writeable = False
         self._rows = {}  # (axis, order) -> rows of _stencil_rows
 
@@ -271,17 +273,26 @@ def _poisson_system(ball: BallGrid, rhs, bvals):
     the columns ascend along each row in that order.  Boundary neighbours
     are added to -b in (axis, step) order, so the additions happen in a
     fixed order per row.
+
+    The CSR index arrays are int32, so a ball whose entry count could reach
+    2^31 (its node count times 2n + 1) raises ValueError.
     """
     n, m = ball.n, ball.m
+    if ball.interior.size * (2 * n + 1) >= 2**31:
+        raise ValueError(f"a ball of {ball.interior.size} nodes is too large for int32 CSR indices")
     flat = np.flatnonzero(ball.interior)  # interior nodes never touch the box edge
-    idx = np.full(ball.interior.size, -1, dtype=np.intp)
+    idx = np.full(ball.interior.size, -1, dtype=np.int32)
     idx[flat] = np.arange(flat.size)
     strides = [m ** (n - 1 - axis) for axis in range(n)]
     offsets = [-s for s in strides] + [0] + strides[::-1]
-    cols = idx[flat[:, None] + offsets]  # -1 where the neighbour is off the interior
+    cols = np.empty((flat.size, len(offsets)), dtype=np.int32)  # -1 where the neighbour is off the interior
+    for k, offset in enumerate(offsets):
+        cols[:, k] = idx[flat + offset]
     del idx
     inner = cols >= 0
-    indptr = np.zeros(flat.size + 1, dtype=np.intp)
+    indices = cols[inner]
+    del cols
+    indptr = np.zeros(flat.size + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(inner, axis=1), out=indptr[1:])
     h2 = ball.h**2
     data = np.full(indptr[-1], -1.0 / h2)
@@ -291,7 +302,7 @@ def _poisson_system(ball: BallGrid, rhs, bvals):
         for step in (-1, 1):
             out = ~inner[:, offsets.index(step * strides[axis])]
             b[out] += bvals.flat[flat[out] + step * strides[axis]] / h2
-    return CSRMatrix(indptr, cols[inner], data), b
+    return CSRMatrix(indptr, indices, data), b
 
 
 # Conjugate gradients stop once the updated residual satisfies
@@ -313,10 +324,11 @@ def _conjugate_gradients(mat, b):
 
     Unpreconditioned CG from x = 0.  Every inner product is a numpy
     pairwise sum, not a BLAS dot, so the result does not depend on the
-    BLAS thread count.
+    BLAS thread count.  Elementwise products are formed in one work vector.
     """
     x = np.zeros_like(b)
-    bb = np.sum(b * b)
+    work = b * b
+    bb = np.sum(work)
     if bb == 0.0:
         return x
     r = b.copy()
@@ -325,12 +337,13 @@ def _conjugate_gradients(mat, b):
     cap = _cg_iteration_cap(b.size)
     for _ in range(cap):
         q = mat @ p
-        alpha = rr / np.sum(p * q)
-        x += alpha * p
-        r -= alpha * q
-        rr_next = np.sum(r * r)
+        alpha = rr / np.sum(np.multiply(p, q, out=work))
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, q, out=work)
+        rr_next = np.sum(np.multiply(r, r, out=work))
         if rr_next <= _CG_RTOL**2 * bb:
             return x
+        del q  # freed before the next product allocates its own
         p *= rr_next / rr
         p += r
         rr = rr_next
@@ -365,8 +378,10 @@ def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
     if not np.all(np.isfinite(bvals[ball.boundary])):
         raise ValueError("boundary_values is non-finite on the boundary ring")
     mat, b = _poisson_system(ball, rhs, bvals)
+    p_interior = _conjugate_gradients(mat, b)
+    del mat, b  # freed before the solution grid is allocated
     p = np.zeros(ball.mask.shape)
-    p[ball.interior] = _conjugate_gradients(mat, b)
+    p[ball.interior] = p_interior
     p[ball.boundary] = bvals[ball.boundary]
     return p
 
@@ -378,30 +393,37 @@ def _transformed_operator(w, p_bc, tau, nu, cone: ConeSpec, ball: BallGrid):
 
     with (mu1, mu2) = ``mu_coeffs(tau, cone)`` and p_w the solution of
     Lap p_w = -sum_ij (d_j w_i)(d_i w_j) by ``poisson_dirichlet`` with
-    Dirichlet data ``p_bc`` on the boundary ring.  Returned as its three terms
+    Dirichlet data ``p_bc`` on the boundary ring.  Yields its three terms
     (diffusion, drift, pressure), each shaped like w, which sum to F in that
-    order.
+    order; each is formed only when the caller asks for it.
     """
     mu1, mu2 = mu_coeffs(tau, cone)
     n = ball.n
     diffusion = np.empty_like(w)
     for i in range(n):
         diffusion[i] = mu2 * nu * ball.laplacian(w[i])
+    yield diffusion
+    del diffusion
     drift = np.zeros_like(w)
-    grad_w = np.empty((n, n) + ball.mask.shape)
+    grad_w = [[ball.partial(w[i], j) for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            grad_w[i, j] = ball.partial(w[i], j)
         for j in range(n):
             drift[i] += (w[j] + ball.mesh[j]) * grad_w[i][j]
     drift *= -mu1
-    rhs_p = -sum(grad_w[i][j] * grad_w[j][i] for i in range(n) for j in range(n))
+    rhs_p = np.zeros(ball.mask.shape)  # summed in place from zero, negated at the end
+    for i in range(n):
+        for j in range(n):
+            rhs_p += grad_w[i][j] * grad_w[j][i]
+    np.negative(rhs_p, out=rhs_p)
     del grad_w  # freed before the pressure solve builds its system
+    yield drift
+    del drift
     p_w = poisson_dirichlet(ball, rhs_p, p_bc)
+    del rhs_p
     pressure = np.empty_like(w)
     for i in range(n):
         pressure[i] = -mu1 * ball.partial(p_w, i)
-    return diffusion, drift, pressure
+    yield pressure
 
 
 @dataclass(frozen=True)
@@ -433,9 +455,11 @@ def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, *, dtau) 
     t = float(t_of_tau(tau, cone))
     p_bc = np.zeros(ball.mask.shape)
     p_bc[ball.boundary] = sampler.pressure(t, _cone_points(cone, t, ball.points("boundary")))
-    # term by term: ((dw/dtau - diffusion) - drift) - pressure, rounded in that order
+    # term by term: ((dw/dtau - diffusion) - drift) - pressure, rounded in that
+    # order; each term is released before the next is formed
     for term in _transformed_operator(w, p_bc, tau, sampler.nu, cone, ball):
         residual -= term
+        del term
     comp = residual[:, ball.interior]
     res_l2 = float(np.sqrt(np.mean(np.sum(comp**2, axis=0))))
     return TransformedResidual(res_l2, float(np.max(np.abs(comp))))

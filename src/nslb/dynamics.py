@@ -67,7 +67,7 @@ class SolverConfig:
         steps = round(ratio)
         if abs(ratio - steps) > 1e-9 * max(steps, 1):
             raise ValueError(f"t_end = {self.t_end} is not a whole number of steps of dt = {self.dt} ({ratio:.6g} steps)")
-        if self.snapshot_stride < 1:
+        if not isinstance(self.snapshot_stride, (int, np.integer)) or self.snapshot_stride < 1:
             raise ValueError(f"snapshot_stride must be a positive integer, got {self.snapshot_stride}")
 
     def stability_ratio(self, grid: TorusGrid) -> float:

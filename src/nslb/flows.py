@@ -110,7 +110,10 @@ def random_divergence_free(grid: TorusGrid, rng, kmax=None, rms=1.0) -> Spectral
     the conjugate-symmetric part of complex normal draws on the full lattice.
 
     The real parts of the draws come first from ``rng``, then the imaginary
-    parts; only the half spectrum of the symmetric part is formed."""
+    parts; only the half spectrum of the symmetric part is formed.  ``rms``
+    must be finite and nonzero (a negative value flips the field)."""
+    if not (np.isfinite(rms) and rms != 0):
+        raise ValueError(f"rms must be finite and nonzero, got {rms}")
     if kmax is None:
         kmax = max(2, grid.N // 4)
     shape = (grid.n,) + grid.shape

@@ -7,7 +7,7 @@ bound audits are closed forms.  The series, the boundary density and the
 Duhamel residual take fields as callables (s, points) -> values on one
 lattice, whose propagator depends only on the time gap and the node offset:
 it is stored as the real-FFT spectra of its m_t - 1 gap kernels on a
-zero-padded box and applied as one batched FFT convolution.
+zero-padded box and applied as an FFT convolution, one time plane at a time.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ class _CylinderLattice:
     axis (offsets 0, ..., m_x - 1, then -(m_x - 1), ..., -1, times the grid
     step), which is long enough that the circular convolution of data in
     the [0, m_x)^n corner never wraps around.  Only the m_t - 1 real-FFT
-    spectra of those kernels are stored, as ``spectra[d - 1]``, built on
-    the first ``apply``.
+    spectra of those kernels are stored, as ``spectra[d - 1]``, built one
+    gap at a time on the first ``apply``.
     """
 
     def __init__(self, cyl: CylinderSpec, spec: KernelSpec, s, tau, m_x, m_t):
@@ -272,7 +272,7 @@ class _CylinderLattice:
         self.m_t = m_t
         self.n_nodes = self.pts.shape[0]
         self.box = (2 * m_x - 1,) * spec.n
-        self.axes = tuple(range(1, spec.n + 1))
+        self.axes = tuple(range(spec.n))
         # flat index of each masked node in the [0, m_x)^n corner of the box
         self.nodes = np.ravel_multi_index(np.nonzero(self.ball.mask), self.box)
 
@@ -282,26 +282,31 @@ class _CylinderLattice:
         m_x, n = self.ball.m, self.spec.n
         offsets = np.concatenate([np.arange(m_x), np.arange(1 - m_x, 0)]) * self.ball.h
         r_sq = sum(np.meshgrid(*(offsets**2,) * n, indexing="ij", sparse=True))
-        gaps = np.arange(1, self.m_t).reshape((-1,) + (1,) * n)
-        kernels = _gaussian_sq(gaps * self.dt, r_sq, self.spec) * self.cell * self.dt
-        # times L^n undoes the forward norm: spectra * rfftn_forward(x) is
-        # then the forward transform of the convolution with x
-        return rfftn_forward(kernels, self.axes) * self.box[0] ** n
+        spectra = np.empty((self.m_t - 1,) + self.box[:-1] + (self.box[-1] // 2 + 1,), dtype=complex)
+        for d in range(1, self.m_t):
+            kernel = _gaussian_sq(d * self.dt, r_sq, self.spec) * self.cell * self.dt
+            # times L^n undoes the forward norm: spectra * rfftn_forward(x) is
+            # then the forward transform of the convolution with x
+            np.multiply(rfftn_forward(kernel, self.axes), self.box[0] ** n, out=spectra[d - 1])
+        return spectra
 
     def apply(self, state):
         """Propagator times a lattice vector (time-major, m_t * n_nodes):
         the causal convolution out[j2] = sum_{j1 < j2} G_{j2-j1} * state[j1],
         run in place over the state's modes, latest time first, with one
-        work plane (the box is freed once transformed)."""
+        work plane.  Each time plane is transformed on its own through one
+        box, forward before the convolution and back as soon as it is
+        convolved."""
         st = np.asarray(state, dtype=float).reshape(self.m_t, self.n_nodes)
         out = np.zeros_like(st)
         if self.m_t == 1:
             return out.reshape(-1)
         spectra = self.spectra
-        box = np.zeros((self.m_t - 1,) + self.box)
-        box.reshape(self.m_t - 1, -1)[:, self.nodes] = st[:-1]
-        modes = rfftn_forward(box, self.axes)
-        del box
+        box = np.zeros(self.box)  # each plane writes its nodes; the padding stays zero
+        modes = np.empty_like(spectra)
+        for j in range(self.m_t - 1):
+            box.flat[self.nodes] = st[j]
+            modes[j] = rfftn_forward(box, self.axes)
         term = np.empty_like(modes[0])
         for j in range(self.m_t - 2, -1, -1):
             # plane j becomes out[j + 1], the sum from zero of the gaps d = 1, ..., j + 1
@@ -311,8 +316,7 @@ class _CylinderLattice:
             modes[j] += term
             for d in range(2, j + 2):
                 modes[j] += np.multiply(spectra[d - 1], modes[j + 1 - d], out=term)
-        conv = irfftn_forward(modes, self.axes, self.box[-1])
-        out[1:] = conv.reshape(self.m_t - 1, -1)[:, self.nodes]
+            out[j + 1] = irfftn_forward(modes[j], self.axes, self.box[-1], out=box).flat[self.nodes]
         return out.reshape(-1)
 
     def powers(self, state, count):

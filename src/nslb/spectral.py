@@ -53,6 +53,8 @@ class TorusGrid:
     N: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.N)):
+            raise ValueError(f"n and N must be integers, got n = {self.n!r}, N = {self.N!r}")
         if self.n not in (2, 3):
             raise ValueError(f"spatial dimension must be 2 or 3, got {self.n}")
         if self.N < 8 or self.N % 2 != 0:

@@ -375,11 +375,12 @@ def accumulated_lattice_apply(lat, state):
         return out.reshape(-1)
     box = np.zeros((lat.m_t - 1,) + lat.box)
     box.reshape(lat.m_t - 1, -1)[:, lat.nodes] = st[:-1]
-    modes = rfftn_forward(box, lat.axes)
+    batch_axes = tuple(range(1, box.ndim))  # all planes in one batched transform
+    modes = rfftn_forward(box, batch_axes)
     acc = np.zeros_like(modes)
     for d, spectrum in enumerate(lat.spectra, start=1):
         acc[d - 1 :] += spectrum * modes[: lat.m_t - d]
-    conv = irfftn_forward(acc, lat.axes, lat.box[-1])
+    conv = irfftn_forward(acc, batch_axes, lat.box[-1])
     out[1:] = conv.reshape(lat.m_t - 1, -1)[:, lat.nodes]
     return out.reshape(-1)
 

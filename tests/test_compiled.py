@@ -148,6 +148,32 @@ def test_loader_rejects_changed_kernels():
     pocketfft.r2c = lambda x, axes, forward: None
     with pytest.raises(ImportError, match="rejected nslb's call"):
         _compiled._checked(pocketfft, sparsetools)
+    pocketfft.r2c = _compiled._r2c
+
+    # a product that takes only int64 indices fails at load, not in the
+    # middle of a ball Poisson solve, which passes int32
+    def int64_only(n_row, n_col, indptr, indices, data, x, y):
+        if indptr.dtype != np.int64 or indices.dtype != np.int64:
+            raise TypeError("unsupported index type")
+        return _compiled._csr_matvec(n_row, n_col, indptr, indices, data, x, y)
+
+    sparsetools.csr_matvec = int64_only
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}: sparsetools csr_matvec rejected nslb's call with int32 indices"):
+        _compiled._checked(pocketfft, sparsetools)
+    sparsetools.csr_matvec = _compiled._csr_matvec
+    assert _compiled._checked(pocketfft, sparsetools) == (_compiled._r2c, _compiled._c2r, _compiled._csr_matvec)
+
+
+def test_poisson_system_is_int32_and_rejects_balls_past_its_index_range():
+    ball = BallGrid(3, 0.5, 9)
+    mat, _ = _poisson_system(ball, np.zeros(ball.mask.shape), np.zeros(ball.mask.shape))
+    assert mat.indptr.dtype == mat.indices.dtype == np.int32
+    # stand-in balls whose interior is a broadcast view: 1291^3 >= 2^31 nodes,
+    # and 675^3 nodes, whose 7 entries per row could pass 2^31
+    for m in (1291, 675):
+        huge = types.SimpleNamespace(n=3, m=m, interior=np.broadcast_to(False, (m,) * 3))
+        with pytest.raises(ValueError, match="too large for int32 CSR indices"):
+            _poisson_system(huge, None, None)
 
 
 def test_scipy_packages_imported_after_nslb_bind_the_same_kernels():

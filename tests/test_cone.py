@@ -277,6 +277,10 @@ def test_ball_arrays_are_read_only():
     for arr in (ball.axis, *ball.mesh, ball.mask, ball.interior, ball.boundary):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+    # the mesh is the ij meshgrid, held as full-shape views of the axis
+    for c, want in zip(ball.mesh, np.meshgrid(*(ball.axis,) * 3, indexing="ij"), strict=True):
+        assert c.shape == ball.mask.shape and np.shares_memory(c, ball.axis)
+        assert c.tobytes() == want.tobytes()
 
 
 def test_poisson_assembly_memory_stays_within_twice_its_output():

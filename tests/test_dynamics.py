@@ -64,9 +64,11 @@ def test_config_validation():
     for t_end, dt in ((0.08, 0.002), (0.5, 0.001), (0.1, 1.25e-4), (0.2, 5e-4)):
         SolverConfig(nu=0.1, dt=dt, t_end=t_end)
     # a zero stride divided by zero inside simulate; a negative one was accepted
-    for stride in (0, -1, -10):
+    # 2.5 was accepted and recorded only t = 0 and the last step
+    for stride in (0, -1, -10, 2.5, 2.0, np.nan):
         with pytest.raises(ValueError, match="snapshot_stride"):
             SolverConfig(nu=0.1, dt=1e-3, t_end=1.0, snapshot_stride=stride)
+    assert SolverConfig(nu=0.1, dt=1e-3, t_end=1.0, snapshot_stride=np.int64(2)).snapshot_stride == 2
     # nan passes an "x <= 0" guard, and t_end = inf overflowed round()
     for bad in (np.nan, np.inf, -np.inf):
         for field in ("nu", "dt", "t_end"):
@@ -749,6 +751,18 @@ def test_random_field_is_the_symmetric_part_of_the_full_lattice_draw(n, N, kmax)
         v = random_divergence_free(grid, np.random.default_rng(seed), kmax=kmax, rms=1.7)
         want = full_random_divergence_free(grid, np.random.default_rng(seed), kmax, 1.7)
         assert np.max(np.abs(full_lattice(v.modes, grid) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_random_field_rejects_a_zero_or_non_finite_rms():
+    # rms = 0 gave an all-zero field, which passes every solver check vacuously
+    grid = TorusGrid(2, 16)
+    for rms in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="rms must be finite and nonzero"):
+            random_divergence_free(grid, np.random.default_rng(0), rms=rms)
+    # a negative rms flips the field
+    up = random_divergence_free(grid, np.random.default_rng(0), rms=0.5)
+    down = random_divergence_free(grid, np.random.default_rng(0), rms=-0.5)
+    assert np.array_equal(down.modes, -up.modes)
 
 
 @pytest.mark.parametrize("n, N, kmax", [(2, 16, None), (2, 10, 5), (3, 8, 4), (3, 12, 4), (3, 16, None)])

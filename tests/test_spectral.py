@@ -50,6 +50,11 @@ def test_grid_validation():
         TorusGrid(2, 15)
     with pytest.raises(ValueError):
         TorusGrid(2, 4)
+    # N = 16.0 passed the parity check and gave a float half_shape
+    for n, N in ((2, 16.0), (2.0, 16), (3, np.float64(8))):
+        with pytest.raises(ValueError, match="must be integers"):
+            TorusGrid(n, N)
+    assert TorusGrid(np.int64(3), np.int64(8)).half_shape == (8, 8, 5)
 
 
 def test_constant_field_modes():
