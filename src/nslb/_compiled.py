@@ -98,15 +98,24 @@ def _checked(pocketfft, sparsetools):
         raise _unusable(f"pocketfft r2c/c2r rejected nslb's call: {exc!r}") from None
     if not ok:
         raise _unusable("pocketfft r2c/c2r no longer give the forward-normalised transform pair")
-    # index arrays of either width: the ball Poisson system passes int32
-    for index_type in (np.intp, np.int32):
-        y = np.zeros(2)
-        indptr, indices = np.array([0, 1, 3], dtype=index_type), np.array([1, 0, 1], dtype=index_type)
+    # index arrays of either width: the ball Poisson system passes int32, and
+    # its two coupling blocks are rectangular; y starts nonzero, so the
+    # product must add into it
+    cases = (
+        (np.intp, 2, [1, 0, 1], [15.0, 42.0]),
+        (np.int32, 2, [1, 0, 1], [15.0, 42.0]),
+        (np.int32, 3, [2, 0, 2], [19.0, 50.0]),
+    )
+    for index_type, n_col, cols, want in cases:
+        y = np.array([1.0, -1.0])
+        indptr, indices = np.array([0, 1, 3], dtype=index_type), np.array(cols, dtype=index_type)
         try:
-            matvec(2, 2, indptr, indices, np.array([2.0, 3.0, 4.0]), np.array([5.0, 7.0]), y)
+            matvec(2, n_col, indptr, indices, np.array([2.0, 3.0, 4.0]), np.array([5.0, 7.0, 9.0][:n_col]), y)
         except (TypeError, ValueError, IndexError) as exc:
-            raise _unusable(f"sparsetools csr_matvec rejected nslb's call with {indptr.dtype} indices: {exc!r}") from None
-        if not np.array_equal(y, [14.0, 43.0]):
+            raise _unusable(
+                f"sparsetools csr_matvec rejected nslb's call with {indptr.dtype} indices on a 2 x {n_col} block: {exc!r}"
+            ) from None
+        if not np.array_equal(y, want):
             raise _unusable("sparsetools csr_matvec no longer computes y += A x")
     return r2c, c2r, matvec
 
@@ -149,17 +158,19 @@ def irfftn_forward(c, axes, n, out=None):
 
 @dataclass(frozen=True)
 class CSRMatrix:
-    """Square sparse matrix in canonical CSR form: rows ascending, columns
-    ascending within a row, no repeated entry.  scipy's ``csr_matrix`` sorts
-    its input into the same form, so products agree to the bit.
+    """Sparse matrix of ``rows`` x ``cols`` in canonical CSR form: rows
+    ascending, columns ascending within a row, no repeated entry.  scipy's
+    ``csr_matrix`` sorts its input into the same form, so products agree to
+    the bit.  ``cols`` defaults to the row count, a square matrix.
 
     The constructor checks what the compiled product reads: ``indptr``
     starts at 0, never decreases and ends at the entry count, and every
-    column lies in [0, size)."""
+    column lies in [0, cols)."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    cols: int | None = None
 
     def __post_init__(self):
         ptr, cols = self.indptr, self.indices
@@ -167,16 +178,27 @@ class CSRMatrix:
             raise ValueError(f"indptr must rise from 0 to the entry count {cols.size}")
         if cols.ndim != 1 or self.data.shape != cols.shape:
             raise ValueError(f"need one value per column index, got shapes {self.data.shape} and {cols.shape}")
-        if cols.size and not 0 <= cols.min() <= cols.max() < self.size:
-            raise ValueError(f"column index outside [0, {self.size})")
+        if self.cols is None:
+            object.__setattr__(self, "cols", self.rows)
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.cols:
+            raise ValueError(f"column index outside [0, {self.cols})")
 
     @property
-    def size(self):
+    def rows(self):
         return self.indptr.size - 1
 
+    @property
+    def shape(self):
+        return self.rows, self.cols
+
+    def add_product(self, x, y):
+        """y += A x, in place; x and y are float64 vectors of length cols and rows."""
+        for name, vec, size in (("x", x, self.cols), ("y", y, self.rows)):
+            if vec.shape != (size,) or vec.dtype != np.float64:
+                raise ValueError(f"expected {name} a float64 vector of length {size}, got {vec.dtype} {vec.shape}")
+        _csr_matvec(self.rows, self.cols, self.indptr, self.indices, self.data, x, y)
+
     def __matmul__(self, x):
-        if x.shape != (self.size,) or x.dtype != np.float64:
-            raise ValueError(f"expected a float64 vector of length {self.size}, got {x.dtype} {x.shape}")
-        y = np.zeros(self.size)
-        _csr_matvec(self.size, self.size, self.indptr, self.indices, self.data, x, y)
+        y = np.zeros(self.rows)
+        self.add_product(x, y)
         return y

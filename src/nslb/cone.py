@@ -18,8 +18,12 @@ mask node the first row that fits the mask: centered, one-sided second-order
 forward and backward, lower-order fallback forward and backward.  Each ball
 finds the nodes of every row once per (axis, order) and keeps its arrays
 read-only, so a stencil is a gather of flat indices.  The ball Dirichlet
-Poisson problem is assembled straight into CSR, with int32 indices, as the
-symmetric positive definite -A p = -b and solved by conjugate gradients.
+Poisson problem is the symmetric positive definite -A p = -b.  Its 2n-point
+stencil couples only nodes of opposite colour in a red-black ordering, so
+it is assembled as its two int32 CSR coupling blocks and solved by
+conjugate gradients on the black nodes' reduced system, whose condition
+number is about a quarter of cond(A): 73 against 290 on the 3-D m = 33
+ball.
 """
 
 from __future__ import annotations
@@ -262,55 +266,97 @@ def sample_w_function(velocity_fn, cone: ConeSpec, tau, ball: BallGrid):
     return out
 
 
-def _poisson_system(ball: BallGrid, rhs, bvals):
-    """The SPD interior Dirichlet problem -A_h p = -b as (canonical CSR matrix, -b).
+def _colours(ball: BallGrid):
+    """Flat indices, ascending, of the interior nodes of each colour: red
+    nodes have an even coordinate sum, black nodes an odd one.  An axis
+    neighbour differs in one coordinate by one, so it has the other colour."""
+    odd = np.arange(ball.m) % 2 == 1
+    black = odd.reshape((-1,) + (1,) * (ball.n - 1))
+    for axis in range(1, ball.n):  # a sum is odd where an odd number of its terms are
+        black = black ^ odd.reshape((-1,) + (1,) * (ball.n - 1 - axis))
+    return np.flatnonzero(ball.interior & ~black), np.flatnonzero(ball.interior & black)
 
-    One row per interior node in flat-index order: 2n/h^2 on the diagonal
-    and -1/h^2 for each interior axis neighbour, each neighbour on the
-    boundary ring moved into the right-hand side.  Neighbours sit at the
-    flat offsets -m^(n-1), ..., -1, 0, +1, ..., +m^(n-1) (CSR, Saad 2003,
-    section 3.4); the interior numbering is monotone in the flat index, so
-    the columns ascend along each row in that order.  Boundary neighbours
-    are added to -b in (axis, step) order, so the additions happen in a
-    fixed order per row.
 
-    The CSR index arrays are int32, so a ball whose entry count could reach
-    2^31 (its node count times 2n + 1) raises ValueError.
+class _RedBlackSystem(NamedTuple):
+    """The SPD system -A_h p = -b in red-black order,
+
+        [[d I, B  ], [x_r]   [b_r]
+         [B^T, d I]] [x_b] = [b_b].
+    """
+
+    coupling: CSRMatrix  # B: red rows, black columns
+    coupling_t: CSRMatrix  # B^T: black rows, red columns
+    diagonal: float  # d = 2n/h^2
+    b: np.ndarray  # -b, the red rows first
+
+
+def _coupling_rows(nodes, idx, offsets, strides, bvals, b, h2):
+    """CSR (indptr, indices) of the rows of ``nodes`` in their coupling
+    block, from the numbering ``idx`` (-1 off the interior); each neighbour
+    on the boundary ring adds its value / h^2 to the row's entry of ``b``,
+    in (axis, step) order."""
+    cols = np.empty((nodes.size, len(offsets)), dtype=np.int32)  # -1 where the neighbour is off the interior
+    for k, offset in enumerate(offsets):
+        cols[:, k] = idx[nodes + offset]
+    inner = cols >= 0
+    indices = cols[inner]
+    del cols
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(inner, axis=1), out=indptr[1:])
+    for stride in strides:
+        for step in (-1, 1):
+            out = ~inner[:, offsets.index(step * stride)]
+            b[out] += bvals.flat[nodes[out] + step * stride] / h2
+    return indptr, indices
+
+
+def _poisson_system(ball: BallGrid, rhs, bvals) -> _RedBlackSystem:
+    """The SPD interior Dirichlet problem -A_h p = -b in red-black order.
+
+    -A_h has 2n/h^2 on the diagonal and -1/h^2 for each interior axis
+    neighbour, each neighbour on the boundary ring moved into the
+    right-hand side.  The 2n-point stencil couples only nodes of opposite
+    colour (``_colours``), so numbering the red nodes first leaves both
+    diagonal blocks 2n/h^2 I, and only the coupling blocks B and B^T are
+    stored (Saad 2003, sections 2.4.3 and 3.4).  Each colour is numbered
+    in flat-index order and neighbours sit at the flat offsets
+    -m^(n-1), ..., -1, +1, ..., +m^(n-1), so the columns ascend along each
+    row of either block.  The two blocks share one data array, every entry
+    being -1/h^2.  Boundary neighbours are added to -b in (axis, step)
+    order, so the additions happen in a fixed order per row.
+
+    The CSR index arrays are int32, so a ball whose node count times
+    2n + 1 reaches 2^31 raises ValueError.
     """
     n, m = ball.n, ball.m
     if ball.interior.size * (2 * n + 1) >= 2**31:
         raise ValueError(f"a ball of {ball.interior.size} nodes is too large for int32 CSR indices")
-    flat = np.flatnonzero(ball.interior)  # interior nodes never touch the box edge
+    red, black = _colours(ball)  # interior nodes never touch the box edge
     idx = np.full(ball.interior.size, -1, dtype=np.int32)
-    idx[flat] = np.arange(flat.size)
+    idx[red] = np.arange(red.size)
+    idx[black] = np.arange(black.size)
     strides = [m ** (n - 1 - axis) for axis in range(n)]
-    offsets = [-s for s in strides] + [0] + strides[::-1]
-    cols = np.empty((flat.size, len(offsets)), dtype=np.int32)  # -1 where the neighbour is off the interior
-    for k, offset in enumerate(offsets):
-        cols[:, k] = idx[flat + offset]
-    del idx
-    inner = cols >= 0
-    indices = cols[inner]
-    del cols
-    indptr = np.zeros(flat.size + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(inner, axis=1), out=indptr[1:])
+    offsets = [-s for s in strides] + strides[::-1]
     h2 = ball.h**2
-    data = np.full(indptr[-1], -1.0 / h2)
-    data[indptr[:-1] + np.count_nonzero(inner[:, :n], axis=1)] = 2.0 * n / h2
-    b = -rhs.flat[flat]
-    for axis in range(n):
-        for step in (-1, 1):
-            out = ~inner[:, offsets.index(step * strides[axis])]
-            b[out] += bvals.flat[flat[out] + step * strides[axis]] / h2
-    return CSRMatrix(indptr, indices, data), b
+    b = np.empty(red.size + black.size)
+    b[: red.size] = rhs.flat[red]
+    b[red.size :] = rhs.flat[black]
+    np.negative(b, out=b)
+    ptr_r, cols_r = _coupling_rows(red, idx, offsets, strides, bvals, b[: red.size], h2)
+    ptr_b, cols_b = _coupling_rows(black, idx, offsets, strides, bvals, b[red.size :], h2)
+    data = np.full(cols_r.size, -1.0 / h2)
+    return _RedBlackSystem(
+        CSRMatrix(ptr_r, cols_r, data, black.size), CSRMatrix(ptr_b, cols_b, data, red.size), 2.0 * n / h2, b
+    )
 
 
 # Conjugate gradients stop once the updated residual satisfies
 # ||r|| <= _CG_RTOL ||b||, which bounds the relative solution error by about
-# cond(A) * _CG_RTOL.  cond(A) grows like m^2: 290 on the 3-D m = 33 ball,
-# 5.6e3 on the 2-D m = 129 ball.  There a tolerance of 1e-13 left a 4.9e-13
-# relative error against a direct solve and 1e-14 left 2.3e-14, for 6% more
-# iterations.
+# cond(S) * _CG_RTOL, S the reduced system of ``_conjugate_gradients``.
+# cond(S) is about a quarter of cond(A) and grows like m^2: 73 on the 3-D
+# m = 33 ball (cond(A) 290), 1.4e3 on the 2-D m = 129 ball (cond(A) 5.6e3).
+# There a tolerance of 1e-13 left a 3.2e-13 relative error against a direct
+# solve and 1e-14 left 2.3e-14, for 7% more iterations.
 _CG_RTOL = 1e-14
 
 
@@ -319,38 +365,59 @@ def _cg_iteration_cap(size):
     return 2 * size + 10
 
 
-def _conjugate_gradients(mat, b):
-    """x with mat @ x = b for a symmetric positive definite ``mat``.
+def _conjugate_gradients(system: _RedBlackSystem):
+    """x, red values first, with [[d I, B], [B^T, d I]] x = b.
 
-    Unpreconditioned CG from x = 0.  Every inner product is a numpy
-    pairwise sum, not a BLAS dot, so the result does not depend on the
-    BLAS thread count.  Elementwise products are formed in one work vector.
+    Eliminating the red values leaves the black ones' Schur complement
+
+        S x_b = b_b - B^T b_r / d,        S = d I - B^T B / d,
+
+    which unpreconditioned CG solves from x_b = 0, one product with B and
+    one with B^T per iteration; then x_r = (b_r - B x_b) / d.  The red rows'
+    residual is then zero, so the full system's residual is the reduced
+    one, and CG stops on it against the full right-hand side b.  Every
+    inner product is a numpy pairwise sum, not a BLAS dot, so the result
+    does not depend on the BLAS thread count.  All vectors are allocated
+    before the first iteration, elementwise products in one work vector.
     """
+    coupling, coupling_t, d, b = system
+    n_red = coupling.rows
     x = np.zeros_like(b)
-    work = b * b
-    bb = np.sum(work)
-    if bb == 0.0:
-        return x
-    r = b.copy()
+    x_r, x_b, b_r = x[:n_red], x[n_red:], b[:n_red]
+    bb = np.sum(b * b)
+    u = b_r / -d  # red work vector
+    r = b[n_red:].copy()
+    coupling_t.add_product(u, r)
+    work = r * r
+    rr = np.sum(work)
     p = r.copy()
-    rr = bb
-    cap = _cg_iteration_cap(b.size)
-    for _ in range(cap):
-        q = mat @ p
+    q = np.empty_like(r)
+    cap = _cg_iteration_cap(r.size)
+    iterations = 0
+    while rr > _CG_RTOL**2 * bb:
+        if iterations == cap:
+            raise RuntimeError(
+                f"conjugate gradients did not converge in {cap} iterations: "
+                f"relative residual {np.sqrt(rr / bb):.3e} > {_CG_RTOL:.0e}"
+            )
+        iterations += 1
+        u.fill(0.0)  # q = S p = d p + B^T (B p / -d)
+        coupling.add_product(p, u)
+        u /= -d
+        np.multiply(p, d, out=q)
+        coupling_t.add_product(u, q)
         alpha = rr / np.sum(np.multiply(p, q, out=work))
-        x += np.multiply(alpha, p, out=work)
+        x_b += np.multiply(alpha, p, out=work)
         r -= np.multiply(alpha, q, out=work)
         rr_next = np.sum(np.multiply(r, r, out=work))
-        if rr_next <= _CG_RTOL**2 * bb:
-            return x
-        del q  # freed before the next product allocates its own
         p *= rr_next / rr
         p += r
         rr = rr_next
-    raise RuntimeError(
-        f"conjugate gradients did not converge in {cap} iterations: "
-        f"relative residual {np.sqrt(rr / bb):.3e} > {_CG_RTOL:.0e}"
-    )
+    u.fill(0.0)
+    coupling.add_product(x_b, u)
+    np.subtract(b_r, u, out=x_r)
+    x_r /= d
+    return x
 
 
 def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
@@ -362,11 +429,13 @@ def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
     Returns p on the full mask (boundary data reproduced exactly).
 
     The 2n-point Laplacian A is symmetric negative definite, so the system
-    is assembled as the SPD -A p = -b and solved by unpreconditioned
-    conjugate gradients to a relative residual of ``_CG_RTOL`` (1e-14).  A
-    zero right-hand side gives p = 0 on the interior; no convergence within
-    the iteration cap, which grows with the number of unknowns, raises
-    ``RuntimeError``.
+    is assembled as the SPD -A p = -b in red-black order.  Unpreconditioned
+    conjugate gradients solve its reduced system on the black nodes, whose
+    condition number is about a quarter of -A's, so they take half the
+    iterations, to a relative residual of ``_CG_RTOL`` (1e-14) against the
+    full system.  A zero right-hand side gives p = 0 on the interior; no
+    convergence within the iteration cap, which grows with the number of
+    unknowns, raises ``RuntimeError``.
     """
     rhs = np.asarray(rhs_values, dtype=float)
     bvals = np.asarray(boundary_values, dtype=float)
@@ -377,11 +446,11 @@ def poisson_dirichlet(ball: BallGrid, rhs_values, boundary_values):
         raise ValueError("rhs_values is non-finite on the interior")
     if not np.all(np.isfinite(bvals[ball.boundary])):
         raise ValueError("boundary_values is non-finite on the boundary ring")
-    mat, b = _poisson_system(ball, rhs, bvals)
-    p_interior = _conjugate_gradients(mat, b)
-    del mat, b  # freed before the solution grid is allocated
+    x = _conjugate_gradients(_poisson_system(ball, rhs, bvals))  # the system is freed on return
+    red, black = _colours(ball)
     p = np.zeros(ball.mask.shape)
-    p[ball.interior] = p_interior
+    p.flat[red] = x[: red.size]
+    p.flat[black] = x[red.size :]
     p[ball.boundary] = bvals[ball.boundary]
     return p
 
@@ -461,5 +530,11 @@ def transformed_residual(sampler, cone: ConeSpec, tau, ball: BallGrid, *, dtau) 
         residual -= term
         del term
     comp = residual[:, ball.interior]
-    res_l2 = float(np.sqrt(np.mean(np.sum(comp**2, axis=0))))
-    return TransformedResidual(res_l2, float(np.max(np.abs(comp))))
+    peak = float(np.max(np.abs(comp)))
+    mean_sq = np.mean(np.sum(comp**2, axis=0))
+    res_l2 = float(np.sqrt(mean_sq))
+    if not np.finfo(float).tiny <= mean_sq < np.inf and 0 < peak < np.inf:
+        # the squares underflowed or overflowed: scale by the peak before
+        # squaring, and only then, so a residual of normal size keeps its bits
+        res_l2 = peak * float(np.sqrt(np.mean(np.sum((comp / peak) ** 2, axis=0))))
+    return TransformedResidual(res_l2, peak)

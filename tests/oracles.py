@@ -346,6 +346,21 @@ def loop_poisson_system(ball, rhs_values, boundary_values):
     return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m_int, m_int)), b
 
 
+def loop_red_black_system(ball, rhs_values, boundary_values):
+    """``loop_poisson_system`` permuted to red-black order: the red interior
+    nodes (even coordinate sum) first, then the black ones (odd), each colour
+    in ``np.argwhere`` order.
+
+    Returns ((red-red, red-black, black-red, black-black) blocks as CSR
+    matrices with sorted indices, right-hand side).
+    """
+    mat, b = loop_poisson_system(ball, rhs_values, boundary_values)
+    black = np.argwhere(ball.interior).sum(axis=1) % 2 == 1
+    colours = (np.flatnonzero(~black), np.flatnonzero(black))
+    blocks = tuple(mat[rows][:, cols].tocsr().sorted_indices() for rows in colours for cols in colours)
+    return blocks, np.concatenate([b[rows] for rows in colours])
+
+
 def dense_propagator(pts, mids, cell, dt, nu_eff):
     """The (m_t * n_nodes)^2 one-step propagator of the cylinder lattice.
 

@@ -454,6 +454,30 @@ def test_run_failure_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
     assert out.is_dir() and not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        # the Taylor-Green residual at tau0 is about 1e-180, whose square underflows
+        ("[physics]\nnu = 7\n", 0),
+        # the spatial step h ~ 10 passes tau0 ~ 1, so the tau step is tau0 / 2
+        ("[cone]\nt_s = 100\n", 1),
+    ],
+    ids=["nu-7", "t_s-100"],
+)
+def test_transform_check_at_extreme_scales_ends_on_its_checks(tmp_path, capsys, text, code):
+    out = tmp_path / "out"
+    assert main(["transform-check", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "transform-check failed" not in err
+    report = json.loads((out / "report.json").read_text())
+    residuals = [entry["value"] for entry in report["residual_l2_by_resolution"].values()]
+    assert all(0 < r < np.inf for r in residuals) and np.isfinite(report["residual_refinement_ratio"]["value"])
+    failing = [k for k, v in report["checks"].items() if not v]
+    assert bool(failing) == (code == 1)
+    if failing:
+        assert f"nslb: assertion failed: {', '.join(failing)}" in err
+
+
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_key_table_is_well_formed(experiment):
     # values land on one namespace by key name, and a build's error names the

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nslb import _compiled
 from nslb._compiled import CSRMatrix, irfftn_forward, rfftn_forward
 from nslb.cone import BallGrid, _poisson_system
-from oracles import loop_poisson_system
+from oracles import loop_red_black_system
 
 transforms = dict(
     n=st.sampled_from([2, 3]),
@@ -68,11 +68,12 @@ def test_poisson_matvec_matches_csr_matrix(n, m):
     rng = np.random.default_rng(100 * n + m)
     rhs = rng.normal(size=ball.mask.shape)
     bvals = rng.normal(size=ball.mask.shape)
-    mat, _ = _poisson_system(ball, rhs, bvals)
-    want, _ = loop_poisson_system(ball, rhs, bvals)
-    for _ in range(3):
-        p = rng.normal(size=mat.size)
-        assert (mat @ p).tobytes() == (-want @ p).tobytes()  # the SPD -A_h
+    system = _poisson_system(ball, rhs, bvals)
+    (_, red_black, black_red, _), _ = loop_red_black_system(ball, rhs, bvals)
+    for mat, want in ((system.coupling, red_black), (system.coupling_t, black_red)):
+        for _ in range(3):
+            p = rng.normal(size=mat.cols)
+            assert (mat @ p).tobytes() == (-want @ p).tobytes()  # blocks of the SPD -A_h
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,6 +89,36 @@ def test_random_symmetric_matvec_matches_csr_matrix(size, density, seed):
     mat = CSRMatrix(want.indptr, want.indices, want.data)
     x = rng.normal(size=size)
     assert (mat @ x).tobytes() == (want @ x).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40), density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_random_rectangular_product_adds_into_its_vector(rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((rows, cols)) < density, rng.normal(size=(rows, cols)), 0.0)
+    want = scipy.sparse.csr_matrix(dense)
+    indptr, indices = want.indptr.astype(np.int32), want.indices.astype(np.int32)
+    mat = CSRMatrix(indptr, indices, want.data, cols)
+    assert mat.shape == (rows, cols)
+    x = rng.normal(size=cols)
+    assert (mat @ x).tobytes() == (want @ x).tobytes()
+    y0 = rng.normal(size=rows)
+    y = y0.copy()
+    mat.add_product(x, y)
+    # the product adds each term to y0 in turn, so only a rounding bound holds
+    assert np.all(np.abs(y - (y0 + want @ x)) <= 1e-14 * (np.abs(y0) + abs(want) @ np.abs(x)))
+    with pytest.raises(ValueError, match=f"y a float64 vector of length {rows}"):
+        mat.add_product(x, np.zeros(rows + 1))
+
+
+def test_csr_matrix_checks_columns_against_its_column_count():
+    indptr, indices = np.array([0, 1, 2]), np.array([0, 2])
+    assert CSRMatrix(indptr, indices, np.ones(2), 3).shape == (2, 3)
+    for cols in (2, None):  # None: square
+        with pytest.raises(ValueError, match=r"column index outside \[0, 2\)"):
+            CSRMatrix(indptr, indices, np.ones(2), cols)
+    with pytest.raises(ValueError, match="x a float64 vector of length 3"):
+        CSRMatrix(indptr, indices, np.ones(2), 3) @ np.ones(2)
 
 
 def test_csr_matrix_rejects_indices_the_kernel_would_read_out_of_bounds():
@@ -164,10 +195,33 @@ def test_loader_rejects_changed_kernels():
     assert _compiled._checked(pocketfft, sparsetools) == (_compiled._r2c, _compiled._c2r, _compiled._csr_matvec)
 
 
+def test_loader_rejects_a_product_that_fails_on_rectangular_blocks():
+    # the ball Poisson solve multiplies by two rectangular int32 blocks and
+    # adds into its own vector; a product that cannot fails at load
+    pocketfft = types.SimpleNamespace(r2c=_compiled._r2c, c2r=_compiled._c2r)
+
+    def square_only(n_row, n_col, *args):
+        if n_row != n_col:
+            raise ValueError("unsupported shape")
+        return _compiled._csr_matvec(n_row, n_col, *args)
+
+    def overwrites(n_row, n_col, indptr, indices, data, x, y):
+        y.fill(0.0)
+        return _compiled._csr_matvec(n_row, n_col, indptr, indices, data, x, y)
+
+    sparsetools = types.SimpleNamespace(csr_matvec=square_only)
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}: .*rejected nslb's call with int32 indices on a 2 x 3 block"):
+        _compiled._checked(pocketfft, sparsetools)
+    sparsetools.csr_matvec = overwrites
+    with pytest.raises(ImportError, match="no longer computes y \\+= A x"):
+        _compiled._checked(pocketfft, sparsetools)
+
+
 def test_poisson_system_is_int32_and_rejects_balls_past_its_index_range():
     ball = BallGrid(3, 0.5, 9)
-    mat, _ = _poisson_system(ball, np.zeros(ball.mask.shape), np.zeros(ball.mask.shape))
-    assert mat.indptr.dtype == mat.indices.dtype == np.int32
+    system = _poisson_system(ball, np.zeros(ball.mask.shape), np.zeros(ball.mask.shape))
+    for mat in (system.coupling, system.coupling_t):
+        assert mat.indptr.dtype == mat.indices.dtype == np.int32
     # stand-in balls whose interior is a broadcast view: 1291^3 >= 2^31 nodes,
     # and 675^3 nodes, whose 7 entries per row could pass 2^31
     for m in (1291, 675):

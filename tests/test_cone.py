@@ -25,7 +25,7 @@ from nslb.cone import (
     transformed_residual,
 )
 from nslb.flows import StreamFlow, TaylorGreenFlow
-from oracles import AbcFlow, loop_poisson_system, roll_interior, shifted_stencils
+from oracles import AbcFlow, loop_poisson_system, loop_red_black_system, roll_interior, shifted_stencils
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -239,14 +239,23 @@ def test_ball_stencil_cases_select_every_row():
 
 
 def _assert_negated_loop_system(ball, rhs, bvals):
-    """_poisson_system is the loop oracle's system negated, in scipy's
-    canonical CSR arrays (entry order included), bit for bit."""
-    mat, b = _poisson_system(ball, rhs, bvals)
-    want_mat, want_b = loop_poisson_system(ball, rhs, bvals)
-    assert np.array_equal(mat.indptr, want_mat.indptr)
-    assert np.array_equal(mat.indices, want_mat.indices)
-    assert mat.data.tobytes() == (-want_mat.data).tobytes()
-    assert b.tobytes() == (-want_b).tobytes()
+    """_poisson_system is the loop oracle's system negated and permuted to
+    red-black order: both diagonal blocks are exactly 2n/h^2 I, and the
+    coupling blocks are in scipy's canonical CSR arrays (entry order
+    included), bit for bit."""
+    system = _poisson_system(ball, rhs, bvals)
+    (red_red, red_black, black_red, black_black), want_b = loop_red_black_system(ball, rhs, bvals)
+    assert system.diagonal == 2.0 * ball.n / ball.h**2
+    for block in (red_red, black_black):
+        rows = block.shape[0]
+        assert np.array_equal(block.indptr, np.arange(rows + 1)) and np.array_equal(block.indices, np.arange(rows))
+        assert (-block.data).tobytes() == np.full(rows, system.diagonal).tobytes()
+    for mat, want in ((system.coupling, red_black), (system.coupling_t, black_red)):
+        assert mat.shape == want.shape
+        assert np.array_equal(mat.indptr, want.indptr)
+        assert np.array_equal(mat.indices, want.indices)
+        assert mat.data.tobytes() == (-want.data).tobytes()
+    assert system.b.tobytes() == (-want_b).tobytes()
 
 
 random_balls = dict(n=st.sampled_from([2, 3]), m=st.integers(8, 40), radius=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -284,18 +293,20 @@ def test_ball_arrays_are_read_only():
 
 
 def test_poisson_assembly_memory_stays_within_twice_its_output():
-    # the neighbour table and the output arrays fit in 2x the returned bytes;
+    # the neighbour tables and the output arrays fit in 2x the returned bytes;
     # COO triplets with a sort and a negated copy need about 4.5x
     ball = BallGrid(3, 0.5, 33)
     rng = np.random.default_rng(5)
     rhs, bvals = rng.normal(size=ball.mask.shape), rng.normal(size=ball.mask.shape)
     tracemalloc.start()
     try:
-        mat, b = _poisson_system(ball, rhs, bvals)
+        system = _poisson_system(ball, rhs, bvals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = mat.indptr.nbytes + mat.indices.nbytes + mat.data.nbytes + b.nbytes
+    blocks = (system.coupling, system.coupling_t)
+    assert blocks[0].data is blocks[1].data  # one data array serves both blocks
+    kept = sum(mat.indptr.nbytes + mat.indices.nbytes for mat in blocks) + blocks[0].data.nbytes + system.b.nbytes
     assert peak <= 2.0 * kept, (peak, kept)
 
 
@@ -365,6 +376,19 @@ def test_poisson_cg_matches_direct_solve(n, m, radius, seed):
     assert np.max(np.abs(p - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@settings(max_examples=10, deadline=None)
+@given(**random_balls)
+def test_poisson_solution_satisfies_the_full_loop_system_on_random_balls(n, m, radius, seed):
+    # CG runs on the black nodes' reduced system; the red values recovered
+    # from it leave the full system's residual at the reduced one's
+    ball = BallGrid(n, radius, m)
+    rng = np.random.default_rng(seed)
+    rhs, bvals = rng.normal(size=ball.mask.shape), rng.normal(size=ball.mask.shape)
+    want_mat, want_b = loop_poisson_system(ball, rhs, bvals)
+    p = poisson_dirichlet(ball, rhs, bvals)
+    assert np.linalg.norm(want_b - want_mat @ p[ball.interior]) <= 1e-13 * np.linalg.norm(want_b)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.sampled_from([2, 3]),
@@ -377,6 +401,16 @@ def test_poisson_reproduces_quadratics(n, m, radius, seed):
     # 3-D m = 33 on the radius-0.5 ball is the benchmark's Poisson check
     ball = BallGrid(n, radius, m)
     exact, rhs = _random_quadratic(ball, np.random.default_rng(seed))
+    p = poisson_dirichlet(ball, rhs, exact)
+    assert np.max(np.abs(p - exact)[ball.mask]) <= 1e-10
+
+
+def test_poisson_solve_on_the_benchmark_ball_takes_at_most_80_iterations(monkeypatch):
+    # on this 3-D m = 33 problem CG on the full system took 134 iterations,
+    # CG on the reduced system takes 67
+    ball = BallGrid(3, 0.5, 33)
+    exact, rhs = _random_quadratic(ball, np.random.default_rng(0))
+    monkeypatch.setattr(cone, "_cg_iteration_cap", lambda size: 80)
     p = poisson_dirichlet(ball, rhs, exact)
     assert np.max(np.abs(p - exact)[ball.mask]) <= 1e-10
 
